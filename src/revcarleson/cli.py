@@ -252,6 +252,8 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    if args.grid_points <= 0:
+        raise ValueError("--grid-points must be positive")
     cfg = _load_config(args)
     e1 = np.zeros(cfg.dim, dtype=complex)
     e1[0] = 1.0

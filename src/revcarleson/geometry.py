@@ -10,8 +10,9 @@ exposed separately.  Dilation scales delta: r * Q(c, delta) = Q(c, r*delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -65,12 +66,6 @@ class BallPoint:
     @property
     def is_interior(self) -> bool:
         return self.norm < 1 - TOL
-
-    def direction(self) -> "SpherePoint":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("radial projection undefined at the origin")
-        return SpherePoint(self.coords / n)
 
 
 @dataclass(frozen=True)
@@ -252,59 +247,112 @@ def sample_cap(Q: NonisotropicBall, n: int, rng: np.random.Generator,
     return np.concatenate(out)[:n]
 
 
-def _cap_overlap(beta: complex, h: float, t_grid: np.ndarray) -> bool:
-    # Exact overlap test for two caps of radius h at inner product beta = <b, a>:
-    # after a unitary sending a to e1, membership of a common point reduces to
-    # exists t in {|1 - t| <= h, |t| <= 1} with
-    #   |1 - b1 * t| - s * sqrt(1 - |t|^2) <= h,   b1 = beta, s = sqrt(1 - |b1|^2).
-    s = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2))
-    if s <= 1e-9:
+# pairs per block of the batched overlap test, whose arrays hold one value
+# per pair and grid node: under 5 MiB each at this size
+_OVERLAP_BLOCK = 256
+
+
+class _OverlapGrid(NamedTuple):
+    """Nodes t = 1 - r e^{ia} of the lens {|1 - t| <= h, |t| <= 1}."""
+
+    t: np.ndarray
+    sqrt_term: np.ndarray   # sqrt(1 - |t|^2)
+    r: np.ndarray           # |1 - t|
+    a: np.ndarray           # arg(1 - t)
+
+
+def _overlap_grid(h: float, n: int = 48) -> _OverlapGrid:
+    r = np.linspace(0.0, h, n)
+    th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    t = 1.0 - (r[:, None] * np.exp(1j * th[None, :])).ravel()
+    t = t[np.abs(t) <= 1.0]
+    one_minus_t = 1.0 - t
+    # math.atan2 per node: np.arctan2 may differ in the last ulp, which would
+    # move the polish windows away from those of the scalar reference test
+    return _OverlapGrid(
+        t, np.sqrt(np.clip(1.0 - np.abs(t) ** 2, 0.0, None)),
+        np.hypot(one_minus_t.real, one_minus_t.imag),
+        np.array([math.atan2(u.imag, u.real) for u in one_minus_t]))
+
+
+def _caps_overlap(beta: np.ndarray, h: float,
+                  grid: _OverlapGrid) -> np.ndarray:
+    """Whether caps of radius h at inner products beta = <b, a> meet.
+
+    After a unitary sending a to e1, a common point exists iff some t in the
+    lens {|1 - t| <= h, |t| <= 1} has
+      |1 - b1 * t| - s * sqrt(1 - |t|^2) <= h,   b1 = beta, s = sqrt(1 - |b1|^2).
+    Returns one bool per pair.
+    """
+    # np.hypot rounds as abs() of a complex scalar does; np.abs may differ
+    # in the last ulp
+    s = np.sqrt(np.maximum(0.0, 1.0 - np.hypot(beta.real, beta.imag) ** 2))
+    out = np.zeros(len(beta), dtype=bool)
+    line = s <= 1e-9
+    if line.any():
         # both centers on the same complex line (always the case for d = 1):
         # arcs of half-angle 2 asin(h/2) overlap iff the angular separation
         # is at most twice that, and the closed caps touch at equality
         theta_h = 2.0 * math.asin(min(h / 2.0, 1.0))
-        return abs(math.atan2(beta.imag, beta.real)) <= 2.0 * theta_h + TOL
-    lhs = np.abs(1.0 - beta * t_grid)
-    rhs = h + s * np.sqrt(np.clip(1.0 - np.abs(t_grid) ** 2, 0.0, None))
-    if np.any(lhs <= rhs + TOL):
-        return True
+        bound = 2.0 * theta_h + TOL
+        bl = beta[line]
+        ang = np.abs(np.arctan2(bl.imag, bl.real))
+        # np.arctan2 may differ from math.atan2 in the last ulp, so the
+        # angles that close to the bound are settled by math.atan2
+        near = np.flatnonzero(np.abs(ang - bound) <= 1e-13)
+        ang[near] = [abs(math.atan2(b.imag, b.real)) for b in bl[near]]
+        out[line] = ang <= bound
+    rest = np.flatnonzero(~line)
+    for lo in range(0, len(rest), _OVERLAP_BLOCK):
+        idx = rest[lo:lo + _OVERLAP_BLOCK]
+        out[idx] = _caps_overlap_block(beta[idx], s[idx], h, grid)
+    return out
+
+
+def _caps_overlap_block(beta: np.ndarray, s: np.ndarray, h: float,
+                        grid: _OverlapGrid) -> np.ndarray:
+    lhs = np.abs(1.0 - beta[:, None] * grid.t[None, :])
+    rhs = h + s[:, None] * grid.sqrt_term[None, :]
+    out = (lhs <= rhs + TOL).any(axis=1)
     # the grid can miss a marginal tangency; polish from the best grid point,
     # but only when the margin is below the grid's resolution error (the
     # objective is Lipschitz ~ 1 + s/sqrt(2h) on the grid scale h/48)
     gap = lhs - rhs
+    best = gap.min(axis=1)
     margin = 0.5 * (h / 48.0) * (1.0 + s / math.sqrt(2.0 * h)) * 2.0 * math.pi
-    if float(gap.min()) > margin:
-        return False
-    t0 = t_grid[int(np.argmin(gap))]
-    r0 = abs(1.0 - t0)
-    a0 = math.atan2((1.0 - t0).imag, (1.0 - t0).real)
+    unsure = np.flatnonzero(~out & (best <= margin))
+    k0 = gap[unsure].argmin(axis=1)
+    r0, a0 = grid.r[k0], grid.a[k0]
+    beta, s, best = beta[unsure], s[unsure], best[unsure]
     rad_w, ang_w = h / 48.0, 2.0 * math.pi / 48.0
-    best = float(gap.min())
-    for _ in range(6):            # zoom x4 per round: resolves ~1e-3 h / 48^?
-        rr = np.clip(np.linspace(r0 - rad_w, r0 + rad_w, 33), 0.0, h)
-        aa = np.linspace(a0 - ang_w, a0 + ang_w, 33)
-        t = 1.0 - rr[:, None] * np.exp(1j * aa[None, :])
-        ok = np.abs(t) <= 1.0
+    # each of six rounds samples a 33 x 33 polar patch around the best point
+    # so far and shrinks it four-fold: the last samples at 1/16384 of the
+    # grid spacing, in radius and in angle
+    for _ in range(6):
+        if not len(unsure):
+            break
+        rr = np.clip(np.linspace(r0 - rad_w, r0 + rad_w, 33, axis=1), 0.0, h)
+        aa = np.linspace(a0 - ang_w, a0 + ang_w, 33, axis=1)
+        t = 1.0 - rr[:, :, None] * np.exp(1j * aa[:, None, :])
+        abs_t = np.abs(t)
         f = np.where(
-            ok,
-            np.abs(1.0 - beta * t)
-            - s * np.sqrt(np.clip(1.0 - np.abs(t) ** 2, 0.0, None)) - h,
-            np.inf)
-        i, j = np.unravel_index(int(np.argmin(f)), f.shape)
-        best = min(best, float(f[i, j]))
-        if best <= TOL:
-            return True
-        r0, a0 = float(rr[i]), float(aa[j])
+            abs_t <= 1.0,
+            np.abs(1.0 - beta[:, None, None] * t)
+            - s[:, None, None] * np.sqrt(np.clip(1.0 - abs_t ** 2, 0.0, None))
+            - h,
+            np.inf).reshape(len(unsure), -1)
+        k = f.argmin(axis=1)
+        best = np.minimum(best, f[np.arange(len(k)), k])
+        hit = best <= TOL
+        out[unsure[hit]] = True
+        keep = ~hit
+        i, j = np.divmod(k[keep], 33)
+        sel = np.flatnonzero(keep)
+        r0, a0 = rr[sel, i], aa[sel, j]
+        unsure, beta, s, best = unsure[keep], beta[keep], s[keep], best[keep]
         rad_w /= 4.0
         ang_w /= 4.0
-    return bool(best <= TOL)
-
-
-def _overlap_t_grid(h: float, n: int = 48) -> np.ndarray:
-    r = np.linspace(0.0, h, n)
-    th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    t = 1.0 - (r[:, None] * np.exp(1j * th[None, :])).ravel()
-    return t[np.abs(t) <= 1.0]
+    return out
 
 
 def _candidate_centers(Q: NonisotropicBall, h: float, seed: int) -> np.ndarray:
@@ -350,11 +398,20 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     lies in Q, or when its ball lies in 2Q by the triangle inequality
     rho(c, center) + sqrt(h) <= sqrt(2 delta); that clause reaches beyond Q
     only when h <= (sqrt(2) - 1)^2 delta ~ 0.172 delta, and every ball lies
-    in max(2, (1 + sqrt(h / delta))^2) Q, inside 4Q.  Rejection uses the
-    exact cap-overlap test, so the family is maximal with respect to genuine
-    disjointness among the candidates.  With certificate_grid > 0, a
-    PackingCertificate over that many uniform points of Q (coverage by
-    Q(c_j, 2h), pairwise disjointness) is attached.
+    in max(2, (1 + sqrt(h / delta))^2) Q, inside 4Q.  Rejection uses a
+    grid-and-zoom cap-overlap test (a 48 x 48 polar grid of the lens of
+    common points, polished when it is unsure), so the family is maximal
+    with respect to disjointness among the candidates as that test sees it.
+
+    The scan is a sweep: the first candidate still alive is admitted, and
+    every later alive candidate whose ball meets its ball is dropped (gap
+    <= h at once, gap in (h, 4h] by the overlap test, batched).  This is
+    first-fit: a candidate's fate depends only on the balls admitted before
+    it in the fixed outward order, and the first alive candidate meets none
+    of them, so it is exactly the one first-fit admits next.
+
+    With certificate_grid > 0, a PackingCertificate over that many uniform
+    points of Q (coverage by Q(c_j, 2h), pairwise disjointness) is attached.
 
     Covering: rho is a metric, so a candidate rejected for meeting Q(c_j, h)
     lies within rho <= 2 sqrt(h) of c_j, i.e. in Q(c_j, 4h).  Every centre
@@ -380,22 +437,21 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     budget = math.sqrt(min(2.0 * Q.delta, 2.0)) - math.sqrt(h)
     cands = cands[(np.sqrt(gap_c) <= budget + TOL) | (gap_c <= Q.delta + TOL)]
 
-    t_grid = _overlap_t_grid(h)
+    grid = _overlap_grid(h)
     selected: list[np.ndarray] = []
-    for cand in cands:
-        ok = True
-        for zj in selected:
-            gap = abs(1.0 - np.sum(cand * np.conj(zj)))
-            if gap > 4.0 * h:          # triangle inequality: surely disjoint
-                continue
-            if gap <= h:               # cand lies inside the other ball
-                ok = False
-                break
-            if _cap_overlap(np.sum(cand * np.conj(zj)), h, t_grid):
-                ok = False
-                break
-        if ok:
-            selected.append(cand)
+    alive = cands
+    while len(alive):
+        zj = alive[0].copy()        # a view would keep all of alive
+        selected.append(zj)
+        alive = alive[1:]
+        ip = (alive * np.conj(zj)).sum(axis=1)
+        one_minus = 1.0 - ip
+        gap = np.hypot(one_minus.real, one_minus.imag)    # see _caps_overlap
+        meets = gap <= h                  # inside the ball of zj
+        # beyond 4h the triangle inequality makes the caps disjoint
+        band = np.flatnonzero(~meets & (gap <= 4.0 * h))
+        meets[band] = _caps_overlap(ip[band], h, grid)
+        alive = alive[~meets]
     if not selected:
         raise RuntimeError("greedy selection produced no balls")
     balls = [NonisotropicBall(SpherePoint(c), h) for c in selected]

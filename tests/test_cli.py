@@ -74,6 +74,15 @@ def test_pack(tmp_path):
     assert doc["n_balls"] >= 1
 
 
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_pack_rejects_nonpositive_grid_points(tmp_path, capsys, points):
+    code = run(["pack", "--dim", "1", "--delta", "0.5", "--h", "0.05",
+                "--grid-points", points, "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert "--grid-points must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_dbr_check(tmp_path):
     sym = tmp_path / "b.yaml"
     sym.write_text(CONST_SYMBOL)
