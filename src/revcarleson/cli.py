@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import yaml
 
 from . import __version__
 from .criteria import (SearchGrid, condition_ii_profile, condition_iii_profile,
-                       equivalence_report, forward_profile, window_profile)
+                       equivalence_report, window_profiles)
 from .dbr import (is_inner_estimate, kernel_test, load_symbol,
                   necessary_condition_constant, one_minus_b_integral,
                   refute_sampling)
@@ -59,8 +60,6 @@ class ExperimentConfig:
             raise ValueError("resolution must be at least 4")
         if self.refinements < 1:
             raise ValueError("refinements must be at least 1")
-        if self.dim >= 3 and self.seed is None:
-            raise ValueError("Monte Carlo grids require an explicit seed")
 
     def sphere(self):
         res = self.resolution
@@ -76,21 +75,44 @@ class ExperimentConfig:
                           seed=self.seed)
 
 
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _coerce(name: str, value):
+    """A config-file value as its field's annotated type: int, float, or
+    str | None.  Anything else, such as `resolution: abc`, is an input
+    error."""
+    kind = _FIELD_TYPES[name]
+    if kind in (int, float):
+        readable = (int, str) if kind is int else (int, float, str)
+        if isinstance(value, readable) and not isinstance(value, bool):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    elif value is None or isinstance(value, str):
+        return value
+    expected = kind.__name__ if kind in (int, float) else "a string"
+    raise ValueError(f"config field {name!r} must be {expected}, "
+                     f"got {value!r}")
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = yaml.safe_load(fh) or {}
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a mapping of fields")
         unknown = set(doc) - set(cfg.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for k, v in doc.items():
-            setattr(cfg, k, v)
+            setattr(cfg, k, _coerce(k, v))
     for k in cfg.__dataclass_fields__:
         v = getattr(args, k, None)
         if v is not None:
             setattr(cfg, k, v)
-    cfg.dim = int(cfg.dim)
     cfg.validate()
     return cfg
 
@@ -202,8 +224,7 @@ def cmd_criteria(args) -> int:
     grid, rad, sg = cfg.sphere(), cfg.radial(), cfg.search()
     p3 = condition_iii_profile(mu, sg, grid)
     p2 = condition_ii_profile(mu, ex, sg, grid, rad)
-    pw = window_profile(mu, sg, grid, rad)
-    pf = forward_profile(mu, sg, grid, rad)
+    pw, pf = window_profiles(mu, sg, grid, rad)
     rows = [("condition", "extremal", "argext")]
     for prof in (p3, p2, pw, pf):
         rows.append((prof.condition, f"{prof.extremal:.6g}",
@@ -317,6 +338,8 @@ def cmd_refute_sampling(args) -> int:
     b = load_symbol(args.symbol)
     with open(args.points) as fh:
         pts_doc = yaml.safe_load(fh)
+    if not isinstance(pts_doc, dict):
+        raise ValueError("points file must hold a mapping with a points list")
     points = [_parse_point(p) for p in pts_doc["points"]]
     ref = refute_sampling(b, points, cfg.search(), cfg.sphere(), cfg.radial(),
                           refinements=cfg.refinements,

@@ -16,12 +16,12 @@ import numpy as np
 from .geometry import (CarlesonWindow, NonisotropicBall, SpherePoint,
                        sample_sphere)
 from .kernels import Exponents, TestFunction, cauchy_kernel_at, hp_norm, kernel_norm
-from .measures import BallMeasure, integrate_measure, measure_of_ball, measure_of_window
+from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
-           "condition_ii_profile", "window_profile", "forward_profile",
-           "reverse_inequality_witness", "equivalence_report",
+           "condition_ii_profile", "window_profiles", "window_profile",
+           "forward_profile", "reverse_inequality_witness", "equivalence_report",
            "EquivalenceReport", "default_witness_family"]
 
 
@@ -93,6 +93,7 @@ def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,
                           grid: SphereGrid) -> CriterionProfile:
     """min over sampled balls of mu(Q)/sigma(Q), node-indicator sums on both
     sides; cells whose sigma estimate vanishes are skipped."""
+    table = _NodeTable.build(mu, grid)
     params, values = [], []
     for c in sgrid.centers():
         gaps = np.abs(1.0 - grid.nodes @ np.conj(c))
@@ -102,7 +103,7 @@ def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,
             if s <= 0.0:
                 continue
             Q = NonisotropicBall(SpherePoint(c), float(delta))
-            values.append(measure_of_ball(mu, Q, grid) / s)
+            values.append(table.ball_mass(Q) / s)
             params.append((tuple(c), float(delta)))
     return CriterionProfile.from_values("iii", params, values, reverse=True)
 
@@ -120,6 +121,7 @@ def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
                          radial: RadialRule) -> CriterionProfile:
     """min over the w-grid of the integral of |K_w|^p against mu."""
     p = exponents.p
+    table = _NodeTable.build(mu, grid, radial)
     params, values = [], []
     for w in _w_points(sgrid):
         nrm = kernel_norm(w, exponents, None if abs(p - 2) < 1e-12 else grid)
@@ -127,13 +129,17 @@ def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
         def f(pts, w=w, nrm=nrm):
             return (np.abs(cauchy_kernel_at(w, pts)) / nrm) ** p
 
-        values.append(integrate_measure(mu, f, grid, radial))
+        values.append(table.integrate(f))
         params.append(tuple(w))
     return CriterionProfile.from_values("ii", params, values, reverse=True)
 
 
-def _window_ratios(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
-                   radial: RadialRule):
+def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
+                    radial: RadialRule
+                    ) -> tuple[CriterionProfile, CriterionProfile]:
+    """(window_profile, forward_profile) from one pass over the cells: both
+    are read off the same ratios mu(S_Q)/sigma(Q)."""
+    table = _NodeTable.build(mu, grid)
     params, values = [], []
     for c in sgrid.centers():
         gaps = np.abs(1.0 - grid.nodes @ np.conj(c))
@@ -144,24 +150,24 @@ def _window_ratios(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                 continue
             Q = NonisotropicBall(SpherePoint(c), float(delta))
             S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
-            values.append(measure_of_window(mu, S, grid, radial) / s)
+            values.append(table.window_mass(S, radial) / s)
             params.append((tuple(c), float(delta)))
-    return params, values
+    profile = CriterionProfile.from_values
+    return (profile("window", params, values, reverse=True),
+            profile("forward", params, values, reverse=False))
 
 
 def window_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                    radial: RadialRule) -> CriterionProfile:
     """min of mu(S_Q)/sigma(Q) over sampled balls, S_Q the window of depth
     sigma(Q) (grid estimate, outer-closed)."""
-    params, values = _window_ratios(mu, sgrid, grid, radial)
-    return CriterionProfile.from_values("window", params, values, reverse=True)
+    return window_profiles(mu, sgrid, grid, radial)[0]
 
 
 def forward_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                     radial: RadialRule) -> CriterionProfile:
     """max of mu(S_Q)/sigma(Q): the classical Carleson-condition profile."""
-    params, values = _window_ratios(mu, sgrid, grid, radial)
-    return CriterionProfile.from_values("forward", params, values, reverse=False)
+    return window_profiles(mu, sgrid, grid, radial)[1]
 
 
 def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
@@ -196,6 +202,7 @@ def reverse_inequality_witness(mu: BallMeasure, exponents: Exponents,
     if not family:
         raise ValueError("witness family must be nonempty")
     p = exponents.p
+    table = _NodeTable.build(mu, grid, radial)
     best, best_f = math.inf, None
     values = []
     for f in family:
@@ -206,7 +213,7 @@ def reverse_inequality_witness(mu: BallMeasure, exponents: Exponents,
         def g(pts, f=f):
             return np.abs(f(pts)) ** p
 
-        ratio = integrate_measure(mu, g, grid, radial) / nrm ** p
+        ratio = table.integrate(g) / nrm ** p
         values.append(ratio)
         if ratio < best:
             best, best_f = ratio, f

@@ -18,7 +18,7 @@ import yaml
 
 from .geometry import BallPoint, SpherePoint, sample_sphere
 from .kernels import boundary_radial_limit, cauchy_kernel_at
-from .measures import BallMeasure, integrate_measure
+from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, refine
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
@@ -86,10 +86,6 @@ class Symbol:
             else:
                 out = out * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
         return out
-
-    @property
-    def boundary_modulus_closed_form(self) -> bool:
-        return self.kind in ("constant", "blaschke")
 
     def boundary_modulus(self, nodes: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
@@ -170,6 +166,7 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
     bad = mu_admissible_at_atoms(b, mu)
     if bad:
         raise ValueError(f"symbol not mu-admissible at boundary atom {bad[0]}")
+    table = _NodeTable.build(mu, grid, radial)
     params, values = [], []
     for w in _w_points(sgrid):
         diag = dbr_kernel_diag(b, w)
@@ -179,7 +176,7 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
         def f(pts, w=w):
             return np.abs(dbr_kernel_at(b, w, pts)) ** 2
 
-        values.append(integrate_measure(mu, f, grid, radial) / diag)
+        values.append(table.integrate(f) / diag)
         params.append(tuple(w))
     return CriterionProfile.from_values("hb-kernel", params, values, reverse=True)
 
@@ -261,6 +258,8 @@ def sampling_candidate_measure(b: Symbol, points) -> BallMeasure:
         if diag <= 0 or not math.isfinite(1.0 / diag):
             raise ValueError(f"kernel diagonal degenerate at {pt}")
         atoms.append((pt, 1.0 / diag))
+    if not atoms:
+        raise ValueError("a sampling sequence needs at least one point")
     return BallMeasure(atoms[0][0].d, interior_atoms=tuple(atoms))
 
 

@@ -16,7 +16,8 @@ import numpy as np
 import yaml
 
 from .geometry import BallPoint, CarlesonWindow, NonisotropicBall, SpherePoint, TOL
-from .quadrature import RadialRule, SphereGrid, integrate_window
+from .quadrature import (RadialRule, SphereGrid, WindowNodes, integrate_window,
+                         radial_rule, window_nodes, window_sum)
 
 __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
            "measure_of_ball", "measure_of_window", "integrate_measure",
@@ -187,36 +188,14 @@ def sigma_measure(d: int) -> BallMeasure:
 def measure_of_ball(mu: BallMeasure, Q: NonisotropicBall,
                     grid: SphereGrid) -> float:
     """mu(Q) for a cap Q on the sphere; only boundary parts contribute."""
-    mask = Q.contains_coords(grid.nodes)
-    g = mu.boundary_density_values(grid)
-    total = float(np.sum(grid.weights[mask] * g[mask]))
-    for pt, mass in mu.boundary_atoms:
-        if Q.contains_coords(pt.coords[None, :])[0]:
-            total += mass
-    return total
+    return _NodeTable.build(mu, grid).ball_mass(Q)
 
 
 def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
                       radial: RadialRule) -> float:
     """mu(S) = interior density over S + interior atoms in S
     + (if the window is outer-closed) the boundary parts over its cap."""
-    total = 0.0
-    if mu.interior_density is not None:
-        total += float(np.real(integrate_window(mu.interior_density, S, grid,
-                                                _match_depth(radial, S))))
-    for pt, mass in mu.interior_atoms:
-        if S.contains_coords(pt.coords[None, :])[0]:
-            total += mass
-    if S.closed_outer:
-        total += measure_of_ball(mu, S.ball, grid)
-    return total
-
-
-def _match_depth(radial: RadialRule, S: CarlesonWindow) -> RadialRule:
-    from .quadrature import radial_rule
-    if abs(radial.depth - S.depth) < 1e-12 and radial.d == S.d:
-        return radial
-    return radial_rule(S.d, radial.resolution, S.depth)
+    return _NodeTable.build(mu, grid).window_mass(S, radial)
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
@@ -229,34 +208,98 @@ def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
     (default boundary_f) is evaluated at boundary singular atoms and may
     return math.inf when a radial limit diverges there.
     """
-    boundary_f = boundary_f if boundary_f is not None else f
-    atom_f = atom_f if atom_f is not None else boundary_f
-    total = 0.0
-    if mu.interior_density is not None:
-        full = CarlesonWindow(NonisotropicBall(_pole(mu.d), 2.0), 1.0)
+    return _NodeTable.build(mu, grid, radial).integrate(f, boundary_f, atom_f)
 
-        def fg(z):
-            return np.asarray(f(z)) * mu.interior_density(z)
 
-        total += float(np.real(integrate_window(fg, full, grid,
-                                                _match_depth(radial, full))))
-    for pt, mass in mu.interior_atoms:
-        v = float(np.real(f(pt.coords[None, :])[0]))
-        if v < -1e-10:
-            raise ValueError("integrand must be nonnegative")
-        total += mass * v
-    if mu.boundary_density is not None:
-        g = mu.boundary_density_values(grid)
-        vals = np.real(np.asarray(boundary_f(grid.nodes)))
-        if np.any(vals < -1e-10):
-            raise ValueError("integrand must be nonnegative")
-        total += float(np.sum(grid.weights * g * vals))
-    for pt, mass in mu.boundary_atoms:
-        v = float(np.real(atom_f(pt.coords[None, :])[0]))
-        if math.isinf(v):
-            return math.inf
-        total += mass * v
-    return total
+def _match_depth(radial: RadialRule, S: CarlesonWindow) -> RadialRule:
+    if abs(radial.depth - S.depth) < 1e-12 and radial.d == S.d:
+        return radial
+    return radial_rule(S.d, radial.resolution, S.depth)
+
+
+@dataclass(frozen=True)
+class _NodeTable:
+    """The parts of mu evaluated once on the quadrature nodes of a grid.
+
+    A loop that integrates many functions against one measure (every w of
+    a kernel profile, every cell of a window profile) builds the table once
+    and passes it on, so no density is evaluated twice on the same nodes.
+    wg holds sigma's weight times the validated boundary density at each
+    sphere node; interior and density hold the full-ball tensor nodes of
+    the radial rule and the interior density on them.  Each is None when mu
+    has no such part (interior and density also when no radial rule is
+    given).
+    """
+
+    mu: BallMeasure
+    grid: SphereGrid
+    wg: np.ndarray | None
+    interior: WindowNodes | None
+    density: np.ndarray | None
+
+    @classmethod
+    def build(cls, mu: BallMeasure, grid: SphereGrid,
+              radial: RadialRule | None = None) -> "_NodeTable":
+        interior = density = wg = None
+        if radial is not None and mu.interior_density is not None:
+            full = CarlesonWindow(NonisotropicBall(_pole(mu.d), 2.0), 1.0)
+            interior = window_nodes(full, grid, _match_depth(radial, full))
+            density = mu.interior_density(interior.points)
+        if mu.boundary_density is not None:
+            wg = grid.weights * mu.boundary_density_values(grid)
+        return cls(mu, grid, wg, interior, density)
+
+    def ball_mass(self, Q: NonisotropicBall) -> float:
+        """mu(Q), see measure_of_ball."""
+        total = 0.0
+        if self.wg is not None:
+            mask = Q.contains_coords(self.grid.nodes)
+            total = float(np.sum(self.wg[mask]))
+        for pt, mass in self.mu.boundary_atoms:
+            if Q.contains_coords(pt.coords[None, :])[0]:
+                total += mass
+        return total
+
+    def window_mass(self, S: CarlesonWindow, radial: RadialRule) -> float:
+        """mu(S), see measure_of_window."""
+        mu = self.mu
+        total = 0.0
+        if mu.interior_density is not None:
+            total += float(np.real(integrate_window(
+                mu.interior_density, S, self.grid, _match_depth(radial, S))))
+        for pt, mass in mu.interior_atoms:
+            if S.contains_coords(pt.coords[None, :])[0]:
+                total += mass
+        if S.closed_outer:
+            total += self.ball_mass(S.ball)
+        return total
+
+    def integrate(self, f, boundary_f=None, atom_f=None) -> float:
+        """The integral of f against mu, see integrate_measure; needs a
+        table built with a radial rule when mu has an interior density."""
+        mu = self.mu
+        boundary_f = boundary_f if boundary_f is not None else f
+        atom_f = atom_f if atom_f is not None else boundary_f
+        total = 0.0
+        if mu.interior_density is not None:
+            vals = np.asarray(f(self.interior.points)) * self.density
+            total += float(np.real(window_sum(self.interior, vals)))
+        for pt, mass in mu.interior_atoms:
+            v = float(np.real(f(pt.coords[None, :])[0]))
+            if v < -1e-10:
+                raise ValueError("integrand must be nonnegative")
+            total += mass * v
+        if self.wg is not None:
+            vals = np.real(np.asarray(boundary_f(self.grid.nodes)))
+            if np.any(vals < -1e-10):
+                raise ValueError("integrand must be nonnegative")
+            total += float(np.sum(self.wg * vals))
+        for pt, mass in mu.boundary_atoms:
+            v = float(np.real(atom_f(pt.coords[None, :])[0]))
+            if math.isinf(v):
+                return math.inf
+            total += mass * v
+        return total
 
 
 def _pole(d: int) -> SpherePoint:
@@ -285,6 +328,7 @@ def radon_nikodym_profile(mu: BallMeasure, centers, deltas,
         raise ValueError("deltas must be positive")
     if any(b1 <= b2 for b1, b2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
+    table = _NodeTable.build(mu, grid)
     out = np.full((len(centers), len(deltas)), np.nan)
     for i, c in enumerate(centers):
         for j, delta in enumerate(deltas):
@@ -293,7 +337,7 @@ def radon_nikodym_profile(mu: BallMeasure, centers, deltas,
             s = float(grid.weights[mask].sum())
             if s <= 0:
                 continue
-            out[i, j] = measure_of_ball(mu, Q, grid) / s
+            out[i, j] = table.ball_mass(Q) / s
     return RadonNikodymProfile(tuple(centers), deltas, out)
 
 

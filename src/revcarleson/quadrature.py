@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import CarlesonWindow
 
-__all__ = ["SphereGrid", "RadialRule", "sphere_grid", "radial_rule",
-           "integrate_sphere", "integrate_window", "refine"]
+__all__ = ["SphereGrid", "RadialRule", "WindowNodes", "sphere_grid",
+           "radial_rule", "integrate_sphere", "window_nodes", "window_sum",
+           "integrate_window", "refine"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,16 @@ class RadialRule:
             raise ValueError("radial nodes must be strictly increasing")
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and
+    kept read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _uniform_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     theta = 2.0 * math.pi * np.arange(n) / n
     nodes = np.exp(1j * theta)[:, None]
@@ -66,7 +79,7 @@ def _uniform_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _torus_product(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Hopf coordinates zeta = (e^{i phi1} cos th, e^{i phi2} sin th);
     # with u = sin^2 th the normalized measure is du dphi1 dphi2 / (2 pi)^2.
-    x, wu = np.polynomial.legendre.leggauss(n)
+    x, wu = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * wu
     phi = np.exp(2j * math.pi * np.arange(n) / n)
@@ -117,7 +130,7 @@ def radial_rule(d: int, resolution: int, depth: float = 1.0) -> RadialRule:
     """Gauss-Legendre rule on [1-depth, 1) with the polar Jacobian folded in."""
     if not 0.0 < depth <= 1.0:
         raise ValueError("depth must lie in (0, 1]")
-    x, w = np.polynomial.legendre.leggauss(resolution)
+    x, w = _gauss_legendre(resolution)
     lo, hi = 1.0 - depth, 1.0 - 1e-14
     r = 0.5 * (hi - lo) * (x + 1.0) + lo
     wr = 0.5 * (hi - lo) * w * 2.0 * d * r ** (2 * d - 1)
@@ -135,30 +148,64 @@ def integrate_sphere(f, grid: SphereGrid) -> complex:
     return complex(np.sum(grid.weights * vals))
 
 
+class WindowNodes(NamedTuple):
+    """Radius x angle tensor nodes of a window: points[j * m + i] is
+    radial.nodes[j] * zeta[i] for the m sphere nodes zeta inside the cap."""
+
+    zeta: np.ndarray           # (m, d) sphere nodes inside the cap
+    w_ang: np.ndarray          # (m,) their weights
+    radial: RadialRule
+    points: np.ndarray         # (R * m, d), radius-major
+
+
+def window_nodes(S: CarlesonWindow, grid: SphereGrid,
+                 radial: RadialRule) -> WindowNodes | None:
+    """The tensor nodes integrate_window uses for S; None if the cap holds
+    no sphere node."""
+    if radial.depth > S.depth + 1e-12:
+        raise ValueError("radial rule exceeds the window depth")
+    mask = S.ball.contains_coords(grid.nodes)
+    if not mask.any():
+        return None
+    zeta = grid.nodes[mask]
+    points = (radial.nodes[:, None, None] * zeta).reshape(-1, zeta.shape[1])
+    return WindowNodes(zeta, grid.weights[mask], radial, points)
+
+
+def window_sum(nodes: WindowNodes, vals) -> complex:
+    """Sum of the integrand values on the window's nodes against volume.
+
+    The row sums over the angles are added one radius at a time, in radius
+    order, so the result has the bits of a loop that integrates each
+    radius in turn.
+    """
+    m = len(nodes.zeta)
+    vals = np.asarray(vals).reshape(-1, m)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        j, i = divmod(int(np.argmax(bad)), m)
+        raise ArithmeticError(
+            f"integrand not finite at radius {nodes.radial.nodes[j]}, "
+            f"node {nodes.zeta[i]}")
+    rows = np.sum(nodes.w_ang * vals, axis=1)
+    total = 0.0 + 0.0j
+    for wr, row in zip(nodes.radial.weights, rows):
+        total += wr * row
+    return complex(total)
+
+
 def integrate_window(f, S: CarlesonWindow, grid: SphereGrid,
                      radial: RadialRule) -> complex:
     """Polar-coordinate integral of f over the window S against volume.
 
     Nodes are r_j * zeta_i for sphere nodes zeta_i inside the cap of S; the
-    boundary sphere |z| = 1 never carries volume nodes.
+    boundary sphere |z| = 1 never carries volume nodes.  f is called once,
+    on all of them.
     """
-    if radial.depth > S.depth + 1e-12:
-        raise ValueError("radial rule exceeds the window depth")
-    mask = S.ball.contains_coords(grid.nodes)
-    if not mask.any():
+    nodes = window_nodes(S, grid, radial)
+    if nodes is None:
         return 0.0 + 0.0j
-    zeta = grid.nodes[mask]
-    w_ang = grid.weights[mask]
-    total = 0.0 + 0.0j
-    for r, wr in zip(radial.nodes, radial.weights):
-        vals = np.asarray(f(r * zeta))
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ArithmeticError(
-                f"integrand not finite at radius {r}, node {zeta[i]}")
-        total += wr * np.sum(w_ang * vals)
-    return complex(total)
+    return window_sum(nodes, f(nodes.points))
 
 
 def refine(obj):

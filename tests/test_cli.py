@@ -5,11 +5,18 @@ import json
 import pytest
 
 from revcarleson.cli import main
+from revcarleson.criteria import SearchGrid, forward_profile, window_profile
+from revcarleson.measures import load_measure
+from revcarleson.quadrature import radial_rule, sphere_grid
 
 CONST_SYMBOL = "kind: constant\ndimension: 1\ndata: {value: [0.5, 0.0]}\n"
 POINTS = ("points:\n- [[0.5, 0.0]]\n- [[0.75, 0.0]]\n- [[0.875, 0.0]]\n")
 ATOM_MEASURE = ("dimension: 1\n"
                 "interior_atoms:\n- {point: [[0.0, 0.0]], mass: 1.0}\n")
+VOLUME_MEASURE = ("dimension: 1\n"
+                  "interior_density: {pow: [{abs_z: null}, 2.0]}\n"
+                  "boundary_density: 0.5\n"
+                  "interior_atoms:\n- {point: [[0.9, 0.0]], mass: 0.2}\n")
 
 
 def run(argv):
@@ -43,6 +50,24 @@ def test_criteria_writes_csv_curves(tmp_path, capsys):
         assert (tmp_path / f"c.{name}.csv").exists()
     doc = json.loads(out.read_text())
     assert set(doc["profiles"]) == {"i", "ii", "iii", "window", "forward"} - {"i"}
+
+
+def test_criteria_window_and_forward_profiles_match_library(tmp_path):
+    # the CLI reads both profiles off one pass over the cells
+    mu_path = tmp_path / "mu.yaml"
+    mu_path.write_text(VOLUME_MEASURE)
+    out = tmp_path / "c.json"
+    assert run(["criteria", "--dim", "1", "--resolution", "256",
+                "--measure", str(mu_path), "--out", str(out)]) == 0
+    profiles = json.loads(out.read_text())["profiles"]
+    mu, grid, rad = load_measure(mu_path), sphere_grid(1, 256), \
+        radial_rule(1, 24)
+    sg = SearchGrid(1, 8, 6)
+    for name, prof in (("window", window_profile(mu, sg, grid, rad)),
+                       ("forward", forward_profile(mu, sg, grid, rad))):
+        assert profiles[name]["values"] == prof.values.tolist()
+        assert profiles[name]["extremal"] == prof.extremal
+    assert profiles["window"]["extremal"] < profiles["forward"]["extremal"]
 
 
 def test_equivalence_sigma(tmp_path):
@@ -133,6 +158,35 @@ def test_config_file_sets_defaults(tmp_path):
     assert run(["criteria", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dim: 1\nresolution: abc\n",
+     "config field 'resolution' must be int, got 'abc'"),
+    ("seed: null\n", "config field 'seed' must be int, got None"),
+    ("5\n", "config file must hold a mapping"),
+])
+def test_malformed_config_value_is_input_error(tmp_path, capsys, text,
+                                               message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert run(["criteria", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("points: []\n", "needs at least one point"),
+    ("[]\n", "points file must hold a mapping"),
+])
+def test_empty_sampling_points_is_input_error(tmp_path, capsys, text,
+                                              message):
+    sym = tmp_path / "b.yaml"
+    sym.write_text(CONST_SYMBOL)
+    pts = tmp_path / "w.yaml"
+    pts.write_text(text)
+    assert run(["refute-sampling", "--dim", "1", "--symbol", str(sym),
+                "--points", str(pts), "--resolution", "64"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_config_field_is_input_error(tmp_path):

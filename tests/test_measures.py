@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from revcarleson.geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                                   SpherePoint, sigma_of_ball)
-from revcarleson.measures import (BallMeasure, DensityExpr, dump_measure,
-                                  integrate_measure, load_measure,
-                                  measure_from_dict, measure_of_ball,
-                                  measure_of_window, measure_to_dict,
-                                  radon_nikodym_profile, sigma_measure)
-from revcarleson.quadrature import radial_rule
+from revcarleson.kernels import cauchy_kernel_at
+from revcarleson.measures import (BallMeasure, DensityExpr, _NodeTable,
+                                  dump_measure, integrate_measure,
+                                  load_measure, measure_from_dict,
+                                  measure_of_ball, measure_of_window,
+                                  measure_to_dict, radon_nikodym_profile,
+                                  sigma_measure)
+from revcarleson.quadrature import radial_rule, sphere_grid
 
 E1 = SpherePoint(np.array([1.0 + 0j]))
 
@@ -103,6 +105,60 @@ def test_integrate_measure_mixed_parts(circle_grid, radial24):
     val = integrate_measure(mu, lambda z: np.abs(z[:, 0]) ** 2, circle_grid,
                             radial24)
     assert val == pytest.approx(2.0 * 0.25 + 1.0, rel=1e-10)
+
+
+def _every_part(d):
+    """A measure with each of the four parts of the decomposition."""
+    rng = np.random.default_rng(d)
+    e1 = np.zeros(d, dtype=complex)
+    e1[0] = 1.0
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return BallMeasure(
+        d,
+        interior_atoms=((BallPoint(0.6 * z / np.linalg.norm(z)), 0.7),),
+        interior_density=DensityExpr({"pow": [{"abs_z": None}, 1.7]}),
+        boundary_density=DensityExpr(
+            {"sum": [1.0, {"prod": [0.5, {"re": 0}]}]}),
+        boundary_atoms=((SpherePoint(e1), 0.3),))
+
+
+@pytest.mark.parametrize("d,res", [(1, 512), (2, 9), (3, 1000)])
+def test_node_table_reuse_matches_one_shot(d, res):
+    """One node table serves many integrands with the bits that a fresh
+    integrate_measure call gives each of them."""
+    mu = _every_part(d)
+    grid, rad = sphere_grid(d, res, seed=4), radial_rule(d, 24)
+    table = _NodeTable.build(mu, grid, rad)
+    ws = [a * np.exp(1j * t) * np.ones(d) / np.sqrt(d)
+          for a, t in ((0.0, 0.0), (0.5, 1.0), (0.9, -2.0))]
+    for _ in range(2):
+        for w in ws:
+            def f(pts, w=w):
+                return np.abs(cauchy_kernel_at(w, pts)) ** 2.6
+            assert table.integrate(f) == integrate_measure(mu, f, grid, rad)
+    for delta, depth in ((2.0, 1.0), (0.4, 0.2)):
+        S = CarlesonWindow(NonisotropicBall(mu.boundary_atoms[0][0], delta),
+                           depth)
+        assert table.window_mass(S, rad) == \
+            measure_of_window(mu, S, grid, rad)
+        assert table.ball_mass(S.ball) == measure_of_ball(mu, S.ball, grid)
+
+
+def test_node_table_evaluates_densities_once(circle_grid, radial24):
+    calls = []
+
+    class Counted(DensityExpr):
+        def __call__(self, pts):
+            calls.append(len(pts))
+            return super().__call__(pts)
+
+    mu = BallMeasure(1, interior_density=Counted(1.0),
+                     boundary_density=Counted(2.0))
+    table = _NodeTable.build(mu, circle_grid, radial24)
+    for a in (0.0, 0.3, 0.6):
+        table.integrate(lambda z, a=a: np.abs(1.0 - a * z[:, 0]) ** 2)
+        table.ball_mass(NonisotropicBall(E1, a + 0.1))
+    assert calls == [24 * 2048, 2048]
 
 
 def test_radon_nikodym_constant_density(circle_grid):

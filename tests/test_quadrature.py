@@ -11,6 +11,7 @@ from revcarleson.geometry import CarlesonWindow, NonisotropicBall, SpherePoint
 from revcarleson.quadrature import (RadialRule, SphereGrid, integrate_sphere,
                                     integrate_window, radial_rule, refine,
                                     sphere_grid)
+from revcarleson.kernels import cauchy_kernel_at
 
 
 @pytest.mark.parametrize("d,res", [(1, 512), (2, 12), (3, 50000)])
@@ -116,3 +117,95 @@ def test_integrate_window_shell_mass(circle_grid):
 def test_integrate_sphere_rejects_nonfinite(circle_grid):
     with pytest.raises(ArithmeticError), np.errstate(divide="ignore"):
         integrate_sphere(lambda z: 1.0 / np.abs(1.0 - z[:, 0]), circle_grid)
+
+
+def test_radial_rule_matches_fresh_gauss_legendre():
+    # the cached Gauss-Legendre nodes give the bits of a fresh leggauss call
+    for d, n, depth in [(1, 24, 1.0), (3, 24, 0.0625), (2, 17, 0.3)]:
+        rule = radial_rule(d, n, depth)
+        x, w = np.polynomial.legendre.leggauss(n)
+        lo, hi = 1.0 - depth, 1.0 - 1e-14
+        r = 0.5 * (hi - lo) * (x + 1.0) + lo
+        assert np.array_equal(rule.nodes, r)
+        assert np.array_equal(rule.weights,
+                              0.5 * (hi - lo) * w * 2.0 * d * r ** (2 * d - 1))
+    from revcarleson.quadrature import _gauss_legendre
+    x, w = _gauss_legendre(24)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def _integrate_window_per_radius(f, S, grid, radial):
+    """Oracle: integrate_window as one integrand call per radius."""
+    mask = S.ball.contains_coords(grid.nodes)
+    if not mask.any():
+        return 0.0 + 0.0j
+    zeta = grid.nodes[mask]
+    w_ang = grid.weights[mask]
+    total = 0.0 + 0.0j
+    for r, wr in zip(radial.nodes, radial.weights):
+        vals = np.asarray(f(r * zeta))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ArithmeticError(
+                f"integrand not finite at radius {r}, node {zeta[i]}")
+        total += wr * np.sum(w_ang * vals)
+    return complex(total)
+
+
+def _window_integrands(d):
+    w = 0.7 * np.exp(0.4j) * np.ones(d) / np.sqrt(d)
+    return [
+        lambda z: np.ones(len(z)),
+        lambda z: np.linalg.norm(z, axis=1) ** 2.5,
+        lambda z: np.abs(cauchy_kernel_at(w, z)) ** 3.2,
+        lambda z: cauchy_kernel_at(w, z),             # complex values
+    ]
+
+
+@pytest.mark.parametrize("d,res,delta,depth", [
+    (1, 2048, 2.0, 1.0), (1, 2048, 0.3, 0.15),
+    (2, 13, 2.0, 1.0), (2, 13, 0.5, 0.25),
+    (3, 2000, 2.0, 1.0), (3, 2000, 0.6, 0.3)])
+def test_integrate_window_matches_per_radius_loop(d, res, delta, depth):
+    """One integrand call on every node gives the bits of the loop that
+    calls the integrand once per radius."""
+    grid = sphere_grid(d, res, seed=3)
+    c = np.zeros(d, dtype=complex)
+    c[-1] = np.exp(0.9j)
+    S = CarlesonWindow(NonisotropicBall(SpherePoint(c), delta), depth)
+    rad = radial_rule(d, 24, depth)
+    for f in _window_integrands(d):
+        got = integrate_window(f, S, grid, rad)
+        want = _integrate_window_per_radius(f, S, grid, rad)
+        assert type(got) is complex
+        assert (got.real, got.imag) == (want.real, want.imag)
+
+
+def test_integrate_window_empty_cap_is_zero(circle_grid):
+    off = SpherePoint(np.array([np.exp(1e-4j)]))
+    S = CarlesonWindow(NonisotropicBall(off, 1e-12), 0.5)
+    rad = radial_rule(1, 8, 0.5)
+    assert integrate_window(lambda z: np.ones(len(z)), S, circle_grid,
+                            rad) == 0.0
+
+
+def test_integrate_window_nonfinite_message_matches_loop(torus_grid):
+    # finite at the inner radii and at the first nodes of the cap: the
+    # first bad radius and the first bad node there are named, as in the loop
+    e1 = SpherePoint(np.array([1.0 + 0j, 0j]))
+    S = CarlesonWindow(NonisotropicBall(e1, 0.8), 0.5)
+    rad = radial_rule(2, 24, 0.5)
+
+    def f(z):
+        r = np.linalg.norm(z, axis=1)
+        return np.where((r > 0.8) & (z[:, 0].real < 0.95 * r), np.nan, 1.0)
+
+    with pytest.raises(ArithmeticError) as want:
+        _integrate_window_per_radius(f, S, torus_grid, rad)
+    with pytest.raises(ArithmeticError) as got:
+        integrate_window(f, S, torus_grid, rad)
+    assert str(got.value) == str(want.value)
+    first = torus_grid.nodes[S.ball.contains_coords(torus_grid.nodes)][0]
+    assert f"radius {rad.nodes[0]}," not in str(got.value)
+    assert f"node {first}" not in str(got.value)
