@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (CarlesonWindow, NonisotropicBall, SpherePoint,
                        sample_sphere)
-from .kernels import Exponents, TestFunction, cauchy_kernel_at, hp_norm, kernel_norm
+from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_kernel_at,
+                      kernel_norm, normalized_kernel)
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid
 
@@ -23,6 +25,8 @@ __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
            "condition_ii_profile", "window_profiles", "window_profile",
            "forward_profile", "reverse_inequality_witness", "equivalence_report",
            "EquivalenceReport", "default_witness_family"]
+
+_N_COMBOS = 8                  # random two-kernel witnesses per level
 
 
 @dataclass(frozen=True)
@@ -116,22 +120,72 @@ def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
     return out
 
 
+class _KernelPass:
+    """The Cauchy kernel k_w on the nodes of a node table, each node set
+    evaluated once, when first needed: the sphere grid and the interior
+    nodes.  Its H^p norm, condition (ii)'s integral and the witness ratio of
+    the normalized kernel are all read off those two arrays, with the
+    arithmetic of kernel_norm, normalized_kernel, hp_norm and
+    reverse_inequality_witness, so every value keeps its bits."""
+
+    def __init__(self, table: _NodeTable, exponents: Exponents,
+                 w: np.ndarray):
+        self.table, self.exponents, self.w = table, exponents, w
+        # the closed form is exact at p = 2 only; it also rejects |w| >= 1
+        # before any node is evaluated
+        self.nrm = kernel_norm(w, exponents)
+        p = exponents.p
+        if abs(p - 2) >= 1e-12:
+            self.nrm = _lp_norm(np.abs(self.on_grid) ** p, p, table.grid)
+
+    @cached_property
+    def on_grid(self) -> np.ndarray:
+        return cauchy_kernel_at(self.w, self.table.grid.nodes)
+
+    @cached_property
+    def on_interior(self) -> np.ndarray:
+        return cauchy_kernel_at(self.w, self.table.interior.points)
+
+    def _tabulate(self, g, boundary: bool):
+        """g(k_w) on the interior nodes (None without an interior density)
+        and, if boundary, on the sphere nodes; then g(k_w) at any points."""
+        interior = None if self.table.interior is None else g(self.on_interior)
+        on_grid = g(self.on_grid) if boundary else None
+        return interior, on_grid, lambda pts: g(cauchy_kernel_at(self.w, pts))
+
+    def condition_ii(self) -> float:
+        """The integral of |k_w / ||k_w||_p|^p against mu."""
+        p, nrm = self.exponents.p, self.nrm
+
+        def g(k):
+            return (np.abs(k) / nrm) ** p
+
+        return self.table.integrate_values(
+            *self._tabulate(g, self.table.wg is not None))
+
+    def witness(self) -> tuple[float, TestFunction]:
+        """(ratio, K_w) for the normalized kernel K_w = k_w / ||k_w||_p,
+        the ratio as reverse_inequality_witness takes it."""
+        p, c = self.exponents.p, 1.0 / self.nrm
+
+        def g(k):
+            out = np.zeros(len(k), dtype=complex)
+            out += c * k
+            return np.abs(out) ** p
+
+        ratio = _lp_ratio(self.table, p, *self._tabulate(g, True))
+        return ratio, TestFunction(self.exponents.d, kernel_terms=((c, self.w),))
+
+
 def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
                          sgrid: SearchGrid, grid: SphereGrid,
                          radial: RadialRule) -> CriterionProfile:
     """min over the w-grid of the integral of |K_w|^p against mu."""
-    p = exponents.p
     table = _NodeTable.build(mu, grid, radial)
-    params, values = [], []
-    for w in _w_points(sgrid):
-        nrm = kernel_norm(w, exponents, None if abs(p - 2) < 1e-12 else grid)
-
-        def f(pts, w=w, nrm=nrm):
-            return (np.abs(cauchy_kernel_at(w, pts)) / nrm) ** p
-
-        values.append(table.integrate(f))
-        params.append(tuple(w))
-    return CriterionProfile.from_values("ii", params, values, reverse=True)
+    ws = _w_points(sgrid)
+    values = [_KernelPass(table, exponents, w).condition_ii() for w in ws]
+    return CriterionProfile.from_values("ii", [tuple(w) for w in ws], values,
+                                        reverse=True)
 
 
 def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
@@ -171,17 +225,21 @@ def forward_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
 
 
 def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
-                           grid: SphereGrid, n_combos: int = 8,
+                           grid: SphereGrid, n_combos: int = _N_COMBOS,
                            seed: int = 0) -> list[TestFunction]:
     """Kernels first (the reproducing kernel thesis), then random two-kernel
     combinations, then low monomials as a cross-check."""
-    d = exponents.d
-    fam = []
     ws = _w_points(sgrid)
-    for w in ws:
-        grid_arg = None if abs(exponents.p - 2) < 1e-12 else grid
-        from .kernels import normalized_kernel
-        fam.append(normalized_kernel(w, exponents, grid_arg))
+    grid_arg = None if abs(exponents.p - 2) < 1e-12 else grid
+    return ([normalized_kernel(w, exponents, grid_arg) for w in ws]
+            + _witness_tail(exponents.d, ws, n_combos, seed))
+
+
+def _witness_tail(d: int, ws: list, n_combos: int,
+                  seed: int) -> list[TestFunction]:
+    """The witnesses after the kernels: n_combos random two-kernel
+    combinations of the w-points ws, then the monomials 1, z_1, ..., z_d."""
+    fam = []
     rng = np.random.default_rng(seed)
     for _ in range(n_combos):
         i, j = rng.integers(0, len(ws), size=2)
@@ -194,6 +252,35 @@ def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
     return fam
 
 
+def _lp_ratio(table: _NodeTable, p: float, interior, on_grid,
+              point_f) -> float:
+    """integral |f|^p dmu / ||f||_{H^p}^p from |f|^p on the table's interior
+    nodes and sphere nodes; point_f gives |f|^p at the atoms."""
+    nrm = _lp_norm(on_grid, p, table.grid)
+    if nrm <= 0:
+        raise ValueError("zero-norm test function in the family")
+    return table.integrate_values(interior, on_grid, point_f) / nrm ** p
+
+
+def _function_ratio(table: _NodeTable, p: float, f) -> float:
+    """The witness ratio of a test function f, f evaluated once per node
+    set."""
+    def g(pts):
+        return np.abs(f(pts)) ** p
+
+    interior = None if table.interior is None else g(table.interior.points)
+    return _lp_ratio(table, p, interior, g(table.grid.nodes), g)
+
+
+def _least(ratios, family):
+    """(min ratio, its witness, all ratios); the first of equal minima."""
+    best, best_f = math.inf, None
+    for ratio, f in zip(ratios, family):
+        if ratio < best:
+            best, best_f = ratio, f
+    return best, best_f, np.asarray(ratios)
+
+
 def reverse_inequality_witness(mu: BallMeasure, exponents: Exponents,
                                family, grid: SphereGrid,
                                radial: RadialRule):
@@ -201,23 +288,9 @@ def reverse_inequality_witness(mu: BallMeasure, exponents: Exponents,
     integral |f|^p dmu / ||f||_{H^p}^p."""
     if not family:
         raise ValueError("witness family must be nonempty")
-    p = exponents.p
     table = _NodeTable.build(mu, grid, radial)
-    best, best_f = math.inf, None
-    values = []
-    for f in family:
-        nrm = hp_norm(f, exponents, grid)
-        if nrm <= 0:
-            raise ValueError("zero-norm test function in the family")
-
-        def g(pts, f=f):
-            return np.abs(f(pts)) ** p
-
-        ratio = table.integrate(g) / nrm ** p
-        values.append(ratio)
-        if ratio < best:
-            best, best_f = ratio, f
-    return best, best_f, np.asarray(values)
+    return _least([_function_ratio(table, exponents.p, f) for f in family],
+                  family)
 
 
 @dataclass(frozen=True)
@@ -257,11 +330,28 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
     args = {}
     sg = sgrid
     forward_ext = None
+    table = None
+    passes = {}                # tuple(w) -> (condition (ii), ratio, K_w)
     for level in range(refinements):
         p3 = condition_iii_profile(mu, sg, grid)
-        p2 = condition_ii_profile(mu, exponents, sg, grid, radial)
-        fam = default_witness_family(exponents, sg, grid, seed=witness_seed)
-        v1, f1, _ = reverse_inequality_witness(mu, exponents, fam, grid, radial)
+        if table is None:
+            # after the first cap profile, so that a faulty boundary
+            # density is reported before a faulty interior one
+            table = _NodeTable.build(mu, grid, radial)
+        ws = _w_points(sg)
+        # the w-points of a level are among the next level's (the grid is
+        # nested), so each w is computed once per run
+        for w in ws:
+            if tuple(w) not in passes:
+                kp = _KernelPass(table, exponents, w)
+                passes[tuple(w)] = (kp.condition_ii(), *kp.witness())
+        ii, ratios, kernels = zip(*(passes[tuple(w)] for w in ws))
+        p2 = CriterionProfile.from_values("ii", [tuple(w) for w in ws], ii,
+                                          reverse=True)
+        tail = _witness_tail(exponents.d, ws, _N_COMBOS, witness_seed)
+        v1, f1, _ = _least(
+            [*ratios, *(_function_ratio(table, exponents.p, f) for f in tail)],
+            [*kernels, *tail])
         trends["iii"].append(p3.extremal)
         trends["ii"].append(p2.extremal)
         trends["i"].append(v1)

@@ -225,11 +225,12 @@ def one_minus_b_integral(b: Symbol, grid: SphereGrid,
     """
     ests = []
     g = grid
-    for _ in range(refinements + 1):
+    for level in range(refinements + 1):
+        if level:
+            g = refine(g)
         mod = b.boundary_modulus(g.nodes)
         mask = mod < 1.0
         ests.append(float(np.sum(g.weights[mask] / (1.0 - mod[mask]))))
-        g = refine(g)
     growing = all(b_ >= 1.5 * a_ for a_, b_ in zip(ests, ests[1:]) if a_ > 0)
     if growing and ests[-1] > ests[0]:
         return IntegrabilityVerdict(tuple(ests), "divergent")

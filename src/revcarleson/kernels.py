@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BallPoint, NonisotropicBall, SpherePoint
-from .quadrature import RadialRule, SphereGrid, integrate_sphere, integrate_window
+from .quadrature import RadialRule, SphereGrid, integrate_window, sphere_sum
 
 __all__ = ["Exponents", "TestFunction", "cauchy_kernel", "kernel_norm",
            "normalized_kernel", "poisson_kernel", "phi_h", "hp_norm",
@@ -121,11 +121,13 @@ def kernel_norm(w, exponents: Exponents, grid: SphereGrid | None = None) -> floa
     if grid is None:
         return float((1.0 - a * a) ** (-exponents.d / exponents.q))
     p = exponents.p
+    return _lp_norm(np.abs(cauchy_kernel_at(wc, grid.nodes)) ** p, p, grid)
 
-    def f(pts):
-        return np.abs(cauchy_kernel_at(wc, pts)) ** p
 
-    return float(np.real(integrate_sphere(f, grid))) ** (1.0 / p)
+def _lp_norm(vals, p: float, grid: SphereGrid) -> float:
+    """(integral of |f|^p against sigma)^(1/p) from vals = |f|^p on the
+    grid's nodes; every boundary L^p norm here is taken by this one sum."""
+    return float(np.real(sphere_sum(grid, vals))) ** (1.0 / p)
 
 
 def normalized_kernel(w, exponents: Exponents,
@@ -193,11 +195,7 @@ def phi_h(z, Q: NonisotropicBall, h: float, exponents: Exponents,
 def hp_norm(f, exponents: Exponents, grid: SphereGrid) -> float:
     """Boundary L^p norm; equals the H^p norm for boundary-continuous f."""
     p = exponents.p
-
-    def g(pts):
-        return np.abs(f(pts)) ** p
-
-    return float(np.real(integrate_sphere(g, grid))) ** (1.0 / p)
+    return _lp_norm(np.abs(f(grid.nodes)) ** p, p, grid)
 
 
 @dataclass(frozen=True)

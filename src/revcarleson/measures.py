@@ -106,7 +106,18 @@ class DensityExpr:
         if op == "prod":
             return np.prod([cls._eval(a, pts) for a in arg], axis=0)
         if op == "pow":
-            return cls._eval(arg[0], pts) ** float(arg[1])
+            base, e = cls._eval(arg[0], pts), float(arg[1])
+            if not e.is_integer():
+                bad = base < -TOL
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise ValueError(
+                        f"density node {spec!r} raises the negative value "
+                        f"{base[i]} at point {pts[i]} to the non-integer "
+                        f"power {e}")
+                # within TOL of zero a negative base counts as zero
+                base = np.maximum(base, 0.0)
+            return base ** e
         raise ValueError(f"unknown density op {op!r}")
 
 
@@ -277,12 +288,24 @@ class _NodeTable:
     def integrate(self, f, boundary_f=None, atom_f=None) -> float:
         """The integral of f against mu, see integrate_measure; needs a
         table built with a radial rule when mu has an interior density."""
-        mu = self.mu
         boundary_f = boundary_f if boundary_f is not None else f
-        atom_f = atom_f if atom_f is not None else boundary_f
+        return self.integrate_values(
+            None if self.mu.interior_density is None
+            else f(self.interior.points),
+            None if self.wg is None else boundary_f(self.grid.nodes),
+            f, atom_f if atom_f is not None else boundary_f)
+
+    def integrate_values(self, interior, boundary, f, atom_f=None) -> float:
+        """The integral against mu of an integrand given by its values on
+        the table's interior nodes (unread when mu has no interior density)
+        and on its sphere nodes (unread when mu has no boundary density);
+        f is called at the interior atoms and atom_f (default f) at the
+        boundary atoms, as in integrate."""
+        mu = self.mu
+        atom_f = atom_f if atom_f is not None else f
         total = 0.0
         if mu.interior_density is not None:
-            vals = np.asarray(f(self.interior.points)) * self.density
+            vals = np.asarray(interior) * self.density
             total += float(np.real(window_sum(self.interior, vals)))
         for pt, mass in mu.interior_atoms:
             v = float(np.real(f(pt.coords[None, :])[0]))
@@ -290,7 +313,7 @@ class _NodeTable:
                 raise ValueError("integrand must be nonnegative")
             total += mass * v
         if self.wg is not None:
-            vals = np.real(np.asarray(boundary_f(self.grid.nodes)))
+            vals = np.real(np.asarray(boundary))
             if np.any(vals < -1e-10):
                 raise ValueError("integrand must be nonnegative")
             total += float(np.sum(self.wg * vals))

@@ -18,8 +18,8 @@ import numpy as np
 from .geometry import CarlesonWindow
 
 __all__ = ["SphereGrid", "RadialRule", "WindowNodes", "sphere_grid",
-           "radial_rule", "integrate_sphere", "window_nodes", "window_sum",
-           "integrate_window", "refine"]
+           "radial_rule", "integrate_sphere", "sphere_sum", "window_nodes",
+           "window_sum", "integrate_window", "refine"]
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,13 @@ def radial_rule(d: int, resolution: int, depth: float = 1.0) -> RadialRule:
 
 def integrate_sphere(f, grid: SphereGrid) -> complex:
     """Sum_i w_i f(node_i); f maps an (n, d) complex array to (n,) values."""
-    vals = np.asarray(f(grid.nodes))
+    return sphere_sum(grid, f(grid.nodes))
+
+
+def sphere_sum(grid: SphereGrid, vals) -> complex:
+    """Sum_i w_i vals_i for integrand values already taken on the grid's
+    nodes; a value that is not finite is an error naming its node."""
+    vals = np.asarray(vals)
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))

@@ -189,6 +189,18 @@ def test_empty_sampling_points_is_input_error(tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["interior_density", "boundary_density"])
+def test_fractional_power_of_negative_density_is_input_error(
+        tmp_path, capsys, part):
+    mu = tmp_path / "mu.yaml"
+    mu.write_text(f"dimension: 1\n{part}: {{pow: [{{re: 0}}, 0.5]}}\n")
+    assert run(["criteria", "--dim", "1", "--resolution", "64",
+                "--measure", str(mu), "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "density node {'pow': [{'re': 0}, 0.5]}" in err
+    assert "non-integer power" in err
+
+
 def test_unknown_config_field_is_input_error(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("frobnicate: 3\n")

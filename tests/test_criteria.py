@@ -1,16 +1,25 @@
 """Reverse-embedding criteria, search grids, and the equivalence harness."""
 
+import math
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from revcarleson.criteria import (SearchGrid, condition_ii_profile,
+from revcarleson import criteria, kernels
+from revcarleson.criteria import (ConditionSummary, CriterionProfile,
+                                  EquivalenceReport, SearchGrid, _verdict,
+                                  _w_points, condition_ii_profile,
                                   condition_iii_profile,
                                   default_witness_family, equivalence_report,
                                   forward_profile, reverse_inequality_witness,
                                   window_profile)
-from revcarleson.geometry import BallPoint
-from revcarleson.kernels import Exponents
-from revcarleson.measures import BallMeasure, sigma_measure
+from revcarleson.geometry import BallPoint, SpherePoint
+from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel_at,
+                                 hp_norm, kernel_norm, normalized_kernel)
+from revcarleson.measures import (BallMeasure, DensityExpr, integrate_measure,
+                                  sigma_measure)
 from revcarleson.quadrature import radial_rule, sphere_grid
 
 EX1 = Exponents(2.0, 1)
@@ -34,15 +43,21 @@ def sg():
 # ---------------------------------------------------------------------------
 # search grid
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_search_grid_refinement_is_nested(d):
+    # equivalence_report computes each w once per run on the strength of
+    # this: every w-point of a level is, bit for bit, one of the next's
     g0 = SearchGrid(d, 6, 4)
-    g1 = g0.refine()
-    assert set(g0.deltas()) <= set(g1.deltas())
-    assert set(g0.radii()) <= set(g1.radii())
-    c0 = {tuple(c) for c in g0.centers()}
-    c1 = {tuple(c) for c in g1.centers()}
-    assert c0 <= c1
+    for _ in range(3):
+        g1 = g0.refine()
+        assert set(g0.deltas()) <= set(g1.deltas())
+        assert set(g0.radii()) <= set(g1.radii())
+        c0 = {tuple(c) for c in g0.centers()}
+        c1 = {tuple(c) for c in g1.centers()}
+        assert c0 <= c1
+        assert {tuple(w) for w in _w_points(g0)} <= \
+            {tuple(w) for w in _w_points(g1)}
+        g0 = g1
 
 
 def test_search_grid_deltas_dyadic():
@@ -141,3 +156,173 @@ def test_equivalence_trend_lengths(grid, rad):
     rep = equivalence_report(sigma_measure(1), EX1, SearchGrid(1, 4, 3),
                              grid, rad, refinements=2)
     assert all(len(c.trend) == 2 for c in rep.conditions.values())
+
+
+# ---------------------------------------------------------------------------
+# one kernel pass per w-point
+
+def _four_part(d):
+    """A measure with every part: interior atom, interior density, boundary
+    density, boundary atom."""
+    e1 = np.zeros(d, dtype=complex)
+    e1[0] = 1.0
+    ed = np.zeros(d, dtype=complex)
+    ed[-1] = 1j
+    return BallMeasure(
+        d, interior_atoms=((BallPoint(0.3 * e1), 0.5),),
+        interior_density=DensityExpr({"sum": [0.5, {"pow": [{"abs_z": None},
+                                                            2.0]}]}),
+        boundary_density=DensityExpr({"sum": [1.0, {"re": 0}]}),
+        boundary_atoms=((SpherePoint(ed), 0.25),))
+
+
+def _small_grids(d):
+    return sphere_grid(d, {1: 96, 2: 6}.get(d, 300)), radial_rule(d, 5)
+
+
+def _reference_ii(mu, ex, w, grid, radial):
+    """Condition (ii)'s integral at w, the kernel and its norm evaluated
+    afresh through the public functions."""
+    p = ex.p
+    nrm = kernel_norm(w, ex, None if abs(p - 2) < 1e-12 else grid)
+    return integrate_measure(
+        mu, lambda pts: (np.abs(cauchy_kernel_at(w, pts)) / nrm) ** p,
+        grid, radial)
+
+
+def _reference_ratio(mu, ex, f, grid, radial):
+    """A witness's ratio, f evaluated afresh through the public functions."""
+    p = ex.p
+    return integrate_measure(mu, lambda pts: np.abs(f(pts)) ** p, grid,
+                             radial) / hp_norm(f, ex, grid) ** p
+
+
+def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
+                      witness_seed=0):
+    """equivalence_report as a level-by-level loop that evaluates every
+    kernel afresh at every level."""
+    norm_grid = None if abs(ex.p - 2) < 1e-12 else grid
+    trends = {"i": [], "ii": [], "iii": []}
+    args = {}
+    sg = sgrid
+    for level in range(refinements):
+        p3 = condition_iii_profile(mu, sg, grid)
+        ws = _w_points(sg)
+        p2 = CriterionProfile.from_values(
+            "ii", [tuple(w) for w in ws],
+            [_reference_ii(mu, ex, w, grid, radial) for w in ws], reverse=True)
+        fam = [normalized_kernel(w, ex, norm_grid) for w in ws]
+        rng = np.random.default_rng(witness_seed)
+        for _ in range(8):
+            i, j = rng.integers(0, len(ws), size=2)
+            c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            fam.append(TestFunction(ex.d,
+                                    kernel_terms=((c1, ws[i]), (c2, ws[j]))))
+        fam.append(TestFunction(ex.d, poly_terms=((1.0, (0,) * ex.d),)))
+        for k in range(ex.d):
+            alpha = tuple(1 if i == k else 0 for i in range(ex.d))
+            fam.append(TestFunction(ex.d, poly_terms=((1.0, alpha),)))
+        best, best_f = math.inf, None
+        for f in fam:
+            ratio = _reference_ratio(mu, ex, f, grid, radial)
+            if ratio < best:
+                best, best_f = ratio, f
+        trends["iii"].append(p3.extremal)
+        trends["ii"].append(p2.extremal)
+        trends["i"].append(best)
+        args["iii"] = p3.arg_extremal
+        args["ii"] = p2.arg_extremal
+        args["i"] = repr(best_f)[:120]
+        if level == refinements - 1:
+            forward_ext = forward_profile(mu, sg, grid, radial).extremal
+        sg = sg.refine()
+    conditions = {
+        tag: ConditionSummary(tuple(trend), args[tag], _verdict(trend, tau))
+        for tag, trend in trends.items()}
+    verdicts = {c.verdict for c in conditions.values()}
+    agreement = len(verdicts) == 1
+    diagnostic = None if agreement else (
+        "verdict disagreement across conditions: "
+        + ", ".join(f"{t}={c.verdict}" for t, c in sorted(conditions.items()))
+        + " (numerical-resolution diagnostic)")
+    return EquivalenceReport(ex.p, ex.d, tau, conditions, float(forward_ext),
+                             agreement, diagnostic)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_pass_values_match_public_functions(d, p):
+    # every value the report may not show: each w's condition (ii) integral
+    # and each normalized kernel's witness ratio, bit for bit
+    grid, radial = _small_grids(d)
+    mu, ex, sg = _four_part(d), Exponents(p, d), SearchGrid(d, 2, 2)
+    ws = _w_points(sg)
+    prof = condition_ii_profile(mu, ex, sg, grid, radial)
+    assert prof.values.tolist() == \
+        [_reference_ii(mu, ex, w, grid, radial) for w in ws]
+    fam = default_witness_family(ex, sg, grid)
+    _, _, ratios = reverse_inequality_witness(mu, ex, fam, grid, radial)
+    assert ratios.tolist() == \
+        [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
+    table = criteria._NodeTable.build(mu, grid, radial)
+    for w, f, ratio in zip(ws, fam, ratios):
+        kp = criteria._KernelPass(table, ex, w)
+        assert kp.condition_ii() == _reference_ii(mu, ex, w, grid, radial)
+        kernel_ratio, kernel = kp.witness()
+        assert (kernel_ratio, repr(kernel)) == (ratio, repr(f))
+
+
+@pytest.mark.parametrize("measure", ["sigma", "four-part"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_equivalence_report_matches_level_by_level_loop(d, p, measure):
+    grid, radial = _small_grids(d)
+    mu = sigma_measure(d) if measure == "sigma" else _four_part(d)
+    ex = Exponents(p, d)
+    sg = SearchGrid(d, 2, 2)
+    rep = equivalence_report(mu, ex, sg, grid, radial, refinements=3)
+    ref = _reference_report(mu, ex, sg, grid, radial, refinements=3)
+    assert rep == ref
+    assert repr(rep) == repr(ref)    # repr tells every float's bits apart
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
+    d = 2
+    grid, radial = _small_grids(d)
+    n_interior = len(radial.nodes) * len(grid)
+    calls = Counter()
+    real = kernels.cauchy_kernel_at
+    combo_code = TestFunction.__call__.__code__
+
+    def counting(w, pts):
+        caller = sys._getframe(1)
+        combination = (caller.f_code is combo_code
+                       and len(caller.f_locals["self"].kernel_terms) > 1)
+        if not combination and len(pts) > 1:      # atoms are single points
+            calls[tuple(np.asarray(w)), len(pts)] += 1
+        return real(w, pts)
+
+    monkeypatch.setattr(kernels, "cauchy_kernel_at", counting)
+    monkeypatch.setattr(criteria, "cauchy_kernel_at", counting)
+    sg = SearchGrid(d, 2, 2)
+    equivalence_report(_four_part(d), Exponents(p, d), sg, grid, radial,
+                       refinements=3)
+    ws = set()
+    for _ in range(3):
+        ws |= {tuple(w) for w in _w_points(sg)}
+        sg = sg.refine()
+    assert calls == Counter({(w, n): 1 for w in ws
+                             for n in (len(grid), n_interior)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_equivalence_trends_never_increase(d):
+    # the search grid is nested, so each level's minimum runs over a
+    # superset of the previous level's values
+    grid, radial = _small_grids(d)
+    rep = equivalence_report(_four_part(d), Exponents(3.0, d),
+                             SearchGrid(d, 2, 2), grid, radial, refinements=4)
+    for tag in ("ii", "iii"):
+        trend = rep.conditions[tag].trend
+        assert all(b <= a for a, b in zip(trend, trend[1:]))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revcarleson import dbr
 from revcarleson.criteria import SearchGrid, condition_ii_profile
 from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              is_inner_estimate, kernel_test, load_symbol,
@@ -16,7 +17,7 @@ from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              symbol_to_dict)
 from revcarleson.kernels import Exponents, cauchy_kernel
 from revcarleson.measures import sigma_measure
-from revcarleson.quadrature import radial_rule, sphere_grid
+from revcarleson.quadrature import radial_rule, refine, sphere_grid
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,23 @@ def test_one_minus_b_finite_constant(grid):
     verdict = one_minus_b_integral(_const(0.5), grid)
     assert verdict.verdict == "finite"
     assert verdict.estimates[-1] == pytest.approx(2.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("refinements", [1, 3])
+def test_one_minus_b_refines_only_between_estimates(grid, monkeypatch,
+                                                    refinements):
+    b = _poly([0.25, 0.5])
+    expected, g = [], grid
+    for level in range(refinements + 1):
+        mod = b.boundary_modulus(g.nodes)
+        mask = mod < 1.0
+        expected.append(float(np.sum(g.weights[mask] / (1.0 - mod[mask]))))
+        g = refine(g)
+    built = []
+    monkeypatch.setattr(dbr, "refine", lambda g: built.append(g) or refine(g))
+    verdict = one_minus_b_integral(b, grid, refinements)
+    assert len(built) == refinements
+    assert verdict.estimates == tuple(expected)
 
 
 def test_kernel_test_reduces_to_condition_ii(grid, rad):

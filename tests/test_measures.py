@@ -217,6 +217,18 @@ def test_density_grammar_rejects_garbage():
         DensityExpr({"sum": [1.0], "prod": [1.0]})
 
 
+def test_fractional_power_of_negative_density_is_input_error():
+    dens = DensityExpr({"pow": [{"re": 0}, 0.5]})
+    pts = np.array([[0.5 + 0j], [-0.25 + 0j]])
+    with pytest.raises(ValueError, match=r"density node \{'pow'.*-0\.25"):
+        dens(pts)
+    # an integer power of a negative base is defined
+    sq = DensityExpr({"pow": [{"re": 0}, 2.0]})
+    assert sq(pts).tolist() == [0.25, 0.0625]
+    # a negative base within TOL of zero counts as zero
+    assert dens(np.array([[-1e-14 + 0j], [0.25 + 0j]])).tolist() == [0.0, 0.5]
+
+
 @given(st.floats(min_value=0.01, max_value=10.0))
 @settings(max_examples=25, deadline=None)
 def test_scaling_commutes_with_cap_mass(c):
