@@ -319,23 +319,43 @@ def symbol_to_dict(b: Symbol) -> dict:
                      "phase": [ph.real, ph.imag]}}
 
 
+# the layout of the data field of each symbol kind, for error messages
+_SYMBOL_DATA = {
+    "constant": "{value: [re, im]}",
+    "polynomial": "{terms: [{coeff: [re, im], exponents: [int, ...]}, ...]}",
+    "blaschke": "{zeros: [[re, im], ...], phase: [re, im]}",
+}
+
+
 def symbol_from_dict(doc: dict) -> Symbol:
+    if not isinstance(doc, dict):
+        raise ValueError("symbol file must hold a mapping of fields")
     kind = doc["kind"]
-    d = int(doc.get("dimension", 1))
+    if not isinstance(kind, str) or kind not in _SYMBOL_DATA:
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    try:
+        d = int(doc.get("dimension", 1))
+    except (TypeError, ValueError):
+        raise ValueError("symbol field 'dimension' must be an integer, "
+                         f"got {doc['dimension']!r}") from None
     data = doc["data"]
-    if kind == "constant":
-        re, im = data["value"]
-        return Symbol("constant", d, complex(re, im))
-    if kind == "polynomial":
-        terms = tuple((complex(t["coeff"][0], t["coeff"][1]),
-                       tuple(int(a) for a in t["exponents"]))
-                      for t in data["terms"])
-        return Symbol("polynomial", d, terms)
-    if kind == "blaschke":
-        zeros = tuple(complex(a, bb) for a, bb in data["zeros"])
-        ph = data.get("phase", [1.0, 0.0])
-        return Symbol("blaschke", 1, (zeros, complex(ph[0], ph[1])))
-    raise ValueError(f"unknown symbol kind {kind!r}")
+    try:
+        if kind == "constant":
+            re, im = data["value"]
+            args = ("constant", d, complex(re, im))
+        elif kind == "polynomial":
+            args = ("polynomial", d, tuple(
+                (complex(t["coeff"][0], t["coeff"][1]),
+                 tuple(int(a) for a in t["exponents"]))
+                for t in data["terms"]))
+        else:
+            zeros = tuple(complex(a, bb) for a, bb in data["zeros"])
+            ph = data.get("phase", [1.0, 0.0])
+            args = ("blaschke", 1, (zeros, complex(ph[0], ph[1])))
+    except (TypeError, KeyError, IndexError, ValueError, AttributeError):
+        raise ValueError(f"symbol field 'data' of kind {kind!r} must be "
+                         f"{_SYMBOL_DATA[kind]}, got {data!r}") from None
+    return Symbol(*args)
 
 
 def load_symbol(path) -> Symbol:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -247,42 +246,13 @@ def sample_cap(Q: NonisotropicBall, n: int, rng: np.random.Generator,
     return np.concatenate(out)[:n]
 
 
-# pairs per block of the batched overlap test, whose arrays hold one value
-# per pair and grid node: under 5 MiB each at this size
-_OVERLAP_BLOCK = 256
-
-
-class _OverlapGrid(NamedTuple):
-    """Nodes t = 1 - r e^{ia} of the lens {|1 - t| <= h, |t| <= 1}."""
-
-    t: np.ndarray
-    sqrt_term: np.ndarray   # sqrt(1 - |t|^2)
-    r: np.ndarray           # |1 - t|
-    a: np.ndarray           # arg(1 - t)
-
-
-def _overlap_grid(h: float, n: int = 48) -> _OverlapGrid:
-    r = np.linspace(0.0, h, n)
-    th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    t = 1.0 - (r[:, None] * np.exp(1j * th[None, :])).ravel()
-    t = t[np.abs(t) <= 1.0]
-    one_minus_t = 1.0 - t
-    # math.atan2 per node: np.arctan2 may differ in the last ulp, which would
-    # move the polish windows away from those of the scalar reference test
-    return _OverlapGrid(
-        t, np.sqrt(np.clip(1.0 - np.abs(t) ** 2, 0.0, None)),
-        np.hypot(one_minus_t.real, one_minus_t.imag),
-        np.array([math.atan2(u.imag, u.real) for u in one_minus_t]))
-
-
-def _caps_overlap(beta: np.ndarray, h: float,
-                  grid: _OverlapGrid) -> np.ndarray:
+def _caps_overlap(beta: np.ndarray, h: float) -> np.ndarray:
     """Whether caps of radius h at inner products beta = <b, a> meet.
 
     After a unitary sending a to e1, a common point exists iff some t in the
-    lens {|1 - t| <= h, |t| <= 1} has
-      |1 - b1 * t| - s * sqrt(1 - |t|^2) <= h,   b1 = beta, s = sqrt(1 - |b1|^2).
-    Returns one bool per pair.
+    lens L = {|1 - t| <= h, |t| <= 1} has
+      F(t) = |1 - b1 * t| - s * sqrt(1 - |t|^2) <= h,
+    b1 = beta, s = sqrt(1 - |b1|^2).  Returns one bool per pair.
     """
     # np.hypot rounds as abs() of a complex scalar does; np.abs may differ
     # in the last ulp
@@ -302,61 +272,90 @@ def _caps_overlap(beta: np.ndarray, h: float,
         near = np.flatnonzero(np.abs(ang - bound) <= 1e-13)
         ang[near] = [abs(math.atan2(b.imag, b.real)) for b in bl[near]]
         out[line] = ang <= bound
-    rest = np.flatnonzero(~line)
-    for lo in range(0, len(rest), _OVERLAP_BLOCK):
-        idx = rest[lo:lo + _OVERLAP_BLOCK]
-        out[idx] = _caps_overlap_block(beta[idx], s[idx], h, grid)
+    out[~line] = _lens_minimum(beta[~line], s[~line], h)[0]
     return out
 
 
-def _caps_overlap_block(beta: np.ndarray, s: np.ndarray, h: float,
-                        grid: _OverlapGrid) -> np.ndarray:
-    lhs = np.abs(1.0 - beta[:, None] * grid.t[None, :])
-    rhs = h + s[:, None] * grid.sqrt_term[None, :]
-    out = (lhs <= rhs + TOL).any(axis=1)
-    # the grid can miss a marginal tangency; polish from the best grid point,
-    # but only when the margin is below the grid's resolution error (the
-    # objective is Lipschitz ~ 1 + s/sqrt(2h) on the grid scale h/48)
-    gap = lhs - rhs
-    best = gap.min(axis=1)
-    margin = 0.5 * (h / 48.0) * (1.0 + s / math.sqrt(2.0 * h)) * 2.0 * math.pi
-    unsure = np.flatnonzero(~out & (best <= margin))
-    k0 = gap[unsure].argmin(axis=1)
-    r0, a0 = grid.r[k0], grid.a[k0]
-    beta, s, best = beta[unsure], s[unsure], best[unsure]
-    rad_w, ang_w = h / 48.0, 2.0 * math.pi / 48.0
-    # each of six rounds samples a 33 x 33 polar patch around the best point
-    # so far and shrinks it four-fold: the last samples at 1/16384 of the
-    # grid spacing, in radius and in angle
-    for _ in range(6):
-        if not len(unsure):
+def _lens_objective(t, beta, s):
+    """F(t), grad F, grad |1 - beta t|, |1 - beta t| and sqrt(1 - |t|^2)."""
+    u = 1.0 - beta * t
+    au = np.hypot(u.real, u.imag)
+    w = np.sqrt(1.0 - (t.real ** 2 + t.imag ** 2))
+    g1 = -np.conj(beta) * u / au
+    return au - s * w, g1 + s * t / w, g1, au, w
+
+
+def _lens_lmo(g: np.ndarray, h: float) -> np.ndarray:
+    """argmin_{v in L} Re(conj(g) v): the minimiser over the disc about 1 if
+    in the unit disc, else over the unit disc if in the disc about 1, else
+    the better corner of L."""
+    gn = g / np.maximum(np.abs(g), np.finfo(float).tiny)
+    v = 1.0 - h * gn
+    out = np.abs(v) > 1.0
+    a = np.copysign(2.0 * math.asin(min(h / 2.0, 1.0)), gn[out].imag)
+    v[out] = np.where(np.abs(1.0 + gn[out]) <= h, -gn[out], np.exp(-1j * a))
+    return v
+
+
+def _lens_minimum(beta: np.ndarray, s: np.ndarray, h: float):
+    """Certified test of min_{t in L} F(t) <= h + TOL per pair (s > 0).
+
+    F is convex on the convex lens L, so each iterate t bounds the minimum
+    below by F(t) + min_{v in L} Re(conj(grad F(t)) (v - t)) (Frank-Wolfe).
+    A pair meets once F(t) <= h + TOL, t its witness, and is disjoint once
+    the bound exceeds h + TOL; a tie within rounding of tangency (F(t) less
+    the bound at most TOL, or 30 steps, which no other pair needs) goes by
+    F(t) <= h + TOL.  Steps are Newton's, the model minimised over the disc
+    |1 - t| <= h (More-Sorensen), with backtracking; the rim |t| = 1, where
+    grad F is infinite and outward, is never active.  Returns (meets, t).
+    """
+    t = np.full(len(beta), 1.0 - 0.5 * h, dtype=complex)
+    meets, t_out, idx = np.zeros(len(t), bool), t.copy(), np.arange(len(t))
+    for _ in range(30):
+        f, g, g1, au, w = _lens_objective(t, beta, s)
+        lb = f + (np.conj(g) * (_lens_lmo(g, h) - t)).real
+        t_out[idx], meets[idx] = t, f <= h + TOL
+        go = ~(meets[idx] | (lb > h + TOL) | (f - lb <= TOL))
+        if not go.any():
             break
-        rr = np.clip(np.linspace(r0 - rad_w, r0 + rad_w, 33, axis=1), 0.0, h)
-        aa = np.linspace(a0 - ang_w, a0 + ang_w, 33, axis=1)
-        t = 1.0 - rr[:, :, None] * np.exp(1j * aa[:, None, :])
-        abs_t = np.abs(t)
-        f = np.where(
-            abs_t <= 1.0,
-            np.abs(1.0 - beta[:, None, None] * t)
-            - s[:, None, None] * np.sqrt(np.clip(1.0 - abs_t ** 2, 0.0, None))
-            - h,
-            np.inf).reshape(len(unsure), -1)
-        k = f.argmin(axis=1)
-        best = np.minimum(best, f[np.arange(len(k)), k])
-        hit = best <= TOL
-        out[unsure[hit]] = True
-        keep = ~hit
-        i, j = np.divmod(k[keep], 33)
-        sel = np.flatnonzero(keep)
-        r0, a0 = rr[sel, i], aa[sel, j]
-        unsure, beta, s, best = unsure[keep], beta[keep], s[keep], best[keep]
-        rad_w /= 4.0
-        ang_w /= 4.0
-    return out
+        idx, t, beta, s = idx[go], t[go], beta[go], s[go]
+        f, g, g1, au, w = f[go], g[go], g1[go], au[go], w[go]
+        # the Hessian as x -> P x + R conj(x): |1 - beta t| curves only along
+        # i g1, normal to its gradient; the hemisphere adds s/w + s/w^3 t t^T
+        P = (np.abs(g1) ** 2 / au + s * np.abs(t) ** 2 / w ** 3) / 2 + s / w
+        R = (s * t ** 2 / w ** 3 - g1 ** 2 / au) / 2
+        # the model in q = y - 1 is Re(conj(e) q) + q^T H q / 2, |q| <= h
+        e = g - P * (t - 1.0) - R * np.conj(t - 1.0)
+        lam = np.zeros(len(t))
+        for _ in range(8):
+            det = (P + lam) ** 2 - np.abs(R) ** 2
+            q = (R * np.conj(e) - (P + lam) * e) / det
+            nq = np.abs(q)
+            qmq = ((P + lam) * nq ** 2 - (R * np.conj(q) ** 2).real) / det
+            lam = np.where(nq > h, lam + (nq / h - 1.0) * nq ** 2 / qmq, lam)
+        step = 1.0 + q * np.minimum(1.0, h / nq) - t
+        slope = (np.conj(g) * step).real
+        # Armijo backtracking; a trial on or beyond the rim fails
+        alpha, todo = 1.0, np.arange(len(t))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            while len(todo) and alpha > 1e-12:      # 40 halvings at most
+                trial = t[todo] + alpha * step[todo]
+                ft, _, _, _, wt = _lens_objective(trial, beta[todo], s[todo])
+                ok = (ft <= f[todo] + 1e-4 * alpha * slope[todo]) & (wt > 0.0)
+                t[todo[ok]] = trial[ok]
+                todo, alpha = todo[~ok], alpha / 2.0
+    return meets, t_out
 
 
 def _candidate_centers(Q: NonisotropicBall, h: float, seed: int) -> np.ndarray:
-    """Quasi-uniform candidate grid on 2Q with nonisotropic spacing ~h/4."""
+    """Candidate centres on 2Q.
+
+    d = 1: the arc of 2Q at angular step 2 asin(h/8), a chordal gap of h/8.
+    d >= 2: n = min(20000, max(2000, 8 N)) seeded uniform points of 2Q,
+    N = (2 delta / (h/4))^d being its count of (h/4)-cells: 8 points per
+    cell unless the cap of 20000 binds, and 20000 / N once it does, which
+    is when h < 0.16 delta in d = 2 (1.2 per cell at h = delta/16).
+    """
     d = Q.d
     c = Q.center.coords
     delta2 = min(2.0 * Q.delta, 2.0)
@@ -366,7 +365,6 @@ def _candidate_centers(Q: NonisotropicBall, h: float, seed: int) -> np.ndarray:
         k = max(int(math.ceil(theta0 / step)), 1)
         offs = np.arange(-k, k + 1) * step
         return (c[0] * np.exp(1j * offs))[:, None]
-    # d >= 2: seeded quasi-uniform sample of 2Q, dense at scale h/4
     rng = np.random.default_rng(seed)
     n_cells = (delta2 / (h / 4.0)) ** d
     n = int(min(20000, max(2000, 8 * n_cells)))
@@ -393,15 +391,16 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
                    certificate_grid: int = 0):
     """Maximal family of disjoint balls Q_j(center_j, h) with centres in 2Q.
 
-    First-fit greedy over a quasi-uniform candidate grid on 2Q, candidates
-    ordered outward from the center of Q.  A candidate is admitted when it
-    lies in Q, or when its ball lies in 2Q by the triangle inequality
+    First-fit greedy over the candidates of _candidate_centers, ordered
+    outward from the center of Q.  A candidate is admitted when it lies in
+    Q, or when its ball lies in 2Q by the triangle inequality
     rho(c, center) + sqrt(h) <= sqrt(2 delta); that clause reaches beyond Q
     only when h <= (sqrt(2) - 1)^2 delta ~ 0.172 delta, and every ball lies
-    in max(2, (1 + sqrt(h / delta))^2) Q, inside 4Q.  Rejection uses a
-    grid-and-zoom cap-overlap test (a 48 x 48 polar grid of the lens of
-    common points, polished when it is unsure), so the family is maximal
-    with respect to disjointness among the candidates as that test sees it.
+    in max(2, (1 + sqrt(h / delta))^2) Q, inside 4Q.  Two caps meet at gap
+    <= h and never beyond 4h; in between, a convex program over the lens
+    of their common points decides, each answer resting on a witness or a
+    lower bound (_lens_minimum), so the family is maximal among the
+    candidates.
 
     The scan is a sweep: the first candidate still alive is admitted, and
     every later alive candidate whose ball meets its ball is dropped (gap
@@ -428,16 +427,14 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     cands = _candidate_centers(Q, h, seed)
     if len(cands) == 0:
         raise RuntimeError("empty candidate grid")
-    order = np.argsort(niso_gap(Q.center.coords, cands))
-    cands = cands[order]
-
+    gap_c = niso_gap(Q.center.coords, cands)
+    order = np.argsort(gap_c)
+    cands, gap_c = cands[order], gap_c[order]
     # every centre of Q, and beyond Q the centres whose ball lies in 2Q by
     # the triangle inequality rho(c, center) + sqrt(h) <= sqrt(2 delta)
-    gap_c = niso_gap(Q.center.coords, cands)
     budget = math.sqrt(min(2.0 * Q.delta, 2.0)) - math.sqrt(h)
     cands = cands[(np.sqrt(gap_c) <= budget + TOL) | (gap_c <= Q.delta + TOL)]
 
-    grid = _overlap_grid(h)
     selected: list[np.ndarray] = []
     alive = cands
     while len(alive):
@@ -450,7 +447,7 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
         meets = gap <= h                  # inside the ball of zj
         # beyond 4h the triangle inequality makes the caps disjoint
         band = np.flatnonzero(~meets & (gap <= 4.0 * h))
-        meets[band] = _caps_overlap(ip[band], h, grid)
+        meets[band] = _caps_overlap(ip[band], h)
         alive = alive[~meets]
     if not selected:
         raise RuntimeError("greedy selection produced no balls")

@@ -383,23 +383,38 @@ def measure_to_dict(mu: BallMeasure) -> dict:
     }
 
 
+def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
+    entries = doc.get(key) or []
+    if not isinstance(entries, list):
+        raise ValueError(f"measure field {key!r} must be a list, "
+                         f"got {entries!r}")
+    atoms = []
+    for i, e in enumerate(entries):
+        try:
+            mass, point = float(e["mass"]), _parse_point(e["point"])
+        except (TypeError, KeyError, IndexError, ValueError):
+            raise ValueError(f"measure field {key!r} entry {i} must be "
+                             "{point: [[re, im], ...], mass: number}, "
+                             f"got {e!r}") from None
+        if mass <= 0:
+            raise ValueError(f"non-positive mass in {key}")
+        atoms.append((kind(point), mass))
+    return tuple(atoms)
+
+
 def measure_from_dict(doc: dict) -> BallMeasure:
-    d = int(doc["dimension"])
-    for key in ("interior_atoms", "boundary_atoms"):
-        for entry in doc.get(key) or []:
-            if float(entry["mass"]) <= 0:
-                raise ValueError(f"non-positive mass in {key}")
-    interior = tuple(
-        (BallPoint(_parse_point(e["point"])), float(e["mass"]))
-        for e in doc.get("interior_atoms") or [])
-    boundary = tuple(
-        (SpherePoint(_parse_point(e["point"])), float(e["mass"]))
-        for e in doc.get("boundary_atoms") or [])
+    if not isinstance(doc, dict):
+        raise ValueError("measure file must hold a mapping of fields")
+    try:
+        d = int(doc["dimension"])
+    except (TypeError, ValueError):
+        raise ValueError("measure field 'dimension' must be an integer, "
+                         f"got {doc['dimension']!r}") from None
     return BallMeasure(
-        d, interior,
+        d, _atoms_from_dict(doc, "interior_atoms", BallPoint),
         parse_density(doc.get("interior_density")),
         parse_density(doc.get("boundary_density")),
-        boundary)
+        _atoms_from_dict(doc, "boundary_atoms", SpherePoint))
 
 
 def load_measure(path) -> BallMeasure:

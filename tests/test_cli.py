@@ -220,3 +220,49 @@ def test_reports_byte_identical_across_runs(argv, tmp_path):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dimension: 1\ninterior_atoms: 3\n",
+     "measure field 'interior_atoms' must be a list, got 3"),
+    ("dimension: 1\nboundary_atoms:\n- 7\n",
+     "measure field 'boundary_atoms' entry 0 must be"),
+    ("dimension: 1\ninterior_atoms:\n- {point: 0.5, mass: 1.0}\n",
+     "measure field 'interior_atoms' entry 0 must be"),
+    ("dimension: [1]\n", "measure field 'dimension' must be an integer"),
+    ("[1, 2]\n", "measure file must hold a mapping"),
+])
+def test_malformed_measure_is_input_error(tmp_path, capsys, text, message):
+    mu = tmp_path / "mu.yaml"
+    mu.write_text(text)
+    assert run(["criteria", "--dim", "1", "--resolution", "64",
+                "--measure", str(mu), "--out", str(tmp_path / "c.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dbr-check", "refute-sampling"])
+@pytest.mark.parametrize("text,message", [
+    ("kind: constant\ndimension: 1\ndata: 5\n",
+     "symbol field 'data' of kind 'constant' must be {value: [re, im]}"),
+    ("kind: polynomial\ndimension: 1\ndata: {terms: [{coeff: 1}]}\n",
+     "symbol field 'data' of kind 'polynomial' must be"),
+    ("kind: blaschke\ndimension: 1\ndata: {zeros: [0.5]}\n",
+     "symbol field 'data' of kind 'blaschke' must be"),
+    ("kind: constant\ndimension: one\ndata: {value: [0.5, 0]}\n",
+     "symbol field 'dimension' must be an integer"),
+    ("kind: [constant]\ndata: {value: [0.5, 0]}\n",
+     "unknown symbol kind ['constant']"),
+    ("5\n", "symbol file must hold a mapping"),
+])
+def test_malformed_symbol_is_input_error(tmp_path, capsys, command, text,
+                                         message):
+    sym = tmp_path / "b.yaml"
+    sym.write_text(text)
+    pts = tmp_path / "w.yaml"
+    pts.write_text(POINTS)
+    argv = [command, "--dim", "1", "--symbol", str(sym),
+            "--resolution", "64", "--out", str(tmp_path / "r.json")]
+    if command == "refute-sampling":
+        argv += ["--points", str(pts)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Geometry of the nonisotropic metric: distances, caps, windows, packings."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revcarleson.geometry import (_OVERLAP_BLOCK, TOL, BallPoint,
-                                  CarlesonWindow, NonisotropicBall,
-                                  PackingCertificate, SpherePoint,
-                                  _candidate_centers, _caps_overlap,
-                                  _overlap_grid, ball_contains, greedy_packing,
-                                  niso_distance, niso_gap, sample_cap,
-                                  sample_sphere, scale_ball, sigma_of_ball,
-                                  window_contains)
+from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
+                                  NonisotropicBall, PackingCertificate,
+                                  SpherePoint, _candidate_centers,
+                                  _caps_overlap, _lens_minimum, ball_contains,
+                                  greedy_packing, niso_distance, niso_gap,
+                                  sample_cap, sample_sphere, scale_ball,
+                                  sigma_of_ball, window_contains)
 
 QUASI_CONST = math.sqrt(2.0)  # rho(a,c) <= sqrt(2) (rho(a,b) + rho(b,c))
 
@@ -177,7 +177,8 @@ def test_packing_covers_the_rim_by_4h():
 
 
 # ---------------------------------------------------------------------------
-# batched overlap test and sweep against the scalar first-fit they replace
+# the cap-overlap predicate: certificates, a brute-force oracle, the scalar
+# grid-and-zoom test it replaced, and the sweep against a first-fit loop
 
 def _overlap_t_grid_reference(h, n=48):
     r = np.linspace(0.0, h, n)
@@ -187,7 +188,7 @@ def _overlap_t_grid_reference(h, n=48):
 
 
 def _cap_overlap_reference(beta, h, t_grid):
-    """The scalar overlap test the batched one replaced, one pair per call.
+    """The scalar grid-and-zoom overlap test, one pair per call.
 
     Returns (overlap, stage), the stage being the one that decided: "line",
     "grid", "margin" (grid miss beyond its resolution error) or "polish".
@@ -230,6 +231,17 @@ def _cap_overlap_reference(beta, h, t_grid):
     return bool(best <= TOL), "polish"
 
 
+def _tangent_gaps(h, ph):
+    """The gap g at which caps with beta = 1 - g e^{i ph} stop meeting, by
+    bisection of the predicate along each ray."""
+    lo, hi = np.full(len(ph), h), np.full(len(ph), 4.0 * h)
+    for _ in range(36):
+        mid = 0.5 * (lo + hi)
+        meets = _caps_overlap(1.0 - mid * np.exp(1j * ph), h)
+        lo, hi = np.where(meets, mid, lo), np.where(meets, hi, mid)
+    return lo
+
+
 def _overlap_pairs(h, rng):
     """Inner products of 5 000 pairs: d = 2 pairs at gap in (h, 4h], a
     quarter of them within 0.03 h of the tangency along their ray, and
@@ -237,16 +249,10 @@ def _overlap_pairs(h, rng):
     # 1 - g e^{i phi} lies in the unit disk iff |phi| <= acos(g / 2)
     g = rng.uniform(h, 4.0 * h, 3200)
     band = 1.0 - g * np.exp(1j * np.arccos(g / 2.0) * rng.uniform(-1, 1, 3200))
-    # bisect the gap at which the caps stop meeting along 240 rays, then
-    # step off it by h * 10^U(-10, -1.5) on either side, five times a ray:
-    # the pairs closest to it are decided only in the last polish round
+    # step off the tangency of 240 rays by h * 10^U(-10, -1.5) on either
+    # side, five times a ray: the closest lie about TOL from it
     ph = math.acos(2.0 * h) * rng.uniform(-1.0, 1.0, 240)
-    lo, hi = np.full(240, h), np.full(240, 4.0 * h)
-    grid = _overlap_grid(h)
-    for _ in range(36):
-        mid = 0.5 * (lo + hi)
-        meets = _caps_overlap(1.0 - mid * np.exp(1j * ph), h, grid)
-        lo, hi = np.where(meets, mid, lo), np.where(meets, hi, mid)
+    lo = _tangent_gaps(h, ph)
     off = h * 10.0 ** rng.uniform(-10.0, -1.5, (240, 5)) \
         * rng.choice([-1, 1], (240, 5))
     gap = np.clip(lo[:, None] + off, h * (1 + 1e-9), 4.0 * h)
@@ -261,10 +267,118 @@ def _overlap_pairs(h, rng):
     return np.concatenate([band, tangent, np.exp(1j * ang)])
 
 
+def _lmo_scalar(g, h):
+    """min over v in L = {|1 - v| <= h, |v| <= 1} of Re(conj(g) v): the
+    minimiser over either disc if it lies in the other, else a corner."""
+    a = 2.0 * math.asin(min(h / 2.0, 1.0))
+    cands = [cmath.exp(1j * a), cmath.exp(-1j * a)]
+    if abs(g) > 0.0:
+        cands += [v for v in (1.0 - h * g / abs(g), -g / abs(g))
+                  if abs(1.0 - v) <= h * (1 + 1e-15) and abs(v) <= 1.0]
+    return min((g.conjugate() * v).real for v in cands)
+
+
+def _unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(z)[0]
+
+
+def test_overlap_answers_carry_certificates():
+    """Every answer off the line case rests on a certificate, rechecked in
+    scalar arithmetic: a witness t of L with F(t) <= h + TOL, made into a
+    point of S^3 in both caps, or a Frank-Wolfe lower bound above h + TOL;
+    only pairs within rounding of tangency are settled by the tie rule."""
+    rng = np.random.default_rng(3)
+    counts = {"meets": 0, "disjoint": 0, "tie": 0}
+    for h in (0.009, 0.03, 0.07, 0.2):
+        # and 400 pairs within 1e-12 of the tangent gap, relative
+        ph = math.acos(2.0 * h) * rng.uniform(-1.0, 1.0, 400)
+        gap = _tangent_gaps(h, ph) * (1.0 + 1e-12 * rng.uniform(-1, 1, 400))
+        beta = np.concatenate([_overlap_pairs(h, rng),
+                               1.0 - gap * np.exp(1j * ph)])
+        s = np.sqrt(np.maximum(0.0, 1.0 - np.hypot(beta.real, beta.imag) ** 2))
+        beta, s = beta[s > 1e-9], s[s > 1e-9]
+        meets, ts = _lens_minimum(beta, s, h)
+        np.testing.assert_array_equal(meets, _caps_overlap(beta, h))
+        for b, sb, met, t in zip(beta, s, meets, ts):
+            b, sb, t = complex(b), float(sb), complex(t)
+            # in L up to rounding, which the closed caps' TOL absorbs
+            assert abs(1.0 - t) <= h + 1e-15 and abs(t) < 1.0
+            w = math.sqrt(1.0 - (t.real ** 2 + t.imag ** 2))
+            u = 1.0 - b * t
+            f = abs(u) - sb * w
+            if met:
+                assert f <= h + TOL
+                # with b = beta a + s e, the point conj(t) a + w e^{i phi}
+                # conj(u)/|u| e, the phase phi putting |1 - <xi, b>| <= h
+                cos_phi = min(1.0, (abs(u) ** 2 + (sb * w) ** 2 - h * h)
+                              / (2.0 * abs(u) * sb * w))
+                phi = 0.0 if f >= 0.0 else math.acos(cos_phi)
+                U = _unitary(2, rng)
+                a, bb = U[:, 0], U @ np.array([b, sb])
+                xi = U @ np.array([t.conjugate(), w * cmath.exp(1j * phi)
+                                   * u.conjugate() / abs(u)])
+                # the caps are closed to TOL; rotating by U rounds anew
+                assert abs(np.linalg.norm(xi) - 1.0) <= 1e-14
+                assert niso_gap(a, xi)[0] <= h + 1e-15
+                assert niso_gap(bb, xi)[0] <= h + TOL + 1e-15
+                counts["meets"] += 1
+                continue
+            g = -b.conjugate() * u / abs(u) + sb * t / w
+            lower = f + _lmo_scalar(g, h) - (g.conjugate() * t).real
+            if lower > h + TOL:
+                counts["disjoint"] += 1
+            else:
+                # within rounding of tangency: the bound is tight to TOL
+                assert f > h + TOL and f - lower <= TOL
+                counts["tie"] += 1
+    print("overlap certificates:", counts)
+    assert 0 < counts["tie"] <= 1e-3 * sum(counts.values())
+
+
+def test_overlap_matches_sphere_sampling_oracle():
+    """d = 2 and d = 3 pairs at least 1e-3 h from tangency against an oracle
+    that knows nothing of the lens: points of one cap, found by a random
+    search in C^d that shrinks about the points nearest the other cap, are
+    tested against the other cap directly."""
+    rng = np.random.default_rng(8)
+
+    def oracle(a, b, h):
+        pts, scale = a[None, :], math.sqrt(h)
+        for _ in range(24):
+            cloud = pts[rng.integers(len(pts), size=4000)] + scale * (
+                rng.standard_normal((4000, len(a)))
+                + 1j * rng.standard_normal((4000, len(a))))
+            cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
+            pts = np.concatenate([pts, cloud[niso_gap(a, cloud) <= h]])
+            gap_b = niso_gap(b, pts)
+            if gap_b.min() <= h:
+                return True
+            pts = pts[np.argsort(gap_b)[:40]]
+            scale *= 0.6
+        return False
+
+    for d, h in ((2, 0.02), (2, 0.1), (3, 0.05)):
+        ph = math.acos(2.0 * h) * rng.uniform(-1.0, 1.0, 12)
+        off = h * 10.0 ** rng.uniform(-3.0, -1.0, 12) * np.tile([-1, 1], 6)
+        gap = np.concatenate([_tangent_gaps(h, ph) + off,
+                              rng.uniform(h, 4.0 * h, 12)])
+        ph = np.concatenate([ph, np.arccos(gap[12:] / 2.0)
+                             * rng.uniform(-1.0, 1.0, 12)])
+        beta = 1.0 - gap * np.exp(1j * ph)
+        got = _caps_overlap(beta, h)
+        for bt, meets in zip(beta, got):
+            U = _unitary(d, rng)
+            s = math.sqrt(1.0 - abs(bt) ** 2)
+            a, b = U[:, 0], bt * U[:, 0] + s * U[:, 1]    # <b, a> = beta
+            assert oracle(a, b, h) == meets, (d, h, bt)
+
+
 def test_batched_overlap_matches_scalar_reference():
     rng = np.random.default_rng(11)
     stages = {}
     n = 0
+    reference_wrong = 0
     for h in (0.009, 0.03, 0.07, 0.2):
         beta = _overlap_pairs(h, rng)
         t_grid = _overlap_t_grid_reference(h)
@@ -273,35 +387,43 @@ def test_batched_overlap_matches_scalar_reference():
             meets, stage = _cap_overlap_reference(b, h, t_grid)
             want.append(meets)
             stages[stage] = stages.get(stage, 0) + 1
-        got = _caps_overlap(beta, h, _overlap_grid(h))
+        want = np.array(want)
+        got = _caps_overlap(beta, h)
         assert got.dtype == bool
-        np.testing.assert_array_equal(got, np.array(want))
+        # the reference can only miss a meeting point, and then the
+        # predicate holds the witness that shows it
+        differ = np.flatnonzero(got != want)
+        assert got[differ].all()
+        s = np.sqrt(1.0 - np.abs(beta[differ]) ** 2)
+        meets, t = _lens_minimum(beta[differ], s, h)
+        f = np.abs(1.0 - beta[differ] * t) - s * np.sqrt(1.0 - np.abs(t) ** 2)
+        assert meets.all() and (f <= h + TOL).all()
+        reference_wrong += len(differ)
         n += len(beta)
     assert n >= 20000
+    print("pairs the reference decides wrongly:", reference_wrong)
+    assert reference_wrong == 0
     # every stage decides a fair share, the polish included
     assert min(stages.values()) >= 500, stages
 
 
 def _first_fit_reference(Q, h, seed):
-    """Centres of greedy_packing by the scalar first-fit loop it replaced."""
+    """Centres of greedy_packing by a scalar first-fit loop, one overlap
+    test per pair."""
     cands = _candidate_centers(Q, h, seed)
     cands = cands[np.argsort(niso_gap(Q.center.coords, cands))]
     gap_c = niso_gap(Q.center.coords, cands)
     budget = math.sqrt(min(2.0 * Q.delta, 2.0)) - math.sqrt(h)
     cands = cands[(np.sqrt(gap_c) <= budget + TOL) | (gap_c <= Q.delta + TOL)]
-    t_grid = _overlap_t_grid_reference(h)
     selected = []
     for cand in cands:
         ok = True
         for zj in selected:
-            gap = abs(1.0 - np.sum(cand * np.conj(zj)))
+            ip = np.sum(cand * np.conj(zj))
+            gap = abs(1.0 - ip)
             if gap > 4.0 * h:
                 continue
-            if gap <= h:
-                ok = False
-                break
-            if _cap_overlap_reference(np.sum(cand * np.conj(zj)), h,
-                                      t_grid)[0]:
+            if gap <= h or _caps_overlap(np.array([ip]), h)[0]:
                 ok = False
                 break
         if ok:
@@ -312,7 +434,7 @@ def _first_fit_reference(Q, h, seed):
 @pytest.mark.parametrize("d, delta, h, seed", [
     (1, 0.5, 0.035, 4),     # h / delta = 0.07
     (1, 0.3, 0.057, 9),     # 0.19, beyond the 0.172 rim threshold
-    (2, 0.3, 0.021, 2),     # 0.07: the first ball's (h, 4h] band > a block
+    (2, 0.3, 0.021, 2),     # 0.07: the first ball's (h, 4h] band is large
     (2, 0.45, 0.0855, 6),   # 0.19
 ])
 def test_sweep_matches_scalar_first_fit(d, delta, h, seed):
@@ -328,4 +450,4 @@ def test_sweep_matches_scalar_first_fit(d, delta, h, seed):
         first_band = np.count_nonzero(
             (niso_gap(cands[0], cands[1:]) > h)
             & (niso_gap(cands[0], cands[1:]) <= 4.0 * h))
-        assert first_band > _OVERLAP_BLOCK
+        assert first_band > 256
