@@ -333,17 +333,31 @@ def cmd_dbr_check(args) -> int:
     return EXIT_OK
 
 
+def _load_points(path) -> list:
+    with open(path) as fh:
+        doc = yaml.safe_load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("points file must hold a mapping with a points list")
+    entries = doc.get("points")
+    if not isinstance(entries, list):
+        raise ValueError("points field 'points' must be a list, "
+                         f"got {entries!r}")
+    points = []
+    for i, p in enumerate(entries):
+        try:
+            points.append(_parse_point(p))
+        except (TypeError, IndexError, ValueError):
+            raise ValueError(f"points field 'points' entry {i} must be "
+                             f"[[re, im], ...], got {p!r}") from None
+    return points
+
+
 def cmd_refute_sampling(args) -> int:
     cfg = _load_config(args)
     b = load_symbol(args.symbol)
-    with open(args.points) as fh:
-        pts_doc = yaml.safe_load(fh)
-    if not isinstance(pts_doc, dict):
-        raise ValueError("points file must hold a mapping with a points list")
-    points = [_parse_point(p) for p in pts_doc["points"]]
-    ref = refute_sampling(b, points, cfg.search(), cfg.sphere(), cfg.radial(),
-                          refinements=cfg.refinements,
-                          eps_inner=cfg.eps_inner)
+    ref = refute_sampling(b, _load_points(args.points), cfg.search(),
+                          cfg.sphere(), cfg.radial(),
+                          refinements=cfg.refinements, eps_inner=cfg.eps_inner)
     rows = [("quantity", "value"),
             ("verdict", ref.verdict),
             ("inner_fraction", f"{ref.inner_fraction:.6f}"),

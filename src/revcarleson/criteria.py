@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (CarlesonWindow, NonisotropicBall, SpherePoint,
-                       sample_sphere)
+from .geometry import CarlesonWindow, sample_sphere
 from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_kernel_at,
                       kernel_norm, normalized_kernel)
 from .measures import BallMeasure, _NodeTable
@@ -89,27 +88,25 @@ class SearchGrid:
                           self.seed, self.level + 1)
 
 
-def _sigma_estimate(grid: SphereGrid, mask: np.ndarray) -> float:
-    return float(grid.weights[mask].sum())
+def _cap_profile(table: _NodeTable, sgrid: SearchGrid,
+                 ratios: dict) -> CriterionProfile:
+    """Condition (iii)'s profile; ratios maps a cell's (tuple(c), delta) to
+    its ratio, and a cell already in it is not computed again."""
+    centers, params = sgrid.centers(), []
+    for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
+        key = (tuple(centers[i]), Q.delta)
+        if key not in ratios:
+            ratios[key] = table.ball_mass(Q, mask) / s
+        params.append(key)
+    return CriterionProfile.from_values(
+        "iii", params, [ratios[key] for key in params], reverse=True)
 
 
 def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,
                           grid: SphereGrid) -> CriterionProfile:
     """min over sampled balls of mu(Q)/sigma(Q), node-indicator sums on both
     sides; cells whose sigma estimate vanishes are skipped."""
-    table = _NodeTable.build(mu, grid)
-    params, values = [], []
-    for c in sgrid.centers():
-        gaps = np.abs(1.0 - grid.nodes @ np.conj(c))
-        for delta in sgrid.deltas():
-            mask = gaps <= delta + 1e-12
-            s = _sigma_estimate(grid, mask)
-            if s <= 0.0:
-                continue
-            Q = NonisotropicBall(SpherePoint(c), float(delta))
-            values.append(table.ball_mass(Q) / s)
-            params.append((tuple(c), float(delta)))
-    return CriterionProfile.from_values("iii", params, values, reverse=True)
+    return _cap_profile(_NodeTable.build(mu, grid), sgrid, {})
 
 
 def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
@@ -193,19 +190,12 @@ def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                     ) -> tuple[CriterionProfile, CriterionProfile]:
     """(window_profile, forward_profile) from one pass over the cells: both
     are read off the same ratios mu(S_Q)/sigma(Q)."""
-    table = _NodeTable.build(mu, grid)
+    table, centers = _NodeTable.build(mu, grid), sgrid.centers()
     params, values = [], []
-    for c in sgrid.centers():
-        gaps = np.abs(1.0 - grid.nodes @ np.conj(c))
-        for delta in sgrid.deltas():
-            mask = gaps <= delta + 1e-12
-            s = _sigma_estimate(grid, mask)
-            if s <= 0.0:
-                continue
-            Q = NonisotropicBall(SpherePoint(c), float(delta))
-            S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
-            values.append(table.window_mass(S, radial) / s)
-            params.append((tuple(c), float(delta)))
+    for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
+        S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
+        values.append(table.window_mass(S, mask, radial) / s)
+        params.append((tuple(centers[i]), Q.delta))
     profile = CriterionProfile.from_values
     return (profile("window", params, values, reverse=True),
             profile("forward", params, values, reverse=False))
@@ -330,17 +320,17 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
     args = {}
     sg = sgrid
     forward_ext = None
-    table = None
+    # the cap table first, so that a faulty boundary density is reported
+    # before a faulty interior one
+    caps = _NodeTable.build(mu, grid)
+    table = _NodeTable.build(mu, grid, radial)
+    # the cells and w-points of a level are among the next level's (the
+    # grid is nested), so each cell and each w is computed once per run
+    cells = {}                 # (tuple(c), delta) -> condition (iii) ratio
     passes = {}                # tuple(w) -> (condition (ii), ratio, K_w)
     for level in range(refinements):
-        p3 = condition_iii_profile(mu, sg, grid)
-        if table is None:
-            # after the first cap profile, so that a faulty boundary
-            # density is reported before a faulty interior one
-            table = _NodeTable.build(mu, grid, radial)
+        p3 = _cap_profile(caps, sg, cells)
         ws = _w_points(sg)
-        # the w-points of a level are among the next level's (the grid is
-        # nested), so each w is computed once per run
         for w in ws:
             if tuple(w) not in passes:
                 kp = _KernelPass(table, exponents, w)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .geometry import BallPoint, SpherePoint, sample_sphere
-from .kernels import boundary_radial_limit, cauchy_kernel_at
+from .geometry import BallPoint, sample_sphere
+from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
+                      cauchy_kernel_at)
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, refine
 
@@ -68,14 +69,7 @@ class Symbol:
         if self.kind == "constant":
             return np.full(len(pts), complex(self.data))
         if self.kind == "polynomial":
-            out = np.zeros(len(pts), dtype=complex)
-            for c, alpha in self.data:
-                term = np.full(len(pts), complex(c))
-                for k, a in enumerate(alpha):
-                    if a:
-                        term = term * pts[:, k] ** a
-                out += term
-            return out
+            return _add_poly(np.zeros(len(pts), dtype=complex), self.data, pts)
         zeros, phase = self.data
         z = pts[:, 0]
         out = np.full(len(pts), complex(phase))
@@ -109,34 +103,13 @@ class Symbol:
 def eval_symbol(b: Symbol, z) -> complex:
     """b(z); boundary points use the closed-form representation directly
     (all three representations extend continuously to the closed ball)."""
-    zc = z.coords if isinstance(z, (BallPoint, SpherePoint)) else \
-        np.asarray(z, dtype=complex).reshape(-1)
-    return complex(b(zc[None, :])[0])
-
-
-def mu_admissible_at_atoms(b: Symbol, mu: BallMeasure):
-    """Radial-limit check of b at the boundary atoms of mu; returns the list
-    of atoms where the limit diverges (empty means admissible)."""
-    bad = []
-    for pt, _ in mu.boundary_atoms:
-        lim = boundary_radial_limit(b, pt)
-        if lim.diverged:
-            bad.append(pt)
-    return bad
+    return complex(b(_coords(z)[None, :])[0])
 
 
 def dbr_kernel(b: Symbol, w, z) -> complex:
     """(1 - b(z) conj(b(w))) / (1 - <z, w>)^d; reduces to the Cauchy kernel
     for b identically zero."""
-    wc = w.coords if isinstance(w, BallPoint) else np.asarray(w, dtype=complex).reshape(-1)
-    zc = z.coords if isinstance(z, (BallPoint, SpherePoint)) else \
-        np.asarray(z, dtype=complex).reshape(-1)
-    if np.linalg.norm(wc) >= 1:
-        raise ValueError("kernel point w must be interior")
-    bw = eval_symbol(b, wc)
-    bz = eval_symbol(b, zc)
-    d = wc.size
-    return complex((1.0 - bz * np.conj(bw)) / (1.0 - np.sum(zc * np.conj(wc))) ** d)
+    return complex(dbr_kernel_at(b, _pole(w), _coords(z)[None, :])[0])
 
 
 def dbr_kernel_at(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -146,10 +119,8 @@ def dbr_kernel_at(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def dbr_kernel_diag(b: Symbol, w) -> float:
     """K^b(w, w) = (1 - |b(w)|^2) / (1 - |w|^2)^d > 0 for non-unimodular b."""
-    wc = w.coords if isinstance(w, BallPoint) else np.asarray(w, dtype=complex).reshape(-1)
+    wc = _pole(w)
     a2 = float(np.linalg.norm(wc)) ** 2
-    if a2 >= 1:
-        raise ValueError("kernel point w must be interior")
     bw = eval_symbol(b, wc)
     return float((1.0 - abs(bw) ** 2) / (1.0 - a2) ** wc.size)
 
@@ -162,23 +133,27 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
     A reverse Carleson measure for H(b) keeps this bounded below; a profile
     collapsing to zero under refinement is a numerical witness against it.
     """
+    for pt, _ in mu.boundary_atoms:
+        if boundary_radial_limit(b, pt).diverged:
+            raise ValueError(f"symbol not mu-admissible at boundary atom {pt}")
+    return _kernel_profile(b, _NodeTable.build(mu, grid, radial), sgrid, {})
+
+
+def _kernel_profile(b: Symbol, table: _NodeTable, sgrid, values: dict):
+    """kernel_test's profile on a node table; values maps tuple(w) to its
+    value (None if K^b(w, w) <= 0), and a w in it is not computed again."""
     from .criteria import CriterionProfile, _w_points
-    bad = mu_admissible_at_atoms(b, mu)
-    if bad:
-        raise ValueError(f"symbol not mu-admissible at boundary atom {bad[0]}")
-    table = _NodeTable.build(mu, grid, radial)
-    params, values = [], []
+    params = []
     for w in _w_points(sgrid):
-        diag = dbr_kernel_diag(b, w)
-        if diag <= 0:
-            continue
-
-        def f(pts, w=w):
-            return np.abs(dbr_kernel_at(b, w, pts)) ** 2
-
-        values.append(table.integrate(f) / diag)
-        params.append(tuple(w))
-    return CriterionProfile.from_values("hb-kernel", params, values, reverse=True)
+        key = tuple(w)
+        if key not in values:
+            diag = dbr_kernel_diag(b, w)
+            values[key] = None if diag <= 0 else table.integrate(
+                lambda pts: np.abs(dbr_kernel_at(b, w, pts)) ** 2) / diag
+        if values[key] is not None:
+            params.append(key)
+    return CriterionProfile.from_values(
+        "hb-kernel", params, [values[key] for key in params], reverse=True)
 
 
 @dataclass(frozen=True)
@@ -287,11 +262,15 @@ def refute_sampling(b: Symbol, points, sgrid, grid: SphereGrid,
         return SamplingRefutation(
             "inconclusive", frac, True, (),
             "inner-like symbol: the non-inner hypothesis fails, theorem does not apply")
-    mu = sampling_candidate_measure(b, points)
+    # b is admissible for a measure without boundary atoms; the w-points of
+    # a level are among the next level's, so each w is computed once per run
+    table = _NodeTable.build(sampling_candidate_measure(b, points), grid,
+                             radial)
+    values = {}                # tuple(w) -> kernel-test value
     trend = []
     sg = sgrid
     for _ in range(refinements):
-        trend.append(kernel_test(mu, b, sg, grid, radial).extremal)
+        trend.append(_kernel_profile(b, table, sg, values).extremal)
         sg = sg.refine()
     detail = ("candidate measure has zero boundary density while b is not "
               f"inner (inner fraction {frac:.6f}); kernel-test minimum trend "

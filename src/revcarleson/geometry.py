@@ -86,9 +86,6 @@ class SpherePoint:
     def d(self) -> int:
         return self.coords.size
 
-    def as_ball_point(self) -> BallPoint:
-        return BallPoint(self.coords)
-
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.asarray(a) * np.conj(np.asarray(b))))

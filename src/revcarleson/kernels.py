@@ -55,13 +55,17 @@ def _coords(z) -> np.ndarray:
     return np.asarray(z, dtype=complex).reshape(-1)
 
 
-def cauchy_kernel(w, z) -> complex:
-    """k_w(z) = (1 - <z, w>)^(-d); requires |w| < 1 so k_w is bounded."""
-    wc, zc = _coords(w), _coords(z)
+def _pole(w) -> np.ndarray:
+    """The coordinates of a kernel's pole w, which must be interior."""
+    wc = _coords(w)
     if np.linalg.norm(wc) >= 1:
         raise ValueError("kernel pole w must be interior, |w| < 1")
-    d = wc.size
-    return complex((1.0 - np.sum(zc * np.conj(wc))) ** (-d))
+    return wc
+
+
+def cauchy_kernel(w, z) -> complex:
+    """k_w(z) = (1 - <z, w>)^(-d); requires |w| < 1 so k_w is bounded."""
+    return complex(cauchy_kernel_at(_pole(w), _coords(z)[None, :])[0])
 
 
 def cauchy_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -85,21 +89,14 @@ class TestFunction:
 
     def __post_init__(self):
         for _, w in self.kernel_terms:
-            if np.linalg.norm(w) >= 1:
-                raise ValueError("kernel poles must be interior")
+            _pole(w)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=complex))
         out = np.zeros(len(pts), dtype=complex)
         for c, w in self.kernel_terms:
             out += c * cauchy_kernel_at(np.asarray(w), pts)
-        for c, alpha in self.poly_terms:
-            term = np.full(len(pts), complex(c))
-            for k, a in enumerate(alpha):
-                if a:
-                    term = term * pts[:, k] ** a
-            out += term
-        return out
+        return _add_poly(out, self.poly_terms, pts)
 
     def scaled(self, c: complex) -> "TestFunction":
         return TestFunction(
@@ -108,16 +105,26 @@ class TestFunction:
             tuple((c * cj, a) for cj, a in self.poly_terms))
 
 
+def _add_poly(out: np.ndarray, terms, pts: np.ndarray) -> np.ndarray:
+    """out plus sum_j c_j z^alpha_j at an (n, d) stack of points, added term
+    by term: the polynomial evaluator of test functions and symbols."""
+    for c, alpha in terms:
+        term = np.full(len(pts), complex(c))
+        for k, a in enumerate(alpha):
+            if a:
+                term = term * pts[:, k] ** a
+        out += term
+    return out
+
+
 def kernel_norm(w, exponents: Exponents, grid: SphereGrid | None = None) -> float:
     """H^p norm of the Cauchy kernel k_w.
 
     Without a grid, returns the closed form (1-|w|^2)^(-d/q) (exact at p = 2).
     With a grid, returns the boundary quadrature value (integral of |k_w|^p)^(1/p).
     """
-    wc = _coords(w)
+    wc = _pole(w)
     a = np.linalg.norm(wc)
-    if a >= 1:
-        raise ValueError("kernel pole w must be interior, |w| < 1")
     if grid is None:
         return float((1.0 - a * a) ** (-exponents.d / exponents.q))
     p = exponents.p
@@ -147,14 +154,9 @@ def normalized_kernel(w, exponents: Exponents,
     return TestFunction(exponents.d, kernel_terms=((1.0 / nrm, wc),))
 
 
-def poisson_kernel(w, xi, d: int | None = None) -> float:
+def poisson_kernel(w, xi) -> float:
     """(1 - |w|^2)^d / |1 - <w, xi>|^(2d), the invariant Poisson-type kernel."""
-    wc, xc = _coords(w), _coords(xi)
-    if np.linalg.norm(wc) >= 1:
-        raise ValueError("Poisson kernel requires |w| < 1")
-    d = wc.size if d is None else d
-    a2 = float(np.abs(np.sum(wc * np.conj(wc))))
-    return float((1.0 - a2) ** d / np.abs(1.0 - np.sum(wc * np.conj(xc))) ** (2 * d))
+    return float(poisson_kernel_at(_pole(w), _coords(xi)[None, :])[0])
 
 
 def poisson_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .geometry import BallPoint, CarlesonWindow, NonisotropicBall, SpherePoint, TOL
+from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
+                       SpherePoint, TOL, niso_gap)
 from .quadrature import (RadialRule, SphereGrid, WindowNodes, integrate_window,
                          radial_rule, window_nodes, window_sum)
 
@@ -199,14 +200,16 @@ def sigma_measure(d: int) -> BallMeasure:
 def measure_of_ball(mu: BallMeasure, Q: NonisotropicBall,
                     grid: SphereGrid) -> float:
     """mu(Q) for a cap Q on the sphere; only boundary parts contribute."""
-    return _NodeTable.build(mu, grid).ball_mass(Q)
+    return _NodeTable.build(mu, grid).ball_mass(
+        Q, Q.contains_coords(grid.nodes))
 
 
 def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
                       radial: RadialRule) -> float:
     """mu(S) = interior density over S + interior atoms in S
     + (if the window is outer-closed) the boundary parts over its cap."""
-    return _NodeTable.build(mu, grid).window_mass(S, radial)
+    return _NodeTable.build(mu, grid).window_mass(
+        S, S.ball.contains_coords(grid.nodes), radial)
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
@@ -234,7 +237,8 @@ class _NodeTable:
 
     A loop that integrates many functions against one measure (every w of
     a kernel profile, every cell of a window profile) builds the table once
-    and passes it on, so no density is evaluated twice on the same nodes.
+    and passes it on, so no density is evaluated twice on the same nodes;
+    the cap and window profiles walk their cells through its cell pass.
     wg holds sigma's weight times the validated boundary density at each
     sphere node; interior and density hold the full-ball tensor nodes of
     the radial rule and the interior density on them.  Each is None when mu
@@ -260,19 +264,37 @@ class _NodeTable:
             wg = grid.weights * mu.boundary_density_values(grid)
         return cls(mu, grid, wg, interior, density)
 
-    def ball_mass(self, Q: NonisotropicBall) -> float:
-        """mu(Q), see measure_of_ball."""
+    def cells(self, centers, deltas):
+        """The cell pass, the one place the node-indicator rule lives.
+
+        Yields (i, j, Q, mask, s) for each cell Q = Q(centers[i], deltas[j]),
+        center-major: mask marks the grid nodes with |1 - <zeta, c>| <=
+        delta + TOL, and s, the weight under it, is the grid estimate of
+        sigma(Q).  The gaps are taken once per center, from its raw row;
+        cells with s = 0 are skipped.
+        """
+        for i, c in enumerate(centers):
+            center, gaps = SpherePoint(c), niso_gap(c, self.grid.nodes)
+            for j, delta in enumerate(deltas):
+                mask = gaps <= delta + TOL
+                s = float(self.grid.weights[mask].sum())
+                if s > 0.0:
+                    yield i, j, NonisotropicBall(center, float(delta)), mask, s
+
+    def ball_mass(self, Q: NonisotropicBall, mask: np.ndarray) -> float:
+        """mu(Q), see measure_of_ball; mask marks the grid nodes in Q."""
         total = 0.0
         if self.wg is not None:
-            mask = Q.contains_coords(self.grid.nodes)
             total = float(np.sum(self.wg[mask]))
         for pt, mass in self.mu.boundary_atoms:
             if Q.contains_coords(pt.coords[None, :])[0]:
                 total += mass
         return total
 
-    def window_mass(self, S: CarlesonWindow, radial: RadialRule) -> float:
-        """mu(S), see measure_of_window."""
+    def window_mass(self, S: CarlesonWindow, mask: np.ndarray,
+                    radial: RadialRule) -> float:
+        """mu(S), see measure_of_window; mask marks the grid nodes in the
+        cap of S."""
         mu = self.mu
         total = 0.0
         if mu.interior_density is not None:
@@ -282,7 +304,7 @@ class _NodeTable:
             if S.contains_coords(pt.coords[None, :])[0]:
                 total += mass
         if S.closed_outer:
-            total += self.ball_mass(S.ball)
+            total += self.ball_mass(S.ball, mask)
         return total
 
     def integrate(self, f, boundary_f=None, atom_f=None) -> float:
@@ -353,14 +375,8 @@ def radon_nikodym_profile(mu: BallMeasure, centers, deltas,
         raise ValueError("deltas must be strictly decreasing")
     table = _NodeTable.build(mu, grid)
     out = np.full((len(centers), len(deltas)), np.nan)
-    for i, c in enumerate(centers):
-        for j, delta in enumerate(deltas):
-            Q = NonisotropicBall(c, delta)
-            mask = Q.contains_coords(grid.nodes)
-            s = float(grid.weights[mask].sum())
-            if s <= 0:
-                continue
-            out[i, j] = table.ball_mass(Q) / s
+    for i, j, Q, mask, s in table.cells([c.coords for c in centers], deltas):
+        out[i, j] = table.ball_mass(Q, mask) / s
     return RadonNikodymProfile(tuple(centers), deltas, out)
 
 

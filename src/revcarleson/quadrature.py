@@ -94,9 +94,8 @@ def _torus_product(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights.copy()
 
 
-def sphere_grid(d: int, resolution: int, scheme: str = "auto",
-                seed: int = 0) -> SphereGrid:
-    """Build a quadrature grid on S^{2d-1}.
+def sphere_grid(d: int, resolution: int, seed: int = 0) -> SphereGrid:
+    """Build a quadrature grid on S^{2d-1}; the scheme follows from d.
 
     resolution means: number of angles (d=1), points per torus axis (d=2),
     total sample count (d>=3 Monte Carlo).
@@ -105,25 +104,17 @@ def sphere_grid(d: int, resolution: int, scheme: str = "auto",
         raise ValueError("dimension must be >= 1")
     if resolution < 4:
         raise ValueError("resolution must be at least 4")
-    if scheme == "auto":
-        scheme = {1: "uniform", 2: "torus"}.get(d, "monte-carlo")
-    if scheme == "uniform":
-        if d != 1:
-            raise ValueError("uniform-angle scheme requires d = 1")
+    if d == 1:
         nodes, weights = _uniform_circle(resolution)
         return SphereGrid(d, nodes, weights, "uniform", resolution)
-    if scheme == "torus":
-        if d != 2:
-            raise ValueError("torus-product scheme requires d = 2")
+    if d == 2:
         nodes, weights = _torus_product(resolution)
         return SphereGrid(d, nodes, weights, "torus", resolution)
-    if scheme == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal((resolution, d))
-        nodes = z / np.linalg.norm(z, axis=1, keepdims=True)
-        weights = np.full(resolution, 1.0 / resolution)
-        return SphereGrid(d, nodes, weights, "monte-carlo", resolution, seed)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal((resolution, d))
+    nodes = z / np.linalg.norm(z, axis=1, keepdims=True)
+    weights = np.full(resolution, 1.0 / resolution)
+    return SphereGrid(d, nodes, weights, "monte-carlo", resolution, seed)
 
 
 def radial_rule(d: int, resolution: int, depth: float = 1.0) -> RadialRule:
@@ -217,7 +208,7 @@ def integrate_window(f, S: CarlesonWindow, grid: SphereGrid,
 def refine(obj):
     """Double the resolution of a grid or radial rule, same scheme lineage."""
     if isinstance(obj, SphereGrid):
-        return sphere_grid(obj.d, 2 * obj.resolution, obj.scheme,
+        return sphere_grid(obj.d, 2 * obj.resolution,
                            seed=obj.seed if obj.seed is not None else 0)
     if isinstance(obj, RadialRule):
         return radial_rule(obj.d, 2 * obj.resolution, obj.depth)

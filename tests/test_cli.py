@@ -189,6 +189,22 @@ def test_empty_sampling_points_is_input_error(tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("points: 5\n", "points field 'points' must be a list, got 5"),
+    ("points:\n- [[0.5, 0.0]]\n- [[0.5]]\n",
+     "points field 'points' entry 1 must be [[re, im], ...], got [[0.5]]"),
+])
+def test_malformed_sampling_points_is_input_error(tmp_path, capsys, text,
+                                                  message):
+    sym = tmp_path / "b.yaml"
+    sym.write_text(CONST_SYMBOL)
+    pts = tmp_path / "w.yaml"
+    pts.write_text(text)
+    assert run(["refute-sampling", "--dim", "1", "--symbol", str(sym),
+                "--points", str(pts), "--resolution", "64"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("part", ["interior_density", "boundary_density"])
 def test_fractional_power_of_negative_density_is_input_error(
         tmp_path, capsys, part):

@@ -14,11 +14,13 @@ from revcarleson.criteria import (ConditionSummary, CriterionProfile,
                                   condition_iii_profile,
                                   default_witness_family, equivalence_report,
                                   forward_profile, reverse_inequality_witness,
-                                  window_profile)
-from revcarleson.geometry import BallPoint, SpherePoint
+                                  window_profile, window_profiles)
+from revcarleson.geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
+                                  SpherePoint)
 from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel_at,
                                  hp_norm, kernel_norm, normalized_kernel)
 from revcarleson.measures import (BallMeasure, DensityExpr, integrate_measure,
+                                  measure_of_ball, measure_of_window,
                                   sigma_measure)
 from revcarleson.quadrature import radial_rule, sphere_grid
 
@@ -197,16 +199,59 @@ def _reference_ratio(mu, ex, f, grid, radial):
                              radial) / hp_norm(f, ex, grid) ** p
 
 
+def _reference_cells(sgrid, grid):
+    """The search grid's cells as the profiles once walked them, each with
+    its own node-indicator sum: (key, ball, sigma estimate) for every cell
+    whose estimate is positive."""
+    for c in sgrid.centers():
+        gaps = np.abs(1.0 - grid.nodes @ np.conj(c))
+        for delta in sgrid.deltas():
+            mask = gaps <= delta + 1e-12
+            s = float(grid.weights[mask].sum())
+            if s <= 0.0:
+                continue
+            Q = NonisotropicBall(SpherePoint(c), float(delta))
+            yield (tuple(c), float(delta)), Q, s
+
+
+def _reference_iii(mu, sgrid, grid):
+    """condition_iii_profile as a cell-by-cell loop, mu(Q) through
+    measure_of_ball."""
+    params, values = [], []
+    for key, Q, s in _reference_cells(sgrid, grid):
+        values.append(measure_of_ball(mu, Q, grid) / s)
+        params.append(key)
+    return CriterionProfile.from_values("iii", params, values, reverse=True)
+
+
+def _reference_windows(mu, sgrid, grid, radial):
+    """window_profiles as a cell-by-cell loop, mu(S_Q) through
+    measure_of_window."""
+    params, values = [], []
+    for key, Q, s in _reference_cells(sgrid, grid):
+        S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
+        values.append(measure_of_window(mu, S, grid, radial) / s)
+        params.append(key)
+    return (CriterionProfile.from_values("window", params, values, True),
+            CriterionProfile.from_values("forward", params, values, False))
+
+
+def _bits(prof):
+    """A profile's repr with every value's bits (an array's repr rounds)."""
+    return repr((prof.condition, prof.params, prof.values.tolist(),
+                 prof.extremal, prof.arg_extremal))
+
+
 def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
                       witness_seed=0):
     """equivalence_report as a level-by-level loop that evaluates every
-    kernel afresh at every level."""
+    kernel and every cell afresh at every level."""
     norm_grid = None if abs(ex.p - 2) < 1e-12 else grid
     trends = {"i": [], "ii": [], "iii": []}
     args = {}
     sg = sgrid
     for level in range(refinements):
-        p3 = condition_iii_profile(mu, sg, grid)
+        p3 = _reference_iii(mu, sg, grid)
         ws = _w_points(sg)
         p2 = CriterionProfile.from_values(
             "ii", [tuple(w) for w in ws],
@@ -234,7 +279,7 @@ def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
         args["ii"] = p2.arg_extremal
         args["i"] = repr(best_f)[:120]
         if level == refinements - 1:
-            forward_ext = forward_profile(mu, sg, grid, radial).extremal
+            forward_ext = _reference_windows(mu, sg, grid, radial)[1].extremal
         sg = sg.refine()
     conditions = {
         tag: ConditionSummary(tuple(trend), args[tag], _verdict(trend, tau))
@@ -284,6 +329,43 @@ def test_equivalence_report_matches_level_by_level_loop(d, p, measure):
     ref = _reference_report(mu, ex, sg, grid, radial, refinements=3)
     assert rep == ref
     assert repr(rep) == repr(ref)    # repr tells every float's bits apart
+
+
+@pytest.mark.parametrize("measure", ["sigma", "four-part"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_profiles_match_cell_by_cell_loops(d, measure):
+    grid, radial = _small_grids(d)
+    mu = sigma_measure(d) if measure == "sigma" else _four_part(d)
+    sg = SearchGrid(d, 3, 3)
+    for _ in range(3):
+        assert _bits(condition_iii_profile(mu, sg, grid)) == \
+            _bits(_reference_iii(mu, sg, grid))
+        assert [_bits(p) for p in window_profiles(mu, sg, grid, radial)] == \
+            [_bits(p) for p in _reference_windows(mu, sg, grid, radial)]
+        sg = sg.refine()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_equivalence_computes_each_cell_once(monkeypatch, d):
+    grid, radial = _small_grids(d)
+    calls = Counter()
+    real = criteria._NodeTable.ball_mass
+
+    def counting(self, Q, mask):
+        if sys._getframe(1).f_code.co_name != "window_mass":
+            calls[tuple(Q.center.coords), Q.delta] += 1
+        return real(self, Q, mask)
+
+    monkeypatch.setattr(criteria._NodeTable, "ball_mass", counting)
+    sg = SearchGrid(d, 2, 2)
+    equivalence_report(_four_part(d), Exponents(2.0, d), sg, grid, radial,
+                       refinements=3)
+    cells = set()
+    for _ in range(3):
+        cells |= {(tuple(Q.center.coords), Q.delta)
+                  for _, Q, _ in _reference_cells(sg, grid)}
+        sg = sg.refine()
+    assert calls == Counter(dict.fromkeys(cells, 1))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -1,6 +1,7 @@
 """de Branges-Rovnyak kernels, symbols, and the necessary-condition tests."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revcarleson import dbr
-from revcarleson.criteria import SearchGrid, condition_ii_profile
+from revcarleson.criteria import SearchGrid, _w_points, condition_ii_profile
 from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              is_inner_estimate, kernel_test, load_symbol,
                              necessary_condition_constant,
@@ -16,7 +17,7 @@ from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              sampling_candidate_measure, symbol_from_dict,
                              symbol_to_dict)
 from revcarleson.kernels import Exponents, cauchy_kernel
-from revcarleson.measures import sigma_measure
+from revcarleson.measures import integrate_measure, sigma_measure
 from revcarleson.quadrature import radial_rule, refine, sphere_grid
 
 
@@ -193,6 +194,64 @@ def test_refute_sampling_non_inner(grid, rad):
     assert rep.boundary_density_zero
     assert all(t2 < t1 for t1, t2 in zip(rep.kernel_test_trend,
                                          rep.kernel_test_trend[1:]))
+
+
+def _reference_trend(b, points, sgrid, grid, radial, refinements):
+    """refute_sampling's trend as a level-by-level loop that integrates
+    every w afresh at every level."""
+    mu = sampling_candidate_measure(b, points)
+    trend, sg = [], sgrid
+    for _ in range(refinements):
+        values = []
+        for w in _w_points(sg):
+            diag = dbr_kernel_diag(b, w)
+            if diag > 0:
+                values.append(integrate_measure(
+                    mu, lambda pts, w=w: np.abs(
+                        dbr.dbr_kernel_at(b, w, pts)) ** 2,
+                    grid, radial) / diag)
+        trend.append(min(values))
+        sg = sg.refine()
+    return tuple(trend)
+
+
+_SAMPLING_CASES = [
+    (_const(0.5), 1), (_poly([0.25, 0.5]), 1),
+    (Symbol("polynomial", 2, ((0.5 + 0j, (1, 0)), (0.25j, (0, 2)))), 2),
+]
+
+
+@pytest.mark.parametrize("b,d", _SAMPLING_CASES)
+def test_refute_sampling_trend_matches_level_by_level_loop(b, d):
+    grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
+    pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
+    sg = SearchGrid(d, 3, 3)
+    rep = refute_sampling(b, pts, sg, grid, rad, refinements=3)
+    assert repr(rep.kernel_test_trend) == \
+        repr(_reference_trend(b, pts, sg, grid, rad, 3))
+
+
+@pytest.mark.parametrize("b,d", _SAMPLING_CASES)
+def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
+    # each atom of the candidate measure is a one-point node set: every
+    # distinct w of the three levels meets each atom once
+    grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
+    pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
+    calls = Counter()
+    real = dbr.dbr_kernel_at
+
+    def counting(b, w, at):
+        calls[tuple(w), tuple(at.ravel())] += 1
+        return real(b, w, at)
+
+    monkeypatch.setattr(dbr, "dbr_kernel_at", counting)
+    sg = SearchGrid(d, 3, 3)
+    refute_sampling(b, pts, sg, grid, rad, refinements=3)
+    ws = set()
+    for _ in range(3):
+        ws |= {tuple(w) for w in _w_points(sg)}
+        sg = sg.refine()
+    assert calls == Counter({(w, tuple(p)): 1 for w in ws for p in pts})
 
 
 def test_refute_sampling_inner_is_inconclusive(grid, rad):

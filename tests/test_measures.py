@@ -139,9 +139,11 @@ def test_node_table_reuse_matches_one_shot(d, res):
     for delta, depth in ((2.0, 1.0), (0.4, 0.2)):
         S = CarlesonWindow(NonisotropicBall(mu.boundary_atoms[0][0], delta),
                            depth)
-        assert table.window_mass(S, rad) == \
+        mask = S.ball.contains_coords(grid.nodes)
+        assert table.window_mass(S, mask, rad) == \
             measure_of_window(mu, S, grid, rad)
-        assert table.ball_mass(S.ball) == measure_of_ball(mu, S.ball, grid)
+        assert table.ball_mass(S.ball, mask) == \
+            measure_of_ball(mu, S.ball, grid)
 
 
 def test_node_table_evaluates_densities_once(circle_grid, radial24):
@@ -157,7 +159,8 @@ def test_node_table_evaluates_densities_once(circle_grid, radial24):
     table = _NodeTable.build(mu, circle_grid, radial24)
     for a in (0.0, 0.3, 0.6):
         table.integrate(lambda z, a=a: np.abs(1.0 - a * z[:, 0]) ** 2)
-        table.ball_mass(NonisotropicBall(E1, a + 0.1))
+        Q = NonisotropicBall(E1, a + 0.1)
+        table.ball_mass(Q, Q.contains_coords(circle_grid.nodes))
     assert calls == [24 * 2048, 2048]
 
 
@@ -173,6 +176,39 @@ def test_radon_nikodym_empty_cell_is_nan():
     off_node = SpherePoint(np.array([np.exp(0.3j)]))
     prof = radon_nikodym_profile(sigma_measure(1), [off_node], [1e-4], coarse)
     assert np.isnan(prof.ratios[0, 0])
+
+
+def _reference_radon(mu, centers, deltas, grid):
+    """radon_nikodym_profile's ratios as a cell-by-cell loop with its own
+    node-indicator sums, mu(Q) through measure_of_ball."""
+    out = np.full((len(centers), len(deltas)), np.nan)
+    for i, c in enumerate(centers):
+        for j, delta in enumerate(deltas):
+            Q = NonisotropicBall(c, delta)
+            mask = Q.contains_coords(grid.nodes)
+            s = float(grid.weights[mask].sum())
+            if s <= 0:
+                continue
+            out[i, j] = measure_of_ball(mu, Q, grid) / s
+    return out
+
+
+@pytest.mark.parametrize("measure", ["sigma", "every-part"])
+@pytest.mark.parametrize("d,res", [(1, 512), (2, 9), (3, 1000)])
+def test_radon_nikodym_matches_cell_by_cell_loop(d, res, measure):
+    mu = sigma_measure(d) if measure == "sigma" else _every_part(d)
+    grid = sphere_grid(d, res, seed=4)
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    centers = [SpherePoint(c / np.linalg.norm(c)) for c in z]
+    centers.append(_every_part(d).boundary_atoms[0][0])
+    # a node just outside the edge of one cell, inside it by the tolerance
+    edge = float(np.abs(1.0 - grid.nodes[3] @ np.conj(centers[0].coords)))
+    deltas = tuple(sorted({1.5, 0.5, 0.125, 1e-3, edge - 5e-13},
+                          reverse=True))
+    prof = radon_nikodym_profile(mu, centers, deltas, grid)
+    ref = _reference_radon(mu, centers, deltas, grid)
+    assert repr(prof.ratios.tolist()) == repr(ref.tolist())
 
 
 def test_radon_nikodym_rejects_bad_deltas(circle_grid):
