@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
+from scipy.special import hyp2f1
 
 from . import __version__
 from .criteria import (SearchGrid, condition_ii_profile, condition_iii_profile,
@@ -175,20 +176,28 @@ def cmd_verify_kernels(args) -> int:
     cfg = _load_config(args)
     ex = Exponents(cfg.p, cfg.dim)
     grid = cfg.sphere()
-    rows = [("|w|", "closed", "quadrature", "rel_err")]
+    rows = [("|w|", "closed", "exact", "quadrature", "rel_err")]
     report_rows = []
     worst = 0.0
     e1 = np.zeros(cfg.dim, dtype=complex)
     e1[0] = 1.0
+    e = cfg.dim - cfg.p * cfg.dim / 2      # the upper parameters of 2F1
     for a in (0.0, 0.3, 0.6, 0.9):
         w = a * e1
         closed = kernel_norm(w, ex)
+        # the exact norm (kernels module docstring); the 2F1 factor is 1 at
+        # p = 2, whose rows keep their layout without a separate exact value
+        exact = closed * float(hyp2f1(e, e, cfg.dim, a * a)) ** (1 / cfg.p)
         quad = kernel_norm(w, ex, grid)
-        rel = abs(quad - closed) / closed
+        rel = abs(quad - exact) / exact
         worst = max(worst, rel)
-        rows.append((f"{a:.1f}", f"{closed:.9g}", f"{quad:.9g}", f"{rel:.3e}"))
-        report_rows.append({"abs_w": a, "closed_form": closed,
-                            "quadrature": quad, "rel_err": rel})
+        rows.append((f"{a:.1f}", f"{closed:.9g}", f"{exact:.9g}",
+                     f"{quad:.9g}", f"{rel:.3e}"))
+        row = {"abs_w": a, "closed_form": closed, "quadrature": quad,
+               "rel_err": rel}
+        if e != 0:
+            row["exact"] = exact
+        report_rows.append(row)
     pois = []
     for a in (0.0, 0.5, 0.9):
         w = a * e1
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("verify-kernels",
-                        help="closed-form vs quadrature kernel norms")
+                        help="exact vs quadrature kernel norms")
     _add_common(s)
     s.add_argument("--tol", type=float, default=1e-6)
     s.set_defaults(func=cmd_verify_kernels)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
-from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_kernel_at,
+from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_modulus_p,
                       kernel_norm, normalized_kernel)
 from .measures import BallMeasure, _NodeTable
-from .quadrature import RadialRule, SphereGrid
+from .quadrature import RadialRule, SphereGrid, sphere_sum
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
            "condition_ii_profile", "window_profiles", "window_profile",
@@ -117,61 +116,42 @@ def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
     return out
 
 
-class _KernelPass:
-    """The Cauchy kernel k_w on the nodes of a node table, each node set
-    evaluated once, when first needed: the sphere grid and the interior
-    nodes.  Its H^p norm, condition (ii)'s integral and the witness ratio of
-    the normalized kernel are all read off those two arrays, with the
-    arithmetic of kernel_norm, normalized_kernel, hp_norm and
-    reverse_inequality_witness, so every value keeps its bits."""
+def _kernel_pass(table: _NodeTable, exponents: Exponents,
+                 w: np.ndarray) -> tuple[float, float, TestFunction]:
+    """(condition (ii)'s integral, the witness ratio of K_w, K_w) for the
+    Cauchy kernel k_w on a node table, from one inner-product pass.
 
-    def __init__(self, table: _NodeTable, exponents: Exponents,
-                 w: np.ndarray):
-        self.table, self.exponents, self.w = table, exponents, w
-        # the closed form is exact at p = 2 only; it also rejects |w| >= 1
-        # before any node is evaluated
-        self.nrm = kernel_norm(w, exponents)
-        p = exponents.p
-        if abs(p - 2) >= 1e-12:
-            self.nrm = _lp_norm(np.abs(self.on_grid) ** p, p, table.grid)
-
-    @cached_property
-    def on_grid(self) -> np.ndarray:
-        return cauchy_kernel_at(self.w, self.table.grid.nodes)
-
-    @cached_property
-    def on_interior(self) -> np.ndarray:
-        return cauchy_kernel_at(self.w, self.table.interior.points)
-
-    def _tabulate(self, g, boundary: bool):
-        """g(k_w) on the interior nodes (None without an interior density)
-        and, if boundary, on the sphere nodes; then g(k_w) at any points."""
-        interior = None if self.table.interior is None else g(self.on_interior)
-        on_grid = g(self.on_grid) if boundary else None
-        return interior, on_grid, lambda pts: g(cauchy_kernel_at(self.w, pts))
-
-    def condition_ii(self) -> float:
-        """The integral of |k_w / ||k_w||_p|^p against mu."""
-        p, nrm = self.exponents.p, self.nrm
-
-        def g(k):
-            return (np.abs(k) / nrm) ** p
-
-        return self.table.integrate_values(
-            *self._tabulate(g, self.table.wg is not None))
-
-    def witness(self) -> tuple[float, TestFunction]:
-        """(ratio, K_w) for the normalized kernel K_w = k_w / ||k_w||_p,
-        the ratio as reverse_inequality_witness takes it."""
-        p, c = self.exponents.p, 1.0 / self.nrm
-
-        def g(k):
-            out = np.zeros(len(k), dtype=complex)
-            out += c * k
-            return np.abs(out) ** p
-
-        ratio = _lp_ratio(self.table, p, *self._tabulate(g, True))
-        return ratio, TestFunction(self.exponents.d, kernel_terms=((c, self.w),))
+    Both values need only |k_w|^p.  The inner products t_i = <zeta_i, w> of
+    the sphere nodes are taken once; the interior node r_j zeta_i has the
+    inner product r_j t_i, and an atom its own.  Every |k_w|^p comes from
+    kernels.cauchy_modulus_p, in real arithmetic.  With I the integral of
+    |k_w|^p against mu and G its integral against sigma, condition (ii) is
+    I / ||k_w||_p^p and the witness ratio is I / G; ||k_w||_p is the closed
+    form at p = 2, where it is exact, and G^(1/p) otherwise.
+    """
+    d, p = exponents.d, exponents.p
+    # the closed form also rejects |w| >= 1 before any node is evaluated
+    nrm = kernel_norm(w, exponents)
+    grid, interior = table.grid, table.interior
+    t = grid.nodes @ np.conj(w)
+    on_grid = cauchy_modulus_p(t, d, p)
+    G = float(np.real(sphere_sum(grid, on_grid)))
+    if G <= 0:
+        raise ValueError("zero-norm test function in the family")
+    inside = None
+    if interior is not None:
+        # the full-ball cap holds every sphere node, so the tensor nodes are
+        # r_j zeta_i over the grid's nodes in grid order, radius-major
+        assert len(interior.zeta) == len(grid)
+        inside = cauchy_modulus_p(t, d, p, interior.radial.nodes[:, None])
+        inside = inside.ravel()
+    I = table.integrate_values(
+        inside, on_grid,
+        lambda pts: cauchy_modulus_p(pts @ np.conj(w), d, p))
+    if abs(p - 2) >= 1e-12:
+        nrm = G ** (1.0 / p)
+    return (I / nrm ** p, I / G,
+            TestFunction(d, kernel_terms=((1.0 / nrm, w),)))
 
 
 def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
@@ -180,7 +160,7 @@ def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
     """min over the w-grid of the integral of |K_w|^p against mu."""
     table = _NodeTable.build(mu, grid, radial)
     ws = _w_points(sgrid)
-    values = [_KernelPass(table, exponents, w).condition_ii() for w in ws]
+    values = [_kernel_pass(table, exponents, w)[0] for w in ws]
     return CriterionProfile.from_values("ii", [tuple(w) for w in ws], values,
                                         reverse=True)
 
@@ -190,7 +170,15 @@ def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                     ) -> tuple[CriterionProfile, CriterionProfile]:
     """(window_profile, forward_profile) from one pass over the cells: both
     are read off the same ratios mu(S_Q)/sigma(Q)."""
-    table, centers = _NodeTable.build(mu, grid), sgrid.centers()
+    return _window_profiles(_NodeTable.build(mu, grid), sgrid, radial)
+
+
+def _window_profiles(table: _NodeTable, sgrid: SearchGrid,
+                     radial: RadialRule
+                     ) -> tuple[CriterionProfile, CriterionProfile]:
+    """window_profiles on a cap table (a node table built without a radial
+    rule)."""
+    centers = sgrid.centers()
     params, values = [], []
     for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
         S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
@@ -333,8 +321,7 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
         ws = _w_points(sg)
         for w in ws:
             if tuple(w) not in passes:
-                kp = _KernelPass(table, exponents, w)
-                passes[tuple(w)] = (kp.condition_ii(), *kp.witness())
+                passes[tuple(w)] = _kernel_pass(table, exponents, w)
         ii, ratios, kernels = zip(*(passes[tuple(w)] for w in ws))
         p2 = CriterionProfile.from_values("ii", [tuple(w) for w in ws], ii,
                                           reverse=True)
@@ -349,7 +336,7 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
         args["ii"] = p2.arg_extremal
         args["i"] = repr(f1)[:120]
         if level == refinements - 1:
-            forward_ext = forward_profile(mu, sg, grid, radial).extremal
+            forward_ext = _window_profiles(caps, sg, radial)[1].extremal
         sg = sg.refine()
     conditions = {
         tag: ConditionSummary(tuple(trend), args[tag], _verdict(trend, tau))

@@ -74,6 +74,19 @@ def cauchy_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (1.0 - pts @ np.conj(w)) ** (-d)
 
 
+def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0) -> np.ndarray:
+    """|k_w|^p = |1 - r t|^(-pd) at the points r z, from the inner products
+    t = <z, w> (r a scalar or an array that broadcasts against t).
+
+    Real arithmetic only: |1 - r t|^2 is taken as (1 - r Re t)^2 +
+    (r Im t)^2, not as 1 - 2 r Re t + r^2 |t|^2, whose terms cancel near
+    the pole.
+    """
+    x = 1.0 - r * t.real
+    y = r * t.imag
+    return (x * x + y * y) ** (-0.5 * p * d)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Finite combination sum_j c_j k_{w_j} plus a polynomial part.

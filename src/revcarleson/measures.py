@@ -128,9 +128,13 @@ def parse_density(spec) -> DensityExpr | None:
 
 def _parse_point(obj) -> np.ndarray:
     """Point serialization: list of [re, im] pairs, one per coordinate."""
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
+        raise ValueError("a point must be a list [[re, im], ...] of finite "
+                         f"numbers, one pair per coordinate, got {obj!r}")
     return arr[:, 0] + 1j * arr[:, 1]
 
 

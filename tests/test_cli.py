@@ -33,12 +33,19 @@ def test_verify_kernels_p2_passes(tmp_path, capsys):
     assert doc["max_rel_err"] <= 1e-6
 
 
-def test_verify_kernels_general_p_fails_honestly(tmp_path):
-    # the closed-form norm identity is specific to p = 2, so the strict
-    # tolerance must trip at p = 4
+def test_verify_kernels_general_p_checks_exact_norm(tmp_path):
+    # the closed form is exact only at p = 2; at p = 4 the check is against
+    # closed * 2F1(d - pd/2, d - pd/2; d; |w|^2)^(1/p), which the spectrally
+    # exact d = 1 rule meets, and the report carries both values
+    out = tmp_path / "r.json"
     code = run(["verify-kernels", "--dim", "1", "--p", "4",
-                "--resolution", "512", "--out", str(tmp_path / "r.json")])
-    assert code == 1
+                "--resolution", "512", "--out", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())["kernel_norms"]
+    for row in rows:
+        assert row["rel_err"] == \
+            abs(row["quadrature"] - row["exact"]) / row["exact"]
+    assert rows[-1]["exact"] > 1.1 * rows[-1]["closed_form"]
 
 
 def test_criteria_writes_csv_curves(tmp_path, capsys):
@@ -215,6 +222,19 @@ def test_fractional_power_of_negative_density_is_input_error(
     err = capsys.readouterr().err
     assert "density node {'pow': [{'re': 0}, 0.5]}" in err
     assert "non-integer power" in err
+
+
+@pytest.mark.parametrize("node", [
+    "{abs_inner: {w: [[0.5]]}}",
+    "{indicator: {center: [[0.5]], delta: 0.5}}",
+])
+def test_malformed_density_point_is_input_error(tmp_path, capsys, node):
+    mu = tmp_path / "mu.yaml"
+    mu.write_text(f"dimension: 1\nboundary_density: {node}\n")
+    assert run(["criteria", "--dim", "1", "--resolution", "64",
+                "--measure", str(mu), "--out", str(tmp_path / "c.json")]) == 2
+    assert "a point must be a list [[re, im], ...] of finite numbers, " \
+        "one pair per coordinate, got [[0.5]]" in capsys.readouterr().err
 
 
 def test_unknown_config_field_is_input_error(tmp_path):

@@ -22,7 +22,7 @@ from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel_at,
 from revcarleson.measures import (BallMeasure, DensityExpr, integrate_measure,
                                   measure_of_ball, measure_of_window,
                                   sigma_measure)
-from revcarleson.quadrature import radial_rule, sphere_grid
+from revcarleson.quadrature import SphereGrid, radial_rule, sphere_grid
 
 EX1 = Exponents(2.0, 1)
 
@@ -245,7 +245,8 @@ def _bits(prof):
 def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
                       witness_seed=0):
     """equivalence_report as a level-by-level loop that evaluates every
-    kernel and every cell afresh at every level."""
+    kernel and every cell afresh at every level; also the final level's
+    candidates, each tag's (args, values), the witnesses in family order."""
     norm_grid = None if abs(ex.p - 2) < 1e-12 else grid
     trends = {"i": [], "ii": [], "iii": []}
     args = {}
@@ -268,10 +269,12 @@ def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
             alpha = tuple(1 if i == k else 0 for i in range(ex.d))
             fam.append(TestFunction(ex.d, poly_terms=((1.0, alpha),)))
         best, best_f = math.inf, None
-        for f in fam:
-            ratio = _reference_ratio(mu, ex, f, grid, radial)
+        ratios = [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
+        for f, ratio in zip(fam, ratios):
             if ratio < best:
                 best, best_f = ratio, f
+        last = {"iii": (p3.params, p3.values), "ii": (p2.params, p2.values),
+                "i": (fam, ratios)}
         trends["iii"].append(p3.extremal)
         trends["ii"].append(p2.extremal)
         trends["i"].append(best)
@@ -291,44 +294,76 @@ def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
         + ", ".join(f"{t}={c.verdict}" for t, c in sorted(conditions.items()))
         + " (numerical-resolution diagnostic)")
     return EquivalenceReport(ex.p, ex.d, tau, conditions, float(forward_ext),
-                             agreement, diagnostic)
+                             agreement, diagnostic), last
+
+
+def _close(values, reference, rel=1e-12):
+    """Each value within rel of its reference, relative to the reference."""
+    values, reference = list(values), list(reference)
+    assert len(values) == len(reference)
+    for v, r in zip(values, reference):
+        assert abs(v - r) <= rel * abs(r), (v, r)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kernel_pass_values_match_public_functions(d, p):
     # every value the report may not show: each w's condition (ii) integral
-    # and each normalized kernel's witness ratio, bit for bit
+    # and each normalized kernel's witness ratio and coefficient; the pass
+    # takes |k_w|^p in real arithmetic from one inner-product pass, so it
+    # agrees with the public functions to rounding, not bit for bit
     grid, radial = _small_grids(d)
     mu, ex, sg = _four_part(d), Exponents(p, d), SearchGrid(d, 2, 2)
     ws = _w_points(sg)
-    prof = condition_ii_profile(mu, ex, sg, grid, radial)
-    assert prof.values.tolist() == \
-        [_reference_ii(mu, ex, w, grid, radial) for w in ws]
+    reference_ii = [_reference_ii(mu, ex, w, grid, radial) for w in ws]
+    _close(condition_ii_profile(mu, ex, sg, grid, radial).values,
+           reference_ii)
     fam = default_witness_family(ex, sg, grid)
     _, _, ratios = reverse_inequality_witness(mu, ex, fam, grid, radial)
     assert ratios.tolist() == \
         [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
     table = criteria._NodeTable.build(mu, grid, radial)
-    for w, f, ratio in zip(ws, fam, ratios):
-        kp = criteria._KernelPass(table, ex, w)
-        assert kp.condition_ii() == _reference_ii(mu, ex, w, grid, radial)
-        kernel_ratio, kernel = kp.witness()
-        assert (kernel_ratio, repr(kernel)) == (ratio, repr(f))
+    for w, f, ratio, ii in zip(ws, fam, ratios, reference_ii):
+        kernel_ii, kernel_ratio, kernel = criteria._kernel_pass(table, ex, w)
+        _close([kernel_ii, kernel_ratio], [ii, ratio])
+        (c, pole), = kernel.kernel_terms
+        (c_ref, pole_ref), = f.kernel_terms
+        assert np.array_equal(pole, pole_ref)
+        _close([c], [c_ref])
 
 
 @pytest.mark.parametrize("measure", ["sigma", "four-part"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_equivalence_report_matches_level_by_level_loop(d, p, measure):
+    # values to rounding; verdicts, trend lengths and the diagnostic
+    # exactly; an extremal's argument may move only to a candidate whose
+    # reference value ties the reference extremal to rounding
     grid, radial = _small_grids(d)
     mu = sigma_measure(d) if measure == "sigma" else _four_part(d)
     ex = Exponents(p, d)
     sg = SearchGrid(d, 2, 2)
     rep = equivalence_report(mu, ex, sg, grid, radial, refinements=3)
-    ref = _reference_report(mu, ex, sg, grid, radial, refinements=3)
-    assert rep == ref
-    assert repr(rep) == repr(ref)    # repr tells every float's bits apart
+    ref, last = _reference_report(mu, ex, sg, grid, radial, refinements=3)
+    assert (rep.p, rep.d, rep.tau, rep.agreement, rep.diagnostic) == \
+        (ref.p, ref.d, ref.tau, ref.agreement, ref.diagnostic)
+    _close([rep.forward_extremal], [ref.forward_extremal])
+    # the witnesses' labels as the report prints them: a kernel's carries
+    # its coefficient 1 / ||k_w||_p, whose last bits the pass may move
+    fam, ratios = last["i"]
+    table = criteria._NodeTable.build(mu, grid, radial)
+    ws = _w_points(sg.refine().refine())
+    labels = ([repr(criteria._kernel_pass(table, ex, w)[2])[:120] for w in ws]
+              + [repr(f)[:120] for f in fam[len(ws):]])
+    candidates = {"iii": last["iii"], "ii": last["ii"], "i": (labels, ratios)}
+    for tag, c in rep.conditions.items():
+        r = ref.conditions[tag]
+        assert (c.verdict, len(c.trend)) == (r.verdict, len(r.trend))
+        _close(c.trend, r.trend)
+        if c.arg_extremal != r.arg_extremal:
+            args, values = candidates[tag]
+            assert any(abs(v - r.trend[-1]) <= 1e-12 * abs(r.trend[-1])
+                       for a, v in zip(args, values) if a == c.arg_extremal)
 
 
 @pytest.mark.parametrize("measure", ["sigma", "four-part"])
@@ -370,10 +405,26 @@ def test_equivalence_computes_each_cell_once(monkeypatch, d):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
+    # one product grid.nodes @ conj(w) per distinct w per run; the interior
+    # and sphere moduli are read from it, so no single kernel is evaluated
+    # through cauchy_kernel_at on a node set (only the two-kernel witness
+    # combinations are)
     d = 2
     grid, radial = _small_grids(d)
-    n_interior = len(radial.nodes) * len(grid)
-    calls = Counter()
+    products, calls = Counter(), Counter()
+
+    class CountingNodes(np.ndarray):
+        """Sphere nodes that count each product nodes @ v, keyed by
+        conj(v)."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul and inputs[0] is self:
+                products[tuple(np.conj(plain[1]))] += 1
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    grid = SphereGrid(d, grid.nodes.view(CountingNodes), grid.weights,
+                      grid.scheme, grid.resolution, grid.seed)
     real = kernels.cauchy_kernel_at
     combo_code = TestFunction.__call__.__code__
 
@@ -386,7 +437,7 @@ def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
         return real(w, pts)
 
     monkeypatch.setattr(kernels, "cauchy_kernel_at", counting)
-    monkeypatch.setattr(criteria, "cauchy_kernel_at", counting)
+    monkeypatch.setattr(criteria, "cauchy_kernel_at", counting, raising=False)
     sg = SearchGrid(d, 2, 2)
     equivalence_report(_four_part(d), Exponents(p, d), sg, grid, radial,
                        refinements=3)
@@ -394,8 +445,26 @@ def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
     for _ in range(3):
         ws |= {tuple(w) for w in _w_points(sg)}
         sg = sg.refine()
-    assert calls == Counter({(w, n): 1 for w in ws
-                             for n in (len(grid), n_interior)})
+    assert {w: n for w, n in products.items() if w in ws} == \
+        dict.fromkeys(ws, 1)
+    assert calls == Counter()
+
+
+def test_equivalence_builds_two_node_tables(monkeypatch):
+    # the cap table serves condition (iii) and the forward profile, the
+    # table with the radial rule serves the kernels
+    grid, radial = _small_grids(1)
+    builds = []
+    real = criteria._NodeTable.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        builds.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(criteria._NodeTable, "build", classmethod(counting))
+    equivalence_report(_four_part(1), EX1, SearchGrid(1, 2, 2), grid, radial,
+                       refinements=2)
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -11,8 +11,10 @@ import pytest
 
 from revcarleson.geometry import NonisotropicBall, SpherePoint
 from revcarleson.kernels import (Exponents, TestFunction, boundary_radial_limit,
-                                 cauchy_kernel, hp_norm, kernel_norm,
+                                 cauchy_kernel, cauchy_kernel_at,
+                                 cauchy_modulus_p, hp_norm, kernel_norm,
                                  normalized_kernel, phi_h, poisson_kernel)
+from revcarleson.quadrature import radial_rule, sphere_grid
 E1 = SpherePoint(np.array([1.0 + 0j]))
 
 
@@ -30,6 +32,27 @@ def test_cauchy_kernel_values():
     w2 = np.array([0.5 + 0j, 0.0 + 0j])
     z2 = np.array([0.2 + 0j, 0.1 + 0j])
     assert cauchy_kernel(w2, z2) == pytest.approx(1.0 / (1 - 0.1) ** 2)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1 - 2.0 ** -9])
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cauchy_modulus_matches_kernel(d, p, a):
+    # |k_w|^p from the inner products alone, on sphere nodes, on the
+    # radius-major interior nodes r_j zeta_i and at an atom; w points at a
+    # grid node, so the sphere nodes come within 2^-9 of the pole
+    zeta = sphere_grid(d, {1: 256, 2: 8}.get(d, 500)).nodes
+    radial = radial_rule(d, 24)
+    w = a * zeta[0]
+    t = zeta @ np.conj(w)
+    interior = (radial.nodes[:, None, None] * zeta).reshape(-1, d)
+    atom = (1 - 2.0 ** -8) * zeta[:1]
+    for got, pts in ((cauchy_modulus_p(t, d, p), zeta),
+                     (cauchy_modulus_p(t, d, p, radial.nodes[:, None]).ravel(),
+                      interior),
+                     (cauchy_modulus_p(atom @ np.conj(w), d, p), atom)):
+        ref = np.abs(cauchy_kernel_at(w, pts)) ** p
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 0.9])
