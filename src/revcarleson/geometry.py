@@ -87,10 +87,6 @@ class SpherePoint:
         return self.coords.size
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.sum(np.asarray(a) * np.conj(np.asarray(b))))
-
-
 def niso_gap(center: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """|1 - <center, pts_i>| for a stack of points, vectorized."""
     pts = np.atleast_2d(pts)
@@ -156,7 +152,7 @@ def niso_distance(a: SpherePoint, b: SpherePoint) -> float:
     """The nonisotropic metric |1 - <a, b>|^(1/2); values lie in [0, sqrt(2)]."""
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    return math.sqrt(abs(1.0 - inner(a.coords, b.coords)))
+    return math.sqrt(abs(1.0 - np.vdot(b.coords, a.coords)))
 
 
 def ball_contains(Q: NonisotropicBall, xi: SpherePoint) -> bool:
@@ -223,24 +219,33 @@ def sample_sphere(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def sample_cap(Q: NonisotropicBall, n: int, rng: np.random.Generator,
-               max_tries: int = 400) -> np.ndarray:
-    """n uniform points of the cap Q by rejection from the sphere."""
-    d = Q.d
-    out = []
-    got = 0
-    batch = max(4 * n, 4096)
-    for _ in range(max_tries):
-        pts = sample_sphere(d, batch, rng)
-        pts = pts[Q.contains_coords(pts)]
-        if len(pts):
-            out.append(pts)
-            got += len(pts)
-        if got >= n:
-            break
-    else:
-        raise RuntimeError(f"cap sampling failed for delta={Q.delta}")
-    return np.concatenate(out)[:n]
+def sample_cap(Q: NonisotropicBall, n: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """n uniform points of the cap Q, an (n, d) complex array.
+
+    d = 1: a uniform angle on the arc |theta| <= 2 asin(delta/2) about c.
+    d >= 2: t = <zeta, c> has the density of _inner_product_density and,
+    given t, zeta is uniform on the sphere of radius sqrt(1 - |t|^2) in the
+    complement of c (Rudin, Function Theory in the Unit Ball of C^n, 1.4).
+    t is drawn uniform on the disc |1 - t| <= delta, kept if |t| <= 1 and
+    thinned by ((1 - |t|^2) / m)^(d-2), m = max 1 - |t|^2 on that lens.
+    """
+    c, d, delta = Q.center.coords, Q.d, min(Q.delta, 2.0)
+    if d == 1:
+        half = 2.0 * math.asin(delta / 2.0)
+        return (c[0] * np.exp(1j * rng.uniform(-half, half, n)))[:, None]
+    m = 1.0 - max(0.0, 1.0 - delta) ** 2
+    t, w = np.empty(0, dtype=complex), np.empty(0)
+    while len(t) < n:
+        r, a, u = rng.random((3, 2 * (n - len(t)) + 16))
+        prop = 1.0 - delta * np.sqrt(r) * np.exp(2j * math.pi * a)
+        wp = 1.0 - (prop.real ** 2 + prop.imag ** 2)
+        keep = (wp >= 0.0) & (u * m ** (d - 2) <= wp ** (d - 2))
+        t, w = np.append(t, prop[keep]), np.append(w, wp[keep])
+    # the columns of a unitary with first column parallel to c, c excluded
+    perp = np.linalg.qr(c[:, None], mode="complete")[0][:, 1:]
+    fibre = np.sqrt(w[:n, None]) * sample_sphere(d - 1, n, rng)
+    return t[:n, None] * c[None, :] + fibre @ perp.T
 
 
 def _caps_overlap(beta: np.ndarray, h: float) -> np.ndarray:
@@ -357,16 +362,14 @@ def _candidate_centers(Q: NonisotropicBall, h: float, seed: int) -> np.ndarray:
     c = Q.center.coords
     delta2 = min(2.0 * Q.delta, 2.0)
     if d == 1:
-        theta0 = 2.0 * math.asin(min(delta2, 2.0) / 2.0)
+        theta0 = 2.0 * math.asin(delta2 / 2.0)
         step = 2.0 * math.asin(min(h / 8.0, 1.0))
         k = max(int(math.ceil(theta0 / step)), 1)
         offs = np.arange(-k, k + 1) * step
         return (c[0] * np.exp(1j * offs))[:, None]
-    rng = np.random.default_rng(seed)
-    n_cells = (delta2 / (h / 4.0)) ** d
-    n = int(min(20000, max(2000, 8 * n_cells)))
-    twoQ = NonisotropicBall(Q.center, delta2)
-    return sample_cap(twoQ, n, rng)
+    n = int(min(20000, max(2000, 8 * (delta2 / (h / 4.0)) ** d)))
+    return sample_cap(NonisotropicBall(Q.center, delta2), n,
+                      np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -452,12 +455,10 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
 
     cert = None
     if certificate_grid > 0:
-        rng = np.random.default_rng(seed + 1)
-        grid = sample_cap(Q, certificate_grid, rng)
-        centers = np.array(selected)
-        gaps = np.abs(1.0 - grid @ np.conj(centers.T))
-        member = gaps <= h + TOL
-        disjoint = bool((member.sum(axis=1) <= 1).all())
+        grid = sample_cap(Q, certificate_grid,
+                          np.random.default_rng(seed + 1))
+        gaps = np.abs(1.0 - grid @ np.conj(np.array(selected).T))
+        disjoint = bool(((gaps <= h + TOL).sum(axis=1) <= 1).all())
         covered = float((gaps <= 2.0 * h + TOL).any(axis=1).mean())
         cert = PackingCertificate(disjoint, covered, certificate_grid)
     return balls, cert

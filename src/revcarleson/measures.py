@@ -28,6 +28,15 @@ __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
 # ---------------------------------------------------------------------------
 # density expressions
 
+# the argument each density op takes, as error messages name it
+_DENSITY_ARGS = {
+    "const": "a number", "abs_z": "null", "re": "a coordinate index",
+    "im": "a coordinate index", "abs_inner": "a mapping {w: point}",
+    "indicator": "a mapping {center: point, delta: number}",
+    "sum": "a list of nodes", "prod": "a list of nodes",
+    "pow": "a list [node, exponent]"}
+
+
 class DensityExpr:
     """A nonnegative closed-form density on ball/sphere points.
 
@@ -46,31 +55,44 @@ class DensityExpr:
         self._check(spec)
 
     @staticmethod
-    def _check(spec):
+    def _check(spec, d=None):
+        """Raise ValueError naming the first malformed node; given d, also
+        a point without d coordinates or an index outside [0, d)."""
         if isinstance(spec, (int, float)):
             return
         if not isinstance(spec, dict) or len(spec) != 1:
             raise ValueError(f"malformed density node: {spec!r}")
         (op, arg), = spec.items()
-        if op == "const":
-            float(arg)
-        elif op == "abs_z":
-            pass
-        elif op in ("re", "im"):
-            int(arg)
-        elif op == "abs_inner":
-            _parse_point(arg["w"])
-        elif op == "indicator":
-            _parse_point(arg["center"])
-            float(arg["delta"])
-        elif op in ("sum", "prod"):
-            for a in arg:
-                DensityExpr._check(a)
-        elif op == "pow":
-            DensityExpr._check(arg[0])
-            float(arg[1])
-        else:
+        if op not in _DENSITY_ARGS:
             raise ValueError(f"unknown density op {op!r}")
+        form = ValueError(f"density node {spec!r} must take "
+                          f"{_DENSITY_ARGS[op]}")
+        container = {"abs_inner": dict, "indicator": dict, "sum": list,
+                     "prod": list, "pow": list}.get(op, object)
+        keys = {"abs_inner": ("w",), "indicator": ("center", "delta")}
+        if not isinstance(arg, container) or (op == "pow" and len(arg) != 2) \
+                or any(k not in arg for k in keys.get(op, ())):
+            raise form
+        try:
+            if op in ("re", "im"):
+                index = int(arg)
+            elif op in ("const", "indicator", "pow"):
+                float(arg if op == "const" else arg[-1] if op == "pow"
+                      else arg["delta"])
+        except (TypeError, ValueError):
+            raise form from None
+        if op in ("re", "im") and d is not None and not 0 <= index < d:
+            raise ValueError(f"density node {spec!r} reads coordinate {index}, "
+                             f"but the measure has dimension {d}")
+        if op in ("sum", "prod", "pow"):
+            for a in arg[:1] if op == "pow" else arg:
+                DensityExpr._check(a, d)
+        elif op in keys:
+            n = len(_parse_point(arg[keys[op][0]]))
+            if d is not None and n != d:
+                raise ValueError(f"density node {spec!r} has a point with {n} "
+                                 f"coordinates, but the measure has dimension "
+                                 f"{d}")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=complex))
@@ -164,6 +186,9 @@ class BallMeasure:
         for pt, mass in self.boundary_atoms:
             if mass <= 0:
                 raise ValueError("atom masses must be positive")
+        for dens in (self.interior_density, self.boundary_density):
+            if dens is not None:
+                DensityExpr._check(dens.spec, self.d)
 
     def scaled(self, c: float) -> "BallMeasure":
         if c <= 0:

@@ -237,6 +237,38 @@ def test_malformed_density_point_is_input_error(tmp_path, capsys, node):
         "one pair per coordinate, got [[0.5]]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node,message", [
+    ("{abs_inner: 5}",
+     "density node {'abs_inner': 5} must take a mapping {w: point}"),
+    ("{indicator: [0.5]}", "density node {'indicator': [0.5]} must take "
+     "a mapping {center: point, delta: number}"),
+    ("{sum: 5}", "density node {'sum': 5} must take a list of nodes"),
+    ("{prod: {re: 0}}",
+     "density node {'prod': {'re': 0}} must take a list of nodes"),
+    ("{pow: 3}", "density node {'pow': 3} must take a list [node, exponent]"),
+    ("{pow: [{re: 0}]}",
+     "density node {'pow': [{'re': 0}]} must take a list [node, exponent]"),
+    ("{const: null}", "density node {'const': None} must take a number"),
+    ("{re: 1}", "density node {'re': 1} reads coordinate 1, but the measure "
+     "has dimension 1"),
+    ("{sum: [1, {abs_inner: {w: [[0.5, 0.0], [0.1, 0.0]]}}]}",
+     "density node {'abs_inner': {'w': [[0.5, 0.0], [0.1, 0.0]]}} has a "
+     "point with 2 coordinates, but the measure has dimension 1"),
+    ("{indicator: {center: [[1.0, 0.0], [0.0, 0.0]], delta: 0.5}}",
+     "has a point with 2 coordinates, but the measure has dimension 1"),
+])
+@pytest.mark.parametrize("part", ["interior_density", "boundary_density"])
+def test_malformed_density_node_is_input_error(tmp_path, capsys, part, node,
+                                               message):
+    mu = tmp_path / "mu.yaml"
+    mu.write_text(f"dimension: 1\n{part}: {node}\n")
+    assert run(["criteria", "--dim", "1", "--resolution", "64",
+                "--measure", str(mu), "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_field_is_input_error(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("frobnicate: 3\n")

@@ -119,6 +119,29 @@ def test_sigma_monte_carlo_cross_check():
         assert sigma_of_ball(delta, d) == pytest.approx(frac, rel=0.03)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1.3])
+def test_sample_cap_law(d, delta):
+    """Rows are unit vectors of Q, reproducible from the seed, and the share
+    in Q(c, delta/2) is sigma(delta/2) / sigma(delta) within 4 binomial
+    standard deviations; in d >= 2 one centre has c_1 = 0."""
+    n = 20000
+    want = sigma_of_ball(delta / 2, d) / sigma_of_ball(delta, d)
+    tol = 4.0 * math.sqrt(want * (1.0 - want) / n)
+    centers = [np.eye(d, dtype=complex)[-1],
+               sample_sphere(d, 1, np.random.default_rng(d))[0]]
+    for c in centers:
+        Q = NonisotropicBall(SpherePoint(c), delta)
+        pts = sample_cap(Q, n, np.random.default_rng(17))
+        assert pts.shape == (n, d)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0,
+                           atol=1e-14)
+        assert Q.contains_coords(pts).all()
+        assert np.array_equal(pts, sample_cap(Q, n, np.random.default_rng(17)))
+        inner = NonisotropicBall(SpherePoint(c), delta / 2)
+        assert abs(inner.contains_coords(pts).mean() - want) <= tol
+
+
 @given(st.floats(min_value=1e-3, max_value=2.0),
        st.floats(min_value=1e-3, max_value=2.0))
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,29 @@
+"""Smoke runs of every script under scripts/, at their smallest arguments,
+so that the scripts stay in step with the library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["balayage_decay.py", "--k-max", "2", "--n-points", "5"],
+     "slope of log max Phi_h vs log h"),
+    (["kernel_norm_table.py"], "rel err"),
+    (["packing_coverage_sweep.py", "--instances", "2", "--grid-points",
+      "500"], "worst coverage"),
+])
+def test_script_runs(argv, expect):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ROOT / "scripts" / argv[0]
+    out = subprocess.run([sys.executable, str(script), *argv[1:]], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert expect in out.stdout
