@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from .dbr import (is_inner_estimate, kernel_test, load_symbol,
                   refute_sampling)
 from .geometry import NonisotropicBall, SpherePoint, greedy_packing
 from .kernels import Exponents, kernel_norm, poisson_kernel_at
-from .measures import load_measure, sigma_measure, _parse_point
+from .measures import _load_yaml, _parse_point, load_measure, sigma_measure
 from .quadrature import integrate_sphere, radial_rule, sphere_grid
 
 EXIT_OK, EXIT_VERDICT, EXIT_INPUT, EXIT_DIAGNOSTIC = 0, 1, 2, 3
@@ -101,8 +102,7 @@ def _coerce(name: str, value):
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = yaml.safe_load(fh) or {}
+        doc = _load_yaml(args.config) or {}
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a mapping of fields")
         unknown = set(doc) - set(cfg.__dataclass_fields__)
@@ -343,8 +343,7 @@ def cmd_dbr_check(args) -> int:
 
 
 def _load_points(path) -> list:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    doc = _load_yaml(path)
     if not isinstance(doc, dict):
         raise ValueError("points file must hold a mapping with a points list")
     entries = doc.get("points")
@@ -366,7 +365,8 @@ def cmd_refute_sampling(args) -> int:
     b = load_symbol(args.symbol)
     ref = refute_sampling(b, _load_points(args.points), cfg.search(),
                           cfg.sphere(), cfg.radial(),
-                          refinements=cfg.refinements, eps_inner=cfg.eps_inner)
+                          refinements=cfg.refinements, eps_inner=cfg.eps_inner,
+                          tau=cfg.threshold)
     rows = [("quantity", "value"),
             ("verdict", ref.verdict),
             ("inner_fraction", f"{ref.inner_fraction:.6f}"),
@@ -443,9 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
-from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_modulus_p,
-                      kernel_norm, normalized_kernel)
+from .kernels import (Exponents, TestFunction, _cauchy_modulus_p_into,
+                      _lp_norm, cauchy_modulus_p, kernel_norm,
+                      normalized_kernel)
 from .measures import BallMeasure, _NodeTable
-from .quadrature import RadialRule, SphereGrid, sphere_sum
+from .quadrature import RadialRule, SphereGrid, sphere_sum, window_sum
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
            "condition_ii_profile", "window_profiles", "window_profile",
@@ -123,31 +124,42 @@ def _kernel_pass(table: _NodeTable, exponents: Exponents,
 
     Both values need only |k_w|^p.  The inner products t_i = <zeta_i, w> of
     the sphere nodes are taken once; the interior node r_j zeta_i has the
-    inner product r_j t_i, and an atom its own.  Every |k_w|^p comes from
-    kernels.cauchy_modulus_p, in real arithmetic.  With I the integral of
-    |k_w|^p against mu and G its integral against sigma, condition (ii) is
-    I / ||k_w||_p^p and the witness ratio is I / G; ||k_w||_p is the closed
-    form at p = 2, where it is exact, and G^(1/p) otherwise.
+    inner product r_j t_i, and an atom its own.  |k_w|^p on the sphere and
+    interior nodes is written into the table's work buffer in one in-place
+    pass (kernels._cauchy_modulus_p_into), and each node set is then one
+    dot product with weights the table folded once: sigma's weights give
+    G, the integral of |k_w|^p against sigma, wg the boundary part and wint
+    the interior part of I, its integral against mu; the atoms take
+    kernels.cauchy_modulus_p.  Condition (ii) is I / ||k_w||_p^p and the
+    witness ratio is I / G; ||k_w||_p is the closed form at p = 2, where it
+    is exact, and G^(1/p) otherwise.
+
+    A sum that is not finite is checked again by sphere_sum or window_sum,
+    which name the node at fault.  A modulus is never negative, so the
+    nonnegativity check of integrate_values is not made here.
     """
     d, p = exponents.d, exponents.p
     # the closed form also rejects |w| >= 1 before any node is evaluated
     nrm = kernel_norm(w, exponents)
-    grid, interior = table.grid, table.interior
+    grid = table.grid
     t = grid.nodes @ np.conj(w)
-    on_grid = cauchy_modulus_p(t, d, p)
-    G = float(np.real(sphere_sum(grid, on_grid)))
+    v = _cauchy_modulus_p_into(t, d, p, table.radii, table.work)
+    on_grid = v[0]
+    G = float(np.dot(grid.weights, on_grid))
+    if not math.isfinite(G):
+        sphere_sum(grid, on_grid)
     if G <= 0:
         raise ValueError("zero-norm test function in the family")
-    inside = None
-    if interior is not None:
-        # the full-ball cap holds every sphere node, so the tensor nodes are
-        # r_j zeta_i over the grid's nodes in grid order, radius-major
-        assert len(interior.zeta) == len(grid)
-        inside = cauchy_modulus_p(t, d, p, interior.radial.nodes[:, None])
-        inside = inside.ravel()
-    I = table.integrate_values(
-        inside, on_grid,
-        lambda pts: cauchy_modulus_p(pts @ np.conj(w), d, p))
+    inner = outer = None
+    if table.wint is not None:
+        inside = v[1:].ravel()
+        inner = float(np.dot(inside, table.wint))
+        if not math.isfinite(inner):
+            window_sum(table.interior, inside * table.density)
+    if table.wg is not None:
+        outer = float(np.dot(table.wg, on_grid))
+    I = table.integrate_sums(
+        inner, outer, lambda pts: cauchy_modulus_p(pts @ np.conj(w), d, p))
     if abs(p - 2) >= 1e-12:
         nrm = G ** (1.0 / p)
     return (I / nrm ** p, I / G,

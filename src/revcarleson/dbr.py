@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .criteria import CriterionProfile, _verdict, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at)
-from .measures import BallMeasure, _NodeTable
+from .measures import BallMeasure, _NodeTable, _load_yaml
 from .quadrature import RadialRule, SphereGrid, refine
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
@@ -142,7 +143,6 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
 def _kernel_profile(b: Symbol, table: _NodeTable, sgrid, values: dict):
     """kernel_test's profile on a node table; values maps tuple(w) to its
     value (None if K^b(w, w) <= 0), and a w in it is not computed again."""
-    from .criteria import CriterionProfile, _w_points
     params = []
     for w in _w_points(sgrid):
         key = tuple(w)
@@ -250,32 +250,48 @@ class SamplingRefutation:
 
 def refute_sampling(b: Symbol, points, sgrid, grid: SphereGrid,
                     radial: RadialRule, refinements: int = 3,
-                    eps_inner: float = EPS_INNER) -> SamplingRefutation:
+                    eps_inner: float = EPS_INNER,
+                    tau: float = 1e-3) -> SamplingRefutation:
     """Numerical refutation of a sampling sequence for H(b), non-inner b.
 
     Combines the non-inner certificate, the vanishing boundary density of the
     candidate measure, and the kernel-test minimum collapsing under w-grid
-    refinement.  For inner-like b the theorem does not apply.
+    refinement, by the rule of the equivalence harness's "degenerate"
+    verdict (criteria._verdict with threshold tau) over at least two
+    levels; anything less is inconclusive.  For inner-like b the theorem
+    does not apply.
     """
+    mu = sampling_candidate_measure(b, points)
+    zero = mu.boundary_density is None and not mu.boundary_atoms
     frac = is_inner_estimate(b, grid, eps_inner)
     if frac >= 1.0 - 1e-12:
         return SamplingRefutation(
-            "inconclusive", frac, True, (),
+            "inconclusive", frac, zero, (),
             "inner-like symbol: the non-inner hypothesis fails, theorem does not apply")
     # b is admissible for a measure without boundary atoms; the w-points of
     # a level are among the next level's, so each w is computed once per run
-    table = _NodeTable.build(sampling_candidate_measure(b, points), grid,
-                             radial)
+    table = _NodeTable.build(mu, grid, radial)
     values = {}                # tuple(w) -> kernel-test value
     trend = []
     sg = sgrid
     for _ in range(refinements):
         trend.append(_kernel_profile(b, table, sg, values).extremal)
         sg = sg.refine()
+    trend = tuple(trend)
+    if len(trend) < 2:
+        return SamplingRefutation(
+            "inconclusive", frac, zero, trend,
+            f"kernel-test minimum trend {trend} has one level; a collapse "
+            "needs at least two (refinements >= 2)")
+    if _verdict(trend, tau) != "degenerate":
+        return SamplingRefutation(
+            "inconclusive", frac, zero, trend,
+            f"kernel-test minimum trend {trend} does not collapse (threshold "
+            f"{tau}); the necessary lower bound is not seen to fail")
     detail = ("candidate measure has zero boundary density while b is not "
               f"inner (inner fraction {frac:.6f}); kernel-test minimum trend "
-              f"{tuple(trend)} collapses, violating the necessary lower bound")
-    return SamplingRefutation("refuted", frac, True, tuple(trend), detail)
+              f"{trend} collapses, violating the necessary lower bound")
+    return SamplingRefutation("refuted", frac, zero, trend, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +354,7 @@ def symbol_from_dict(doc: dict) -> Symbol:
 
 
 def load_symbol(path) -> Symbol:
-    with open(path) as fh:
-        return symbol_from_dict(yaml.safe_load(fh))
+    return symbol_from_dict(_load_yaml(path))
 
 
 def dump_symbol(b: Symbol, path) -> None:

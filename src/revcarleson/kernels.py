@@ -87,6 +87,40 @@ def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0) -> np.ndarray:
     return (x * x + y * y) ** (-0.5 * p * d)
 
 
+def _cauchy_modulus_p_into(t: np.ndarray, d: int, p: float, r: np.ndarray,
+                           work: np.ndarray) -> np.ndarray:
+    """cauchy_modulus_p(t, d, p, r) written into work, a float (2, R, n)
+    buffer, with no temporaries, for n inner products t and radii r of
+    shape (R, n) (or any shape that broadcasts to it); returns the (R, n)
+    view of work that holds it.
+
+    Each t is copied across the rows before r multiplies it, because numpy
+    multiplies two (R, n) arrays faster than it broadcasts t against r.
+    When pd/2 is an integer k the power is a reciprocal and k - 1
+    multiplies, within a few ulps of cauchy_modulus_p; otherwise it is the
+    same np.power, and the values have its bits.
+    """
+    s, y = work
+    np.copyto(s, t.real)
+    np.multiply(s, r, out=s)
+    np.subtract(1.0, s, out=s)
+    np.square(s, out=s)
+    np.copyto(y, t.imag)
+    np.multiply(y, r, out=y)
+    np.square(y, out=y)
+    np.add(s, y, out=s)
+    e = 0.5 * p * d
+    if not e.is_integer():
+        return np.power(s, -e, out=s)
+    inv = np.reciprocal(s, out=y)
+    if e == 1:
+        return inv
+    np.multiply(inv, inv, out=s)
+    for _ in range(int(e) - 2):
+        np.multiply(s, inv, out=s)
+    return s
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Finite combination sum_j c_j k_{w_j} plus a polynomial part.

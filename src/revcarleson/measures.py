@@ -270,9 +270,18 @@ class _NodeTable:
     the cap and window profiles walk their cells through its cell pass.
     wg holds sigma's weight times the validated boundary density at each
     sphere node; interior and density hold the full-ball tensor nodes of
-    the radial rule and the interior density on them.  Each is None when mu
-    has no such part (interior and density also when no radial rule is
+    the radial rule and the interior density on them, and wint the volume
+    weight times that density, wr_j * w_ang_i * density(r_j zeta_i), in the
+    radius-major order of interior.points.  Each is None when mu has no
+    such part (interior, density and wint also when no radial rule is
     given).
+
+    radii holds the radius of each node of a kernel pass, one row per
+    radius over the grid's nodes: row 0 is the sphere (radius 1), row j the
+    interior radius r_j (only row 0 without interior nodes).  work is a
+    float buffer of two arrays of radii's shape that a kernel pass
+    overwrites on each call, so a table serves one pass at a time: it is
+    not reentrant.
     """
 
     mu: BallMeasure
@@ -280,18 +289,31 @@ class _NodeTable:
     wg: np.ndarray | None
     interior: WindowNodes | None
     density: np.ndarray | None
+    wint: np.ndarray | None
+    radii: np.ndarray
+    work: np.ndarray
 
     @classmethod
     def build(cls, mu: BallMeasure, grid: SphereGrid,
               radial: RadialRule | None = None) -> "_NodeTable":
-        interior = density = wg = None
+        interior = density = wint = wg = None
+        radii = np.ones(1)
         if radial is not None and mu.interior_density is not None:
             full = CarlesonWindow(NonisotropicBall(_pole(mu.d), 2.0), 1.0)
             interior = window_nodes(full, grid, _match_depth(radial, full))
             density = mu.interior_density(interior.points)
+            # the full-ball cap holds every sphere node, so the tensor nodes
+            # are r_j zeta_i over the grid's nodes in grid order
+            assert len(interior.zeta) == len(grid)
+            r = interior.radial
+            wint = (r.weights[:, None] * interior.w_ang
+                    * density.reshape(len(r.nodes), -1)).ravel()
+            radii = np.concatenate((radii, r.nodes))
         if mu.boundary_density is not None:
             wg = grid.weights * mu.boundary_density_values(grid)
-        return cls(mu, grid, wg, interior, density)
+        radii = np.repeat(radii[:, None], len(grid), axis=1)
+        return cls(mu, grid, wg, interior, density, wint, radii,
+                   np.empty((2,) + radii.shape))
 
     def cells(self, centers, deltas):
         """The cell pass, the one place the node-indicator rule lives.
@@ -352,22 +374,35 @@ class _NodeTable:
         and on its sphere nodes (unread when mu has no boundary density);
         f is called at the interior atoms and atom_f (default f) at the
         boundary atoms, as in integrate."""
+        inner = outer = None
+        if self.mu.interior_density is not None:
+            vals = np.asarray(interior) * self.density
+            inner = float(np.real(window_sum(self.interior, vals)))
+        if self.wg is not None:
+            vals = np.real(np.asarray(boundary))
+            if np.any(vals < -1e-10):
+                raise ValueError("integrand must be nonnegative")
+            outer = float(np.sum(self.wg * vals))
+        return self.integrate_sums(inner, outer, f, atom_f)
+
+    def integrate_sums(self, inner, outer, f, atom_f=None) -> float:
+        """The integral against mu of an integrand whose integrals against
+        the interior density and the boundary density are inner and outer
+        (each None when mu has no such part), plus its atoms: f is called
+        at the interior atoms and atom_f (default f) at the boundary atoms,
+        as in integrate."""
         mu = self.mu
         atom_f = atom_f if atom_f is not None else f
         total = 0.0
-        if mu.interior_density is not None:
-            vals = np.asarray(interior) * self.density
-            total += float(np.real(window_sum(self.interior, vals)))
+        if inner is not None:
+            total += inner
         for pt, mass in mu.interior_atoms:
             v = float(np.real(f(pt.coords[None, :])[0]))
             if v < -1e-10:
                 raise ValueError("integrand must be nonnegative")
             total += mass * v
-        if self.wg is not None:
-            vals = np.real(np.asarray(boundary))
-            if np.any(vals < -1e-10):
-                raise ValueError("integrand must be nonnegative")
-            total += float(np.sum(self.wg * vals))
+        if outer is not None:
+            total += outer
         for pt, mass in mu.boundary_atoms:
             v = float(np.real(atom_f(pt.coords[None, :])[0]))
             if math.isinf(v):
@@ -462,9 +497,19 @@ def measure_from_dict(doc: dict) -> BallMeasure:
         _atoms_from_dict(doc, "boundary_atoms", SpherePoint))
 
 
-def load_measure(path) -> BallMeasure:
+# libyaml's safe loader when PyYAML was built with it: it builds the same
+# objects as the pure-Python one and raises the same YAMLError classes
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(path):
+    """The document of the YAML file at path, read by the safe loader."""
     with open(path) as fh:
-        return measure_from_dict(yaml.safe_load(fh))
+        return yaml.load(fh, Loader=_YAML_LOADER)
+
+
+def load_measure(path) -> BallMeasure:
+    return measure_from_dict(_load_yaml(path))
 
 
 def dump_measure(mu: BallMeasure, path) -> None:

@@ -1,14 +1,20 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from revcarleson import cli
 from revcarleson.cli import main
 from revcarleson.criteria import SearchGrid, forward_profile, window_profile
 from revcarleson.measures import load_measure
 from revcarleson.quadrature import radial_rule, sphere_grid
 
+ROOT = Path(__file__).resolve().parents[1]
 CONST_SYMBOL = "kind: constant\ndimension: 1\ndata: {value: [0.5, 0.0]}\n"
 POINTS = ("points:\n- [[0.5, 0.0]]\n- [[0.75, 0.0]]\n- [[0.875, 0.0]]\n")
 ATOM_MEASURE = ("dimension: 1\n"
@@ -275,6 +281,29 @@ def test_unknown_config_field_is_input_error(tmp_path):
     assert run(["criteria", "--config", str(cfg)]) == 2
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    # main builds its parser once per process: calls with different
+    # subcommands in one process write the reports that fresh processes do
+    runs = [["verify-kernels", "--dim", "1", "--resolution", "64"],
+            ["pack", "--dim", "1", "--delta", "0.5", "--h", "0.1",
+             "--grid-points", "1000"],
+            ["verify-kernels", "--dim", "1", "--p", "4", "--resolution",
+             "64"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        code = run(argv + ["--out", str(here)])
+        out = subprocess.run(
+            [sys.executable, "-m", "revcarleson.cli", *argv,
+             "--out", str(fresh)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert out.returncode == code, out.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-kernels", "--dim", "1", "--resolution", "512"],
     ["criteria", "--dim", "1", "--resolution", "512"],
@@ -299,6 +328,7 @@ def test_reports_byte_identical_across_runs(argv, tmp_path):
      "measure field 'interior_atoms' entry 0 must be"),
     ("dimension: [1]\n", "measure field 'dimension' must be an integer"),
     ("[1, 2]\n", "measure file must hold a mapping"),
+    ("dimension: [1\n", "while parsing a flow sequence"),
 ])
 def test_malformed_measure_is_input_error(tmp_path, capsys, text, message):
     mu = tmp_path / "mu.yaml"

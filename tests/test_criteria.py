@@ -18,11 +18,13 @@ from revcarleson.criteria import (ConditionSummary, CriterionProfile,
 from revcarleson.geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                                   SpherePoint)
 from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel_at,
-                                 hp_norm, kernel_norm, normalized_kernel)
+                                 cauchy_modulus_p, hp_norm, kernel_norm,
+                                 normalized_kernel)
 from revcarleson.measures import (BallMeasure, DensityExpr, integrate_measure,
                                   measure_of_ball, measure_of_window,
                                   sigma_measure)
-from revcarleson.quadrature import SphereGrid, radial_rule, sphere_grid
+from revcarleson.quadrature import (SphereGrid, radial_rule, sphere_grid,
+                                    window_sum)
 
 EX1 = Exponents(2.0, 1)
 
@@ -305,7 +307,7 @@ def _close(values, reference, rel=1e-12):
         assert abs(v - r) <= rel * abs(r), (v, r)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kernel_pass_values_match_public_functions(d, p):
     # every value the report may not show: each w's condition (ii) integral
@@ -330,6 +332,27 @@ def test_kernel_pass_values_match_public_functions(d, p):
         (c_ref, pole_ref), = f.kernel_terms
         assert np.array_equal(pole, pole_ref)
         _close([c], [c_ref])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kernel_pass_names_the_node_where_the_density_overflows():
+    # |z|^-400 overflows at the innermost radius, so the pass's interior sum
+    # is not finite; the error names the node as window_sum does when it
+    # checks every value of the integrand
+    grid, radial = sphere_grid(1, 64), radial_rule(1, 8)
+    mu = BallMeasure(1, interior_density=DensityExpr(
+        {"pow": [{"abs_z": None}, -400]}))
+    table = criteria._NodeTable.build(mu, grid, radial)
+    w = _w_points(SearchGrid(1, 2, 2))[0]
+    vals = cauchy_modulus_p(table.interior.points @ np.conj(w), 1, 2.0)
+    with pytest.raises(ArithmeticError) as direct:
+        window_sum(table.interior, vals * table.density)
+    message = str(direct.value)
+    assert message == (f"integrand not finite at radius {radial.nodes[0]}, "
+                       f"node {grid.nodes[0]}")
+    with pytest.raises(ArithmeticError) as exc:
+        condition_ii_profile(mu, EX1, SearchGrid(1, 2, 2), grid, radial)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("measure", ["sigma", "four-part"])

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +195,31 @@ def test_refute_sampling_non_inner(grid, rad):
     assert rep.boundary_density_zero
     assert all(t2 < t1 for t1, t2 in zip(rep.kernel_test_trend,
                                          rep.kernel_test_trend[1:]))
+
+
+def test_refute_sampling_needs_a_collapsing_trend(grid, rad):
+    # one level is no trend: the constant symbol that refutes above at three
+    # levels is inconclusive at one, whatever its single value
+    b = _const(0.5)
+    pts = [np.array([(1 - 2.0 ** -j) + 0j]) for j in range(1, 8)]
+    rep = refute_sampling(b, pts, SearchGrid(1, 6, 4), grid, rad,
+                          refinements=1)
+    assert rep.verdict == "inconclusive"
+    assert len(rep.kernel_test_trend) == 1
+    assert "at least two" in rep.detail
+
+
+def test_refute_sampling_slow_trend_is_inconclusive(grid, rad, monkeypatch):
+    # a minimum that falls by less than the collapse rule's factor 0.6 per
+    # level and stays above the threshold refutes nothing
+    minima = iter([0.5, 0.45, 0.42])
+    monkeypatch.setattr(dbr, "_kernel_profile",
+                        lambda *args: SimpleNamespace(extremal=next(minima)))
+    rep = refute_sampling(_const(0.5), [np.array([0.5 + 0j])],
+                          SearchGrid(1, 6, 4), grid, rad, refinements=3)
+    assert rep.verdict == "inconclusive"
+    assert rep.kernel_test_trend == (0.5, 0.45, 0.42)
+    assert "does not collapse" in rep.detail
 
 
 def _reference_trend(b, points, sgrid, grid, radial, refinements):

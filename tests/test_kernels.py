@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from revcarleson.geometry import NonisotropicBall, SpherePoint
-from revcarleson.kernels import (Exponents, TestFunction, boundary_radial_limit,
-                                 cauchy_kernel, cauchy_kernel_at,
+from revcarleson.kernels import (Exponents, TestFunction,
+                                 _cauchy_modulus_p_into,
+                                 boundary_radial_limit, cauchy_kernel,
+                                 cauchy_kernel_at,
                                  cauchy_modulus_p, hp_norm, kernel_norm,
                                  normalized_kernel, phi_h, poisson_kernel)
 from revcarleson.quadrature import radial_rule, sphere_grid
@@ -53,6 +55,36 @@ def test_cauchy_modulus_matches_kernel(d, p, a):
                      (cauchy_modulus_p(atom @ np.conj(w), d, p), atom)):
         ref = np.abs(cauchy_kernel_at(w, pts)) ** p
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+def _modulus_in_place(d, p, a):
+    """(the in-place modulus, cauchy_modulus_p) on the sphere row and the
+    interior rows of a kernel pass, w within 2^-9 of a grid node."""
+    zeta = sphere_grid(d, {1: 256, 2: 8}.get(d, 500)).nodes
+    r = np.concatenate(([1.0], radial_rule(d, 24).nodes))[:, None]
+    w = a * zeta[0]
+    t = zeta @ np.conj(w)
+    radii = np.repeat(r, len(t), axis=1)
+    got = _cauchy_modulus_p_into(t, d, p, radii, np.empty((2,) + radii.shape))
+    return got, cauchy_modulus_p(t, d, p, r)
+
+
+@pytest.mark.parametrize("a", [0.5, 1 - 2.0 ** -9])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_in_place_modulus_integer_power(d, k, a):
+    # pd/2 = k: a reciprocal and k - 1 multiplies, not np.power
+    got, ref = _modulus_in_place(d, 2.0 * k / d, a)
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+@pytest.mark.parametrize("a", [0.5, 1 - 2.0 ** -9])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_in_place_modulus_other_power_is_bitwise(d, p, a):
+    # pd/2 is not an integer: the same np.power
+    got, ref = _modulus_in_place(d, p, a)
+    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 0.9])
