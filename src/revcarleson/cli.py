@@ -132,7 +132,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return "inf" if math.isinf(f) else f

@@ -18,7 +18,7 @@ from .kernels import (Exponents, TestFunction, _cauchy_modulus_p_into,
                       _lp_norm, cauchy_modulus_p, kernel_norm,
                       normalized_kernel)
 from .measures import BallMeasure, _NodeTable
-from .quadrature import RadialRule, SphereGrid, sphere_sum, window_sum
+from .quadrature import RadialRule, SphereGrid, sphere_sum
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
            "condition_ii_profile", "window_profiles", "window_profile",
@@ -88,25 +88,53 @@ class SearchGrid:
                           self.seed, self.level + 1)
 
 
-def _cap_profile(table: _NodeTable, sgrid: SearchGrid,
-                 ratios: dict) -> CriterionProfile:
-    """Condition (iii)'s profile; ratios maps a cell's (tuple(c), delta) to
-    its ratio, and a cell already in it is not computed again."""
-    centers, params = sgrid.centers(), []
-    for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
-        key = (tuple(centers[i]), Q.delta)
-        if key not in ratios:
-            ratios[key] = table.ball_mass(Q, mask) / s
-        params.append(key)
+def _levels(sgrid: SearchGrid, refinements: int) -> list[SearchGrid]:
+    """The nested search grids of successive refinement levels, coarsest
+    first; a value computed on the finest serves every level."""
+    levels = [sgrid]
+    while len(levels) < refinements:
+        levels.append(levels[-1].refine())
+    return levels[:refinements]
+
+
+def _view(condition: str, keys, values: dict,
+          reverse: bool) -> CriterionProfile:
+    """The profile of the keys that values maps to a value (not None), in
+    the order of keys: a level's profile read off a finer level's values."""
+    params = [key for key in keys if values.get(key) is not None]
     return CriterionProfile.from_values(
-        "iii", params, [ratios[key] for key in params], reverse=True)
+        condition, params, [values[key] for key in params], reverse)
+
+
+def _cell_keys(sgrid: SearchGrid) -> list[tuple]:
+    """The search grid's cells (tuple(c), delta), center-major."""
+    return [(tuple(c), float(delta)) for c in sgrid.centers()
+            for delta in sgrid.deltas()]
+
+
+def _cell_walk(table: _NodeTable, sgrid: SearchGrid,
+               radial: RadialRule | None = None) -> tuple[dict, dict]:
+    """The one walk over the cells of sgrid: (iii, window), mapping each
+    cell (tuple(c), delta) whose sigma estimate s is positive to
+    mu(Q)/s and, given a radial rule, to mu(S_Q)/s, with S_Q the
+    outer-closed window of depth min(s, 1) (window is empty without one).
+    mu(Q) is taken once per cell and serves both."""
+    centers, iii, window = sgrid.centers(), {}, {}
+    for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
+        key, m = (tuple(centers[i]), Q.delta), table.ball_mass(Q, mask)
+        iii[key] = m / s
+        if radial is not None:
+            S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
+            window[key] = table.window_mass(S, radial, m) / s
+    return iii, window
 
 
 def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,
                           grid: SphereGrid) -> CriterionProfile:
     """min over sampled balls of mu(Q)/sigma(Q), node-indicator sums on both
     sides; cells whose sigma estimate vanishes are skipped."""
-    return _cap_profile(_NodeTable.build(mu, grid), sgrid, {})
+    iii, _ = _cell_walk(_NodeTable.build(mu, grid), sgrid)
+    return _view("iii", _cell_keys(sgrid), iii, reverse=True)
 
 
 def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
@@ -128,15 +156,14 @@ def _kernel_pass(table: _NodeTable, exponents: Exponents,
     interior nodes is written into the table's work buffer in one in-place
     pass (kernels._cauchy_modulus_p_into), and each node set is then one
     dot product with weights the table folded once: sigma's weights give
-    G, the integral of |k_w|^p against sigma, wg the boundary part and wint
-    the interior part of I, its integral against mu; the atoms take
-    kernels.cauchy_modulus_p.  Condition (ii) is I / ||k_w||_p^p and the
-    witness ratio is I / G; ||k_w||_p is the closed form at p = 2, where it
-    is exact, and G^(1/p) otherwise.
+    G, the integral of |k_w|^p against sigma, and integrate_values takes
+    I, its integral against mu, by its dot products with wg and wint; the
+    atoms take kernels.cauchy_modulus_p.  Condition (ii) is I / ||k_w||_p^p
+    and the witness ratio is I / G; ||k_w||_p is the closed form at p = 2,
+    where it is exact, and G^(1/p) otherwise.
 
-    A sum that is not finite is checked again by sphere_sum or window_sum,
-    which name the node at fault.  A modulus is never negative, so the
-    nonnegativity check of integrate_values is not made here.
+    G is checked like the sums of integrate_values: one that is not
+    finite is taken again by sphere_sum, which names the node at fault.
     """
     d, p = exponents.d, exponents.p
     # the closed form also rejects |w| >= 1 before any node is evaluated
@@ -150,16 +177,9 @@ def _kernel_pass(table: _NodeTable, exponents: Exponents,
         sphere_sum(grid, on_grid)
     if G <= 0:
         raise ValueError("zero-norm test function in the family")
-    inner = outer = None
-    if table.wint is not None:
-        inside = v[1:].ravel()
-        inner = float(np.dot(inside, table.wint))
-        if not math.isfinite(inner):
-            window_sum(table.interior, inside * table.density)
-    if table.wg is not None:
-        outer = float(np.dot(table.wg, on_grid))
-    I = table.integrate_sums(
-        inner, outer, lambda pts: cauchy_modulus_p(pts @ np.conj(w), d, p))
+    I = table.integrate_values(
+        v[1:].ravel(), on_grid,
+        lambda pts: cauchy_modulus_p(pts @ np.conj(w), d, p))
     if abs(p - 2) >= 1e-12:
         nrm = G ** (1.0 / p)
     return (I / nrm ** p, I / G,
@@ -180,25 +200,12 @@ def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
 def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                     radial: RadialRule
                     ) -> tuple[CriterionProfile, CriterionProfile]:
-    """(window_profile, forward_profile) from one pass over the cells: both
+    """(window_profile, forward_profile) from one walk over the cells: both
     are read off the same ratios mu(S_Q)/sigma(Q)."""
-    return _window_profiles(_NodeTable.build(mu, grid), sgrid, radial)
-
-
-def _window_profiles(table: _NodeTable, sgrid: SearchGrid,
-                     radial: RadialRule
-                     ) -> tuple[CriterionProfile, CriterionProfile]:
-    """window_profiles on a cap table (a node table built without a radial
-    rule)."""
-    centers = sgrid.centers()
-    params, values = [], []
-    for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
-        S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
-        values.append(table.window_mass(S, mask, radial) / s)
-        params.append((tuple(centers[i]), Q.delta))
-    profile = CriterionProfile.from_values
-    return (profile("window", params, values, reverse=True),
-            profile("forward", params, values, reverse=False))
+    _, window = _cell_walk(_NodeTable.build(mu, grid), sgrid, radial)
+    keys = _cell_keys(sgrid)
+    return (_view("window", keys, window, reverse=True),
+            _view("forward", keys, window, reverse=False))
 
 
 def window_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
@@ -215,23 +222,21 @@ def forward_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
 
 
 def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
-                           grid: SphereGrid, n_combos: int = _N_COMBOS,
-                           seed: int = 0) -> list[TestFunction]:
+                           grid: SphereGrid) -> list[TestFunction]:
     """Kernels first (the reproducing kernel thesis), then random two-kernel
     combinations, then low monomials as a cross-check."""
     ws = _w_points(sgrid)
     grid_arg = None if abs(exponents.p - 2) < 1e-12 else grid
     return ([normalized_kernel(w, exponents, grid_arg) for w in ws]
-            + _witness_tail(exponents.d, ws, n_combos, seed))
+            + _witness_tail(exponents.d, ws, 0))
 
 
-def _witness_tail(d: int, ws: list, n_combos: int,
-                  seed: int) -> list[TestFunction]:
-    """The witnesses after the kernels: n_combos random two-kernel
+def _witness_tail(d: int, ws: list, seed: int) -> list[TestFunction]:
+    """The witnesses after the kernels: _N_COMBOS random two-kernel
     combinations of the w-points ws, then the monomials 1, z_1, ..., z_d."""
     fam = []
     rng = np.random.default_rng(seed)
-    for _ in range(n_combos):
+    for _ in range(_N_COMBOS):
         i, j = rng.integers(0, len(ws), size=2)
         c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         fam.append(TestFunction(d, kernel_terms=((c1, ws[i]), (c2, ws[j]))))
@@ -242,24 +247,18 @@ def _witness_tail(d: int, ws: list, n_combos: int,
     return fam
 
 
-def _lp_ratio(table: _NodeTable, p: float, interior, on_grid,
-              point_f) -> float:
-    """integral |f|^p dmu / ||f||_{H^p}^p from |f|^p on the table's interior
-    nodes and sphere nodes; point_f gives |f|^p at the atoms."""
-    nrm = _lp_norm(on_grid, p, table.grid)
-    if nrm <= 0:
-        raise ValueError("zero-norm test function in the family")
-    return table.integrate_values(interior, on_grid, point_f) / nrm ** p
-
-
 def _function_ratio(table: _NodeTable, p: float, f) -> float:
-    """The witness ratio of a test function f, f evaluated once per node
-    set."""
+    """The witness ratio integral |f|^p dmu / ||f||_{H^p}^p of a test
+    function f, f evaluated once per node set."""
     def g(pts):
         return np.abs(f(pts)) ** p
 
     interior = None if table.interior is None else g(table.interior.points)
-    return _lp_ratio(table, p, interior, g(table.grid.nodes), g)
+    on_grid = g(table.grid.nodes)
+    nrm = _lp_norm(on_grid, p, table.grid)
+    if nrm <= 0:
+        raise ValueError("zero-norm test function in the family")
+    return table.integrate_values(interior, on_grid, g) / nrm ** p
 
 
 def _least(ratios, family):
@@ -318,38 +317,32 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
     compare verdicts; disagreement is flagged, never silently passed."""
     trends = {"i": [], "ii": [], "iii": []}
     args = {}
-    sg = sgrid
-    forward_ext = None
-    # the cap table first, so that a faulty boundary density is reported
-    # before a faulty interior one
-    caps = _NodeTable.build(mu, grid)
+    levels = _levels(sgrid, refinements)
+    finest = levels[-1]
+    # one table, the boundary density checked before the interior one;
+    # each w and each cell is computed once, on the finest level, the
+    # kernels first (w = 0 names a node where the density is not finite)
     table = _NodeTable.build(mu, grid, radial)
-    # the cells and w-points of a level are among the next level's (the
-    # grid is nested), so each cell and each w is computed once per run
-    cells = {}                 # (tuple(c), delta) -> condition (iii) ratio
-    passes = {}                # tuple(w) -> (condition (ii), ratio, K_w)
-    for level in range(refinements):
-        p3 = _cap_profile(caps, sg, cells)
+    passes = {tuple(w): _kernel_pass(table, exponents, w)
+              for w in _w_points(finest)}
+    iii, window = _cell_walk(table, finest, radial)
+    for sg in levels:
+        p3 = _view("iii", _cell_keys(sg), iii, reverse=True)
         ws = _w_points(sg)
-        for w in ws:
-            if tuple(w) not in passes:
-                passes[tuple(w)] = _kernel_pass(table, exponents, w)
         ii, ratios, kernels = zip(*(passes[tuple(w)] for w in ws))
         p2 = CriterionProfile.from_values("ii", [tuple(w) for w in ws], ii,
                                           reverse=True)
-        tail = _witness_tail(exponents.d, ws, _N_COMBOS, witness_seed)
+        tail = _witness_tail(exponents.d, ws, witness_seed)
         v1, f1, _ = _least(
             [*ratios, *(_function_ratio(table, exponents.p, f) for f in tail)],
             [*kernels, *tail])
-        trends["iii"].append(p3.extremal)
-        trends["ii"].append(p2.extremal)
-        trends["i"].append(v1)
-        args["iii"] = p3.arg_extremal
-        args["ii"] = p2.arg_extremal
-        args["i"] = repr(f1)[:120]
-        if level == refinements - 1:
-            forward_ext = _window_profiles(caps, sg, radial)[1].extremal
-        sg = sg.refine()
+        for tag, value, arg in (("iii", p3.extremal, p3.arg_extremal),
+                                ("ii", p2.extremal, p2.arg_extremal),
+                                ("i", v1, repr(f1)[:120])):
+            trends[tag].append(value)
+            args[tag] = arg
+    forward_ext = _view("forward", _cell_keys(finest), window,
+                        reverse=False).extremal
     conditions = {
         tag: ConditionSummary(tuple(trend), args[tag], _verdict(trend, tau))
         for tag, trend in trends.items()}

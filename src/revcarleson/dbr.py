@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .criteria import CriterionProfile, _verdict, _w_points
+from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at)
@@ -137,23 +137,26 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
     for pt, _ in mu.boundary_atoms:
         if boundary_radial_limit(b, pt).diverged:
             raise ValueError(f"symbol not mu-admissible at boundary atom {pt}")
-    return _kernel_profile(b, _NodeTable.build(mu, grid, radial), sgrid, {})
+    values = _kernel_values(b, _NodeTable.build(mu, grid, radial), sgrid)
+    return _kernel_profile(values, sgrid)
 
 
-def _kernel_profile(b: Symbol, table: _NodeTable, sgrid, values: dict):
-    """kernel_test's profile on a node table; values maps tuple(w) to its
-    value (None if K^b(w, w) <= 0), and a w in it is not computed again."""
-    params = []
+def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
+    """The kernel test on a node table: tuple(w) -> its value for each w of
+    the search grid (None where K^b(w, w) <= 0)."""
+    values = {}
     for w in _w_points(sgrid):
-        key = tuple(w)
-        if key not in values:
-            diag = dbr_kernel_diag(b, w)
-            values[key] = None if diag <= 0 else table.integrate(
-                lambda pts: np.abs(dbr_kernel_at(b, w, pts)) ** 2) / diag
-        if values[key] is not None:
-            params.append(key)
-    return CriterionProfile.from_values(
-        "hb-kernel", params, [values[key] for key in params], reverse=True)
+        diag = dbr_kernel_diag(b, w)
+        values[tuple(w)] = None if diag <= 0 else table.integrate(
+            lambda pts: np.abs(dbr_kernel_at(b, w, pts)) ** 2) / diag
+    return values
+
+
+def _kernel_profile(values: dict, sgrid):
+    """kernel_test's profile over the w-points of sgrid, read off values
+    (see _kernel_values), which may hold a finer grid's w-points too."""
+    return _view("hb-kernel", [tuple(w) for w in _w_points(sgrid)], values,
+                 reverse=True)
 
 
 @dataclass(frozen=True)
@@ -269,15 +272,11 @@ def refute_sampling(b: Symbol, points, sgrid, grid: SphereGrid,
             "inconclusive", frac, zero, (),
             "inner-like symbol: the non-inner hypothesis fails, theorem does not apply")
     # b is admissible for a measure without boundary atoms; the w-points of
-    # a level are among the next level's, so each w is computed once per run
-    table = _NodeTable.build(mu, grid, radial)
-    values = {}                # tuple(w) -> kernel-test value
-    trend = []
-    sg = sgrid
-    for _ in range(refinements):
-        trend.append(_kernel_profile(b, table, sg, values).extremal)
-        sg = sg.refine()
-    trend = tuple(trend)
+    # a level are among the finest level's, so each w is computed once
+    levels = _levels(sgrid, refinements)
+    values = _kernel_values(b, _NodeTable.build(mu, grid, radial),
+                            levels[-1]) if levels else {}
+    trend = tuple(_kernel_profile(values, sg).extremal for sg in levels)
     if len(trend) < 2:
         return SamplingRefutation(
             "inconclusive", frac, zero, trend,

@@ -217,6 +217,15 @@ class BallMeasure:
             raise ArithmeticError("boundary density not finite at a grid node")
         return np.clip(vals, 0.0, None)
 
+    def interior_density_values(self, pts: np.ndarray) -> np.ndarray:
+        """The interior density at the ball points pts; a value below -TOL
+        is an error (a value that is not finite is left to the sums, which
+        name its node)."""
+        vals = self.interior_density(pts)
+        if np.any(vals < -TOL):
+            raise ValueError("interior density is negative at a ball node")
+        return vals
+
     def total_mass(self, grid: SphereGrid, radial: RadialRule) -> float:
         return integrate_measure(self, lambda z: np.ones(len(z)), grid, radial)
 
@@ -237,21 +246,21 @@ def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
                       radial: RadialRule) -> float:
     """mu(S) = interior density over S + interior atoms in S
     + (if the window is outer-closed) the boundary parts over its cap."""
-    return _NodeTable.build(mu, grid).window_mass(
-        S, S.ball.contains_coords(grid.nodes), radial)
+    table = _NodeTable.build(mu, grid)
+    return table.window_mass(S, radial, table.ball_mass(
+        S.ball, S.ball.contains_coords(grid.nodes)))
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
-                      radial: RadialRule,
-                      boundary_f=None, atom_f=None) -> float:
+                      radial: RadialRule, atom_f=None) -> float:
     """integral of a nonnegative f against mu over the closed ball.
 
-    f maps an (n, d) complex array of interior points to values; boundary_f
-    (default f) is evaluated at sphere nodes for the density part; atom_f
-    (default boundary_f) is evaluated at boundary singular atoms and may
-    return math.inf when a radial limit diverges there.
+    f maps an (n, d) complex array of points to values and is evaluated at
+    the interior nodes, the sphere nodes and the interior atoms; atom_f
+    (default f) is evaluated at boundary singular atoms and may return
+    math.inf when a radial limit diverges there.
     """
-    return _NodeTable.build(mu, grid, radial).integrate(f, boundary_f, atom_f)
+    return _NodeTable.build(mu, grid, radial).integrate(f, atom_f)
 
 
 def _match_depth(radial: RadialRule, S: CarlesonWindow) -> RadialRule:
@@ -269,12 +278,12 @@ class _NodeTable:
     and passes it on, so no density is evaluated twice on the same nodes;
     the cap and window profiles walk their cells through its cell pass.
     wg holds sigma's weight times the validated boundary density at each
-    sphere node; interior and density hold the full-ball tensor nodes of
-    the radial rule and the interior density on them, and wint the volume
-    weight times that density, wr_j * w_ang_i * density(r_j zeta_i), in the
-    radius-major order of interior.points.  Each is None when mu has no
-    such part (interior, density and wint also when no radial rule is
-    given).
+    sphere node; interior holds the full-ball tensor nodes of the radial
+    rule, and wint the volume weight times the interior density,
+    wr_j * w_ang_i * density(r_j zeta_i), in the radius-major order of
+    interior.points.  Each is None when mu has no such part (interior and
+    wint also when no radial rule is given).  An integral against the table
+    is one dot product with wint and one with wg, plus the atoms.
 
     radii holds the radius of each node of a kernel pass, one row per
     radius over the grid's nodes: row 0 is the sphere (radius 1), row j the
@@ -288,7 +297,6 @@ class _NodeTable:
     grid: SphereGrid
     wg: np.ndarray | None
     interior: WindowNodes | None
-    density: np.ndarray | None
     wint: np.ndarray | None
     radii: np.ndarray
     work: np.ndarray
@@ -296,12 +304,17 @@ class _NodeTable:
     @classmethod
     def build(cls, mu: BallMeasure, grid: SphereGrid,
               radial: RadialRule | None = None) -> "_NodeTable":
-        interior = density = wint = wg = None
+        """The table of mu on grid (and on the full-ball tensor nodes of
+        radial); the boundary density is checked before the interior one."""
+        wg = interior = wint = None
         radii = np.ones(1)
+        if mu.boundary_density is not None:
+            wg = grid.weights * mu.boundary_density_values(grid)
         if radial is not None and mu.interior_density is not None:
-            full = CarlesonWindow(NonisotropicBall(_pole(mu.d), 2.0), 1.0)
+            e1 = SpherePoint(np.eye(mu.d, dtype=complex)[0])
+            full = CarlesonWindow(NonisotropicBall(e1, 2.0), 1.0)
             interior = window_nodes(full, grid, _match_depth(radial, full))
-            density = mu.interior_density(interior.points)
+            density = mu.interior_density_values(interior.points)
             # the full-ball cap holds every sphere node, so the tensor nodes
             # are r_j zeta_i over the grid's nodes in grid order
             assert len(interior.zeta) == len(grid)
@@ -309,10 +322,8 @@ class _NodeTable:
             wint = (r.weights[:, None] * interior.w_ang
                     * density.reshape(len(r.nodes), -1)).ravel()
             radii = np.concatenate((radii, r.nodes))
-        if mu.boundary_density is not None:
-            wg = grid.weights * mu.boundary_density_values(grid)
         radii = np.repeat(radii[:, None], len(grid), axis=1)
-        return cls(mu, grid, wg, interior, density, wint, radii,
+        return cls(mu, grid, wg, interior, wint, radii,
                    np.empty((2,) + radii.shape))
 
     def cells(self, centers, deltas):
@@ -342,57 +353,52 @@ class _NodeTable:
                 total += mass
         return total
 
-    def window_mass(self, S: CarlesonWindow, mask: np.ndarray,
-                    radial: RadialRule) -> float:
-        """mu(S), see measure_of_window; mask marks the grid nodes in the
-        cap of S."""
+    def window_mass(self, S: CarlesonWindow, radial: RadialRule,
+                    cap_mass: float) -> float:
+        """mu(S), see measure_of_window; cap_mass is mu of the cap of S
+        (ball_mass), counted when S is outer-closed."""
         mu = self.mu
         total = 0.0
         if mu.interior_density is not None:
             total += float(np.real(integrate_window(
-                mu.interior_density, S, self.grid, _match_depth(radial, S))))
+                mu.interior_density_values, S, self.grid,
+                _match_depth(radial, S))))
         for pt, mass in mu.interior_atoms:
             if S.contains_coords(pt.coords[None, :])[0]:
                 total += mass
         if S.closed_outer:
-            total += self.ball_mass(S.ball, mask)
+            total += cap_mass
         return total
 
-    def integrate(self, f, boundary_f=None, atom_f=None) -> float:
+    def integrate(self, f, atom_f=None) -> float:
         """The integral of f against mu, see integrate_measure; needs a
         table built with a radial rule when mu has an interior density."""
-        boundary_f = boundary_f if boundary_f is not None else f
         return self.integrate_values(
             None if self.mu.interior_density is None
             else f(self.interior.points),
-            None if self.wg is None else boundary_f(self.grid.nodes),
-            f, atom_f if atom_f is not None else boundary_f)
+            None if self.wg is None else f(self.grid.nodes), f, atom_f)
 
     def integrate_values(self, interior, boundary, f, atom_f=None) -> float:
         """The integral against mu of an integrand given by its values on
         the table's interior nodes (unread when mu has no interior density)
-        and on its sphere nodes (unread when mu has no boundary density);
-        f is called at the interior atoms and atom_f (default f) at the
-        boundary atoms, as in integrate."""
+        and on its sphere nodes (unread when mu has no boundary density):
+        one dot product with wint and one with wg.  f is called at the
+        interior atoms and atom_f (default f) at the boundary atoms, as in
+        integrate.  An interior sum that is not finite is taken again by
+        window_sum, which names the node at fault."""
+        mu = self.mu
+        atom_f = atom_f if atom_f is not None else f
         inner = outer = None
-        if self.mu.interior_density is not None:
-            vals = np.asarray(interior) * self.density
-            inner = float(np.real(window_sum(self.interior, vals)))
+        if mu.interior_density is not None:
+            vals = np.asarray(interior)
+            inner = float(np.real(np.dot(vals, self.wint)))
+            if not math.isfinite(inner):
+                window_sum(self.interior, vals * self.wint)
         if self.wg is not None:
             vals = np.real(np.asarray(boundary))
             if np.any(vals < -1e-10):
                 raise ValueError("integrand must be nonnegative")
-            outer = float(np.sum(self.wg * vals))
-        return self.integrate_sums(inner, outer, f, atom_f)
-
-    def integrate_sums(self, inner, outer, f, atom_f=None) -> float:
-        """The integral against mu of an integrand whose integrals against
-        the interior density and the boundary density are inner and outer
-        (each None when mu has no such part), plus its atoms: f is called
-        at the interior atoms and atom_f (default f) at the boundary atoms,
-        as in integrate."""
-        mu = self.mu
-        atom_f = atom_f if atom_f is not None else f
+            outer = float(np.dot(self.wg, vals))
         total = 0.0
         if inner is not None:
             total += inner
@@ -409,12 +415,6 @@ class _NodeTable:
                 return math.inf
             total += mass * v
         return total
-
-
-def _pole(d: int) -> SpherePoint:
-    e1 = np.zeros(d, dtype=complex)
-    e1[0] = 1.0
-    return SpherePoint(e1)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from revcarleson import cli
+from revcarleson import cli, criteria
 from revcarleson.cli import main
 from revcarleson.criteria import SearchGrid, forward_profile, window_profile
 from revcarleson.measures import load_measure
@@ -100,6 +100,32 @@ def test_equivalence_with_measure_file(tmp_path):
                 "--refinements", "2", "--measure", str(mu),
                 "--out", str(tmp_path / "e.json")])
     assert code == 0
+
+
+def test_two_kernel_combinations_set_condition_i(tmp_path, monkeypatch):
+    # condition (i)'s random two-kernel witnesses can set its minimum: on
+    # |z|^k with no boundary mass, whose true answer is degenerate, they
+    # give condition (i) that verdict, and the kernels alone do not
+    mu = tmp_path / "mu.yaml"
+    mu.write_text("dimension: 1\n"
+                  "interior_density: {pow: [{abs_z: null}, "
+                  "1.5627191561438336]}\n")
+    out = tmp_path / "e.json"
+    argv = ["equivalence", "--dim", "1", "--resolution", "2048", "--seed",
+            "920", "--refinements", "2", "--measure", str(mu),
+            "--out", str(out)]
+    run(argv)
+    cond = json.loads(out.read_text())["conditions"]["i"]
+    assert cond["verdict"] == "degenerate"
+    assert cond["trend"] == pytest.approx([0.0834, 0.0439], abs=1e-4)
+    ws = criteria._w_points(SearchGrid(1, 8, 6, seed=920).refine())
+    combos = criteria._witness_tail(1, ws, 920)[:criteria._N_COMBOS]
+    assert cond["arg_extremal"] in [repr(f)[:120] for f in combos]
+    monkeypatch.setattr(criteria, "_N_COMBOS", 0)
+    run(argv)
+    cond = json.loads(out.read_text())["conditions"]["i"]
+    assert cond["verdict"] == "positive"
+    assert cond["trend"] == pytest.approx([0.0869, 0.0532], abs=1e-4)
 
 
 def test_pack(tmp_path):
@@ -228,6 +254,26 @@ def test_fractional_power_of_negative_density_is_input_error(
     err = capsys.readouterr().err
     assert "density node {'pow': [{'re': 0}, 0.5]}" in err
     assert "non-integer power" in err
+
+
+@pytest.mark.parametrize("command", ["criteria", "equivalence"])
+def test_negative_interior_density_is_input_error(tmp_path, capsys, command):
+    # checked on the nodes where the density is evaluated, as the boundary
+    # density is: Re z_1 is negative on half the disc
+    mu = tmp_path / "mu.yaml"
+    mu.write_text("dimension: 1\ninterior_density: {re: 0}\n")
+    assert run([command, "--dim", "1", "--resolution", "256",
+                "--measure", str(mu), "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "interior density is negative" in err
+    assert "Traceback" not in err
+
+
+def test_criteria_table_prints_plain_numbers(capsys):
+    assert run(["criteria", "--dim", "1", "--resolution", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "argext" in out
+    assert "np.float64" not in out
 
 
 @pytest.mark.parametrize("node", [

@@ -346,7 +346,8 @@ def test_kernel_pass_names_the_node_where_the_density_overflows():
     w = _w_points(SearchGrid(1, 2, 2))[0]
     vals = cauchy_modulus_p(table.interior.points @ np.conj(w), 1, 2.0)
     with pytest.raises(ArithmeticError) as direct:
-        window_sum(table.interior, vals * table.density)
+        window_sum(table.interior,
+                   vals * mu.interior_density(table.interior.points))
     message = str(direct.value)
     assert message == (f"integrand not finite at radius {radial.nodes[0]}, "
                        f"node {grid.nodes[0]}")
@@ -473,9 +474,25 @@ def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
     assert calls == Counter()
 
 
-def test_equivalence_builds_two_node_tables(monkeypatch):
-    # the cap table serves condition (iii) and the forward profile, the
-    # table with the radial rule serves the kernels
+def test_equivalence_walks_each_cell_once(monkeypatch, grid, rad):
+    # the levels are views of the finest grid: its cells are walked once,
+    # and that walk serves condition (iii) and the forward profile
+    yields = Counter()
+    real = criteria._NodeTable.cells
+
+    def counting(self, centers, deltas):
+        for cell in real(self, centers, deltas):
+            yields[tuple(centers[cell[0]]), cell[2].delta] += 1
+            yield cell
+
+    monkeypatch.setattr(criteria._NodeTable, "cells", counting)
+    equivalence_report(sigma_measure(1), EX1, SearchGrid(1, 8, 6), grid, rad,
+                       refinements=3)
+    assert sum(yields.values()) == len(yields) == 288
+
+
+def test_equivalence_builds_one_node_table(monkeypatch):
+    # one table with the radial rule serves the cells and the kernels
     grid, radial = _small_grids(1)
     builds = []
     real = criteria._NodeTable.build.__func__
@@ -487,7 +504,7 @@ def test_equivalence_builds_two_node_tables(monkeypatch):
     monkeypatch.setattr(criteria._NodeTable, "build", classmethod(counting))
     equivalence_report(_four_part(1), EX1, SearchGrid(1, 2, 2), grid, radial,
                        refinements=2)
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
