@@ -23,16 +23,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
-from scipy.special import hyp2f1
 
 from . import __version__
-from .criteria import (SearchGrid, condition_ii_profile, condition_iii_profile,
-                       equivalence_report, window_profiles)
+from .criteria import SearchGrid, criteria_profiles, equivalence_report
 from .dbr import (is_inner_estimate, kernel_test, load_symbol,
                   necessary_condition_constant, one_minus_b_integral,
                   refute_sampling)
 from .geometry import NonisotropicBall, SpherePoint, greedy_packing
-from .kernels import Exponents, kernel_norm, poisson_kernel_at
+from .kernels import Exponents, _norm_factor, kernel_norm, poisson_kernel_at
 from .measures import _load_yaml, _parse_point, load_measure, sigma_measure
 from .quadrature import integrate_sphere, radial_rule, sphere_grid
 
@@ -185,9 +183,9 @@ def cmd_verify_kernels(args) -> int:
     for a in (0.0, 0.3, 0.6, 0.9):
         w = a * e1
         closed = kernel_norm(w, ex)
-        # the exact norm (kernels module docstring); the 2F1 factor is 1 at
-        # p = 2, whose rows keep their layout without a separate exact value
-        exact = closed * float(hyp2f1(e, e, cfg.dim, a * a)) ** (1 / cfg.p)
+        # the exact norm; the 2F1 factor is 1 at p = 2, whose rows keep
+        # their layout without a separate exact value
+        exact = closed * _norm_factor(a * a, ex) ** (1 / cfg.p)
         quad = kernel_norm(w, ex, grid)
         rel = abs(quad - exact) / exact
         worst = max(worst, rel)
@@ -230,10 +228,8 @@ def cmd_criteria(args) -> int:
     cfg = _load_config(args)
     ex = Exponents(cfg.p, cfg.dim)
     mu = _load_mu(args, cfg)
-    grid, rad, sg = cfg.sphere(), cfg.radial(), cfg.search()
-    p3 = condition_iii_profile(mu, sg, grid)
-    p2 = condition_ii_profile(mu, ex, sg, grid, rad)
-    pw, pf = window_profiles(mu, sg, grid, rad)
+    p3, p2, pw, pf = criteria_profiles(mu, ex, cfg.search(), cfg.sphere(),
+                                       cfg.radial())
     rows = [("condition", "extremal", "argext")]
     for prof in (p3, p2, pw, pf):
         rows.append((prof.condition, f"{prof.extremal:.6g}",

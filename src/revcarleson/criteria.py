@@ -21,9 +21,9 @@ from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, sphere_sum
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
-           "condition_ii_profile", "window_profiles", "window_profile",
-           "forward_profile", "reverse_inequality_witness", "equivalence_report",
-           "EquivalenceReport", "default_witness_family"]
+           "condition_ii_profile", "criteria_profiles", "window_profiles",
+           "window_profile", "forward_profile", "reverse_inequality_witness",
+           "equivalence_report", "EquivalenceReport", "default_witness_family"]
 
 _N_COMBOS = 8                  # random two-kernel witnesses per level
 
@@ -190,11 +190,31 @@ def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
                          sgrid: SearchGrid, grid: SphereGrid,
                          radial: RadialRule) -> CriterionProfile:
     """min over the w-grid of the integral of |K_w|^p against mu."""
-    table = _NodeTable.build(mu, grid, radial)
+    return _condition_ii(_NodeTable.build(mu, grid, radial), exponents, sgrid)
+
+
+def _condition_ii(table: _NodeTable, exponents: Exponents,
+                  sgrid: SearchGrid) -> CriterionProfile:
     ws = _w_points(sgrid)
     values = [_kernel_pass(table, exponents, w)[0] for w in ws]
     return CriterionProfile.from_values("ii", [tuple(w) for w in ws], values,
                                         reverse=True)
+
+
+def criteria_profiles(mu: BallMeasure, exponents: Exponents,
+                      sgrid: SearchGrid, grid: SphereGrid,
+                      radial: RadialRule) -> tuple[CriterionProfile, ...]:
+    """(iii, ii, window, forward) profiles of one search grid, as
+    condition_iii_profile, condition_ii_profile and window_profiles give
+    them, from one node table and one walk over the cells; the kernels
+    are taken before the walk, as in equivalence_report."""
+    table = _NodeTable.build(mu, grid, radial)
+    p2 = _condition_ii(table, exponents, sgrid)
+    iii, window = _cell_walk(table, sgrid, radial)
+    keys = _cell_keys(sgrid)
+    return (_view("iii", keys, iii, reverse=True), p2,
+            _view("window", keys, window, reverse=True),
+            _view("forward", keys, window, reverse=False))
 
 
 def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
@@ -228,19 +248,25 @@ def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
     ws = _w_points(sgrid)
     grid_arg = None if abs(exponents.p - 2) < 1e-12 else grid
     return ([normalized_kernel(w, exponents, grid_arg) for w in ws]
-            + _witness_tail(exponents.d, ws, 0))
+            + _combinations(exponents.d, ws, 0) + _monomials(exponents.d))
 
 
-def _witness_tail(d: int, ws: list, seed: int) -> list[TestFunction]:
+def _combinations(d: int, ws: list, seed: int) -> list[TestFunction]:
     """The witnesses after the kernels: _N_COMBOS random two-kernel
-    combinations of the w-points ws, then the monomials 1, z_1, ..., z_d."""
+    combinations of the w-points ws (the monomials follow them)."""
     fam = []
     rng = np.random.default_rng(seed)
     for _ in range(_N_COMBOS):
         i, j = rng.integers(0, len(ws), size=2)
         c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         fam.append(TestFunction(d, kernel_terms=((c1, ws[i]), (c2, ws[j]))))
-    fam.append(TestFunction(d, poly_terms=((1.0, (0,) * d),)))
+    return fam
+
+
+def _monomials(d: int) -> list[TestFunction]:
+    """The last witnesses, the monomials 1, z_1, ..., z_d; they do not
+    depend on the search grid."""
+    fam = [TestFunction(d, poly_terms=((1.0, (0,) * d),))]
     for k in range(d):
         alpha = tuple(1 if i == k else 0 for i in range(d))
         fam.append(TestFunction(d, poly_terms=((1.0, alpha),)))
@@ -321,21 +347,25 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
     finest = levels[-1]
     # one table, the boundary density checked before the interior one;
     # each w and each cell is computed once, on the finest level, the
-    # kernels first (w = 0 names a node where the density is not finite)
+    # kernels first (w = 0 names a node where the density is not finite),
+    # and each monomial witness once for every level
     table = _NodeTable.build(mu, grid, radial)
     passes = {tuple(w): _kernel_pass(table, exponents, w)
               for w in _w_points(finest)}
     iii, window = _cell_walk(table, finest, radial)
+    monomials = _monomials(exponents.d)
+    mono_ratios = [_function_ratio(table, exponents.p, f) for f in monomials]
     for sg in levels:
         p3 = _view("iii", _cell_keys(sg), iii, reverse=True)
         ws = _w_points(sg)
         ii, ratios, kernels = zip(*(passes[tuple(w)] for w in ws))
         p2 = CriterionProfile.from_values("ii", [tuple(w) for w in ws], ii,
                                           reverse=True)
-        tail = _witness_tail(exponents.d, ws, witness_seed)
+        combos = _combinations(exponents.d, ws, witness_seed)
         v1, f1, _ = _least(
-            [*ratios, *(_function_ratio(table, exponents.p, f) for f in tail)],
-            [*kernels, *tail])
+            [*ratios, *(_function_ratio(table, exponents.p, f)
+                        for f in combos), *mono_ratios],
+            [*kernels, *combos, *monomials])
         for tag, value, arg in (("iii", p3.extremal, p3.arg_extremal),
                                 ("ii", p2.extremal, p2.arg_extremal),
                                 ("i", v1, repr(f1)[:120])):

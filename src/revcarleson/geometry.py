@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 TOL = 1e-12
 
@@ -171,43 +169,54 @@ def scale_ball(Q: NonisotropicBall, r: float) -> NonisotropicBall:
     return replace(Q, delta=min(r * Q.delta, 2.0))
 
 
-def _inner_product_density(w2: float, d: int) -> float:
-    # density of <zeta, e1> on the unit disk for zeta uniform on S^{2d-1}
-    return (d - 1) / math.pi * (1.0 - w2) ** (d - 2)
-
-
-@lru_cache(maxsize=4096)
-def _sigma_cached(delta: float, d: int) -> float:
-    if d == 1:
-        return (2.0 / math.pi) * math.asin(min(delta, 2.0) / 2.0)
-    if delta >= 2.0:
-        return 1.0
-
-    # integrate the density of w = <zeta, e1> over {|1 - w| <= delta, |w| <= 1}
-    def ymax(x: float) -> float:
-        return min(math.sqrt(max(0.0, 1 - x * x)),
-                   math.sqrt(max(0.0, delta * delta - (1 - x) ** 2)))
-
-    def integrand(y: float, x: float) -> float:
-        return _inner_product_density(x * x + y * y, d)
-
-    x_lo = max(-1.0, 1.0 - delta)
-    val, _ = integrate.dblquad(integrand, x_lo, 1.0,
-                               lambda x: 0.0, ymax, epsabs=1e-11, epsrel=1e-10)
-    return 2.0 * val
+# Gauss-Legendre nodes and weights on [-1, 1] for sigma_of_ball's two pieces
+_SIGMA_X, _SIGMA_W = np.polynomial.legendre.leggauss(24)
 
 
 def sigma_of_ball(delta: float, d: int) -> float:
     """Normalized surface measure of Q(center, delta); center-independent.
 
-    d = 1 uses the closed-form arc length (2/pi) asin(delta/2); d >= 2
-    integrates the inner-product density over a disk region numerically.
+    d = 1: the arc length (2/pi) asin(delta/2).  d >= 2: t = <zeta, c> has
+    the density (d-1)/pi (1 - |t|^2)^(d-2) on the unit disc; with t = 1 -
+    rho e^(i theta), 1 - |t|^2 = rho (2 cos theta - rho), and rho =
+    2 cos theta u gives the exact inner integral
+
+      sigma(Q) = (2(d-1)/pi) int_0^(pi/2) (2 cos theta)^(2d-2)
+                 P(min(1, delta / (2 cos theta))) d theta,
+      P(U) = int_0^U u^(d-1) (1-u)^(d-2) du
+           = sum_k C(d-2, k) (-1)^k U^(d+k) / (d+k),  k = 0..d-2.
+
+    The theta-integral is split at theta0 = arccos(delta/2), where the min
+    switches, and each piece takes 24 Gauss-Legendre nodes: on [0, theta0)
+    the integrand is sum_k C(d-2, k) (-1)^k delta^(d+k)
+    (2 cos theta)^(d-2-k) / (d+k), on [theta0, pi/2] it is
+    P(1) (2 cos theta)^(2d-2).
     """
     if not 0.0 < delta <= 2.0 + TOL:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _sigma_cached(round(min(delta, 2.0), 14), d)
+    delta = min(delta, 2.0)
+    if d == 1:
+        return (2.0 / math.pi) * math.asin(delta / 2.0)
+    if delta >= 2.0:
+        return 1.0
+    k = np.arange(d - 1)
+    coef = np.array([math.comb(d - 2, j) * (-1) ** j / (d + j)
+                     for j in range(d - 1)])
+    theta0 = math.acos(delta / 2.0)
+
+    def two_cos(a: float, b: float):
+        # 2 cos theta at the Gauss-Legendre nodes of [a, b], and the weights
+        return (2.0 * np.cos(0.5 * (b - a) * _SIGMA_X + 0.5 * (b + a)),
+                0.5 * (b - a) * _SIGMA_W)
+
+    c, w = two_cos(0.0, theta0)
+    inner = np.dot(w, (coef * delta ** (d + k)
+                       * c[:, None] ** (d - 2 - k)).sum(axis=1))
+    c, w = two_cos(theta0, 0.5 * math.pi)
+    outer = coef.sum() * np.dot(w, c ** (2 * d - 2))
+    return float(2.0 * (d - 1) / math.pi * (inner + outer))
 
 
 def sample_sphere(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,7 +233,7 @@ def sample_cap(Q: NonisotropicBall, n: int,
     """n uniform points of the cap Q, an (n, d) complex array.
 
     d = 1: a uniform angle on the arc |theta| <= 2 asin(delta/2) about c.
-    d >= 2: t = <zeta, c> has the density of _inner_product_density and,
+    d >= 2: t = <zeta, c> has the density (d-1)/pi (1 - |t|^2)^(d-2) and,
     given t, zeta is uniform on the sphere of radius sqrt(1 - |t|^2) in the
     complement of c (Rudin, Function Theory in the Unit Ball of C^n, 1.4).
     t is drawn uniform on the disc |1 - t| <= delta, kept if |t| <= 1 and

@@ -15,7 +15,8 @@ are nonnegative, so F increases in |w| from 1 to Gauss's value at |w| = 1:
 
 with equality at p = 2.  kernel_norm exposes both the closed form and the
 quadrature value; normalization of kernels uses the true (quadrature) norm,
-with the closed form as a fast path at p = 2.
+with the closed form as a fast path at p = 2.  _norm_factor gives F, from
+scipy.special.hyp2f1, which it imports only when F is not identically one.
 """
 
 from __future__ import annotations
@@ -176,6 +177,18 @@ def kernel_norm(w, exponents: Exponents, grid: SphereGrid | None = None) -> floa
         return float((1.0 - a * a) ** (-exponents.d / exponents.q))
     p = exponents.p
     return _lp_norm(np.abs(cauchy_kernel_at(wc, grid.nodes)) ** p, p, grid)
+
+
+def _norm_factor(a2: float, exponents: Exponents) -> float:
+    """F = 2F1(d - pd/2, d - pd/2; d; |w|^2) at a2 = |w|^2: the exact
+    ||k_w||_p is the closed form times F^(1/p) (module docstring).  F is
+    1 when d - pd/2 = 0 (p = 2), and scipy is imported only otherwise."""
+    d = exponents.d
+    e = d - exponents.p * d / 2
+    if e == 0:
+        return 1.0
+    from scipy.special import hyp2f1
+    return float(hyp2f1(e, e, d, a2))
 
 
 def _lp_norm(vals, p: float, grid: SphereGrid) -> float:

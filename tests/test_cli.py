@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,31 @@ def test_criteria_window_and_forward_profiles_match_library(tmp_path):
     assert profiles["window"]["extremal"] < profiles["forward"]["extremal"]
 
 
+def test_criteria_walks_each_cell_once_on_one_table(tmp_path, monkeypatch):
+    # condition (iii), the window and the forward profile are read off one
+    # walk, and condition (ii) off the same node table: 8 centres x 7 deltas
+    builds, yields = [], Counter()
+    real_build = criteria._NodeTable.build.__func__
+    real_cells = criteria._NodeTable.cells
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(args)
+        return real_build(cls, *args, **kwargs)
+
+    def counting_cells(self, centers, deltas):
+        for cell in real_cells(self, centers, deltas):
+            yields[tuple(centers[cell[0]]), cell[2].delta] += 1
+            yield cell
+
+    monkeypatch.setattr(criteria._NodeTable, "build",
+                        classmethod(counting_build))
+    monkeypatch.setattr(criteria._NodeTable, "cells", counting_cells)
+    assert run(["criteria", "--dim", "1", "--resolution", "2048",
+                "--out", str(tmp_path / "c.json")]) == 0
+    assert len(builds) == 1
+    assert sum(yields.values()) == len(yields) == 56
+
+
 def test_equivalence_sigma(tmp_path):
     out = tmp_path / "e.json"
     code = run(["equivalence", "--dim", "1", "--resolution", "512",
@@ -119,7 +145,7 @@ def test_two_kernel_combinations_set_condition_i(tmp_path, monkeypatch):
     assert cond["verdict"] == "degenerate"
     assert cond["trend"] == pytest.approx([0.0834, 0.0439], abs=1e-4)
     ws = criteria._w_points(SearchGrid(1, 8, 6, seed=920).refine())
-    combos = criteria._witness_tail(1, ws, 920)[:criteria._N_COMBOS]
+    combos = criteria._combinations(1, ws, 920)
     assert cond["arg_extremal"] in [repr(f)[:120] for f in combos]
     monkeypatch.setattr(criteria, "_N_COMBOS", 0)
     run(argv)

@@ -11,7 +11,7 @@ from revcarleson import criteria, kernels
 from revcarleson.criteria import (ConditionSummary, CriterionProfile,
                                   EquivalenceReport, SearchGrid, _verdict,
                                   _w_points, condition_ii_profile,
-                                  condition_iii_profile,
+                                  condition_iii_profile, criteria_profiles,
                                   default_witness_family, equivalence_report,
                                   forward_profile, reverse_inequality_witness,
                                   window_profile, window_profiles)
@@ -402,6 +402,41 @@ def test_cell_profiles_match_cell_by_cell_loops(d, measure):
         assert [_bits(p) for p in window_profiles(mu, sg, grid, radial)] == \
             [_bits(p) for p in _reference_windows(mu, sg, grid, radial)]
         sg = sg.refine()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_criteria_profiles_match_the_separate_profiles(d, p):
+    # one table and one walk give the bits of the three public profiles
+    grid, radial = _small_grids(d)
+    mu, ex, sg = _four_part(d), Exponents(p, d), SearchGrid(d, 3, 3)
+    separate = (condition_iii_profile(mu, sg, grid),
+                condition_ii_profile(mu, ex, sg, grid, radial),
+                *window_profiles(mu, sg, grid, radial))
+    assert [_bits(prof) for prof in criteria_profiles(mu, ex, sg, grid,
+                                                      radial)] == \
+        [_bits(prof) for prof in separate]
+
+
+def test_equivalence_evaluates_each_monomial_once(monkeypatch):
+    # the monomials 1, z_1, ..., z_d are the same at every level, so each
+    # is evaluated once per run; the two-kernel combinations, drawn afresh
+    # from each level's w-points, once per level
+    d, refinements = 2, 3
+    grid, radial = _small_grids(d)
+    calls = Counter()
+    real = criteria._function_ratio
+
+    def counting(table, p, f):
+        calls["combination" if f.kernel_terms else f.poly_terms] += 1
+        return real(table, p, f)
+
+    monkeypatch.setattr(criteria, "_function_ratio", counting)
+    equivalence_report(_four_part(d), Exponents(2.0, d), SearchGrid(d, 2, 2),
+                       grid, radial, refinements=refinements)
+    assert calls.pop("combination") == refinements * criteria._N_COMBOS
+    assert calls == Counter(dict.fromkeys(
+        [((1.0, (0, 0)),), ((1.0, (1, 0)),), ((1.0, (0, 1)),)], 1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

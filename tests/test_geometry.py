@@ -97,6 +97,53 @@ def test_sigma_closed_form_d1():
     assert sigma_of_ball(2.0, 1) == pytest.approx(1.0)
 
 
+def _sigma_reference(delta, d):
+    """sigma(Q(c, delta)) in d >= 2 to 30 digits: the exact inner integral
+    P(U) = sum_k C(d-2, k) (-1)^k U^(d+k) / (d+k) in mpmath, then a 1-D
+    mpmath quadrature in theta split at arccos(delta/2)."""
+    import mpmath as mp
+    with mp.workdps(30):
+        delta = mp.mpf(delta)
+
+        def f(theta):
+            c = 2 * mp.cos(theta)
+            u = min(mp.mpf(1), delta / c)
+            return c ** (2 * d - 2) * mp.fsum(
+                mp.binomial(d - 2, k) * (-1) ** k * u ** (d + k) / (d + k)
+                for k in range(d - 1))
+
+        theta0 = mp.acos(min(delta, 2) / 2)
+        return 2 * (d - 1) / mp.pi * mp.quad(f, [0, theta0, mp.pi / 2])
+
+
+def test_sigma_reference_is_normalised_and_matches_the_lens_area():
+    import mpmath as mp
+    for d in (2, 3, 4):
+        assert abs(_sigma_reference(2, d) - 1) < 1e-25
+    # d = 2: t = <zeta, c> is uniform on the disc, so sigma(Q) is the area
+    # of the lens {|1 - t| <= delta, |t| <= 1} over pi (no cancellation at
+    # this delta)
+    with mp.workdps(30):
+        dl = mp.mpf("0.77")
+        lens = (mp.acos(1 - dl ** 2 / 2) + dl ** 2 * mp.acos(dl / 2)
+                - dl * mp.sqrt(4 - dl ** 2) / 2)
+        assert abs(_sigma_reference("0.77", 2) - lens / mp.pi) < 1e-25
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sigma_of_ball_matches_mpmath_reference(d):
+    # small caps too: an absolute quadrature tolerance would swamp them
+    for delta in [2.0 ** -k for k in range(12)] + [0.3, 0.77, 1.5, 1.99]:
+        want = float(_sigma_reference(delta, d))
+        assert abs(sigma_of_ball(delta, d) - want) <= 1e-13 * want
+
+
+def test_sigma_of_ball_d1_is_the_arc_length():
+    for delta in [2.0 ** -k for k in range(12)] + [0.3, 0.77, 1.5, 1.99, 2.0]:
+        assert sigma_of_ball(delta, 1) == \
+            (2.0 / math.pi) * math.asin(delta / 2.0)
+
+
 def test_sigma_monotone_in_delta():
     vals = [sigma_of_ball(dl, 2) for dl in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
