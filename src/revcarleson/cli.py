@@ -52,14 +52,21 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 1.0 < self.p:
-            raise ValueError("p must exceed 1")
-        if self.resolution < 4:
-            raise ValueError("resolution must be at least 4")
-        if self.refinements < 1:
-            raise ValueError("refinements must be at least 1")
+        """Reject the first field out of its range, naming it; a nan is in
+        no range."""
+        for name, ok, rule in (
+                ("dim", self.dim >= 1, "be >= 1"),
+                ("p", self.p > 1, "exceed 1"),
+                ("resolution", self.resolution >= 4, "be at least 4"),
+                ("radial_resolution", self.radial_resolution >= 1, "be >= 1"),
+                ("refinements", self.refinements >= 1, "be at least 1"),
+                ("seed", self.seed >= 0, "be >= 0"),
+                ("threshold", 0 <= self.threshold < math.inf,
+                 "be a finite number >= 0"),
+                ("eps_inner", 0 <= self.eps_inner < 1, "lie in [0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, "
+                                 f"got {getattr(self, name)}")
 
     def sphere(self):
         res = self.resolution

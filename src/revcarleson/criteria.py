@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
-from .kernels import (Exponents, TestFunction, _cauchy_modulus_p_into,
-                      _lp_norm, cauchy_modulus_p, kernel_norm,
-                      normalized_kernel)
+from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_modulus_p,
+                      kernel_norm, normalized_kernel)
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, sphere_sum
 
@@ -118,14 +117,14 @@ def _cell_walk(table: _NodeTable, sgrid: SearchGrid,
     cell (tuple(c), delta) whose sigma estimate s is positive to
     mu(Q)/s and, given a radial rule, to mu(S_Q)/s, with S_Q the
     outer-closed window of depth min(s, 1) (window is empty without one).
-    mu(Q) is taken once per cell and serves both."""
+    mu(Q) and the node mask are taken once per cell and serve both."""
     centers, iii, window = sgrid.centers(), {}, {}
     for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
         key, m = (tuple(centers[i]), Q.delta), table.ball_mass(Q, mask)
         iii[key] = m / s
         if radial is not None:
             S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
-            window[key] = table.window_mass(S, radial, m) / s
+            window[key] = table.window_mass(S, radial, m, mask) / s
     return iii, window
 
 
@@ -150,17 +149,16 @@ def _kernel_pass(table: _NodeTable, exponents: Exponents,
     """(condition (ii)'s integral, the witness ratio of K_w, K_w) for the
     Cauchy kernel k_w on a node table, from one inner-product pass.
 
-    Both values need only |k_w|^p.  The inner products t_i = <zeta_i, w> of
-    the sphere nodes are taken once; the interior node r_j zeta_i has the
-    inner product r_j t_i, and an atom its own.  |k_w|^p on the sphere and
-    interior nodes is written into the table's work buffer in one in-place
-    pass (kernels._cauchy_modulus_p_into), and each node set is then one
-    dot product with weights the table folded once: sigma's weights give
-    G, the integral of |k_w|^p against sigma, and integrate_values takes
-    I, its integral against mu, by its dot products with wg and wint; the
-    atoms take kernels.cauchy_modulus_p.  Condition (ii) is I / ||k_w||_p^p
-    and the witness ratio is I / G; ||k_w||_p is the closed form at p = 2,
-    where it is exact, and G^(1/p) otherwise.
+    Both values need only |k_w|^p, from kernels.cauchy_modulus_p.  The
+    inner products t_i = <zeta_i, w> of the sphere nodes are taken once;
+    the interior node r_j zeta_i has the inner product r_j t_i, and an atom
+    its own.  The sphere and interior moduli are written into the table's
+    work buffer in one pass, and each node set is then one dot product with
+    weights the table folded once: sigma's weights give G, the integral of
+    |k_w|^p against sigma, and integrate_values takes I, its integral
+    against mu, by its dot products with wg and wint.  Condition (ii) is
+    I / ||k_w||_p^p and the witness ratio is I / G; ||k_w||_p is the
+    closed form at p = 2, where it is exact, and G^(1/p) otherwise.
 
     G is checked like the sums of integrate_values: one that is not
     finite is taken again by sphere_sum, which names the node at fault.
@@ -170,7 +168,7 @@ def _kernel_pass(table: _NodeTable, exponents: Exponents,
     nrm = kernel_norm(w, exponents)
     grid = table.grid
     t = grid.nodes @ np.conj(w)
-    v = _cauchy_modulus_p_into(t, d, p, table.radii, table.work)
+    v = cauchy_modulus_p(t, d, p, table.radii, table.work)
     on_grid = v[0]
     G = float(np.dot(grid.weights, on_grid))
     if not math.isfinite(G):
@@ -246,8 +244,7 @@ def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
     """Kernels first (the reproducing kernel thesis), then random two-kernel
     combinations, then low monomials as a cross-check."""
     ws = _w_points(sgrid)
-    grid_arg = None if abs(exponents.p - 2) < 1e-12 else grid
-    return ([normalized_kernel(w, exponents, grid_arg) for w in ws]
+    return ([normalized_kernel(w, exponents, grid) for w in ws]
             + _combinations(exponents.d, ws, 0) + _monomials(exponents.d))
 
 

@@ -19,7 +19,7 @@ import yaml
 from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
-                      cauchy_kernel_at)
+                      cauchy_kernel_at, cauchy_modulus_p)
 from .measures import BallMeasure, _NodeTable, _load_yaml
 from .quadrature import RadialRule, SphereGrid, refine
 
@@ -118,6 +118,13 @@ def dbr_kernel_at(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (1.0 - b(pts) * np.conj(bw)) * cauchy_kernel_at(w, pts)
 
 
+def _kernel_sq(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The kernel test's integrand |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2
+    on an (n, d) stack of points, |k_w|^2 from cauchy_modulus_p."""
+    m = 1.0 - b(pts) * np.conj(eval_symbol(b, w))
+    return np.abs(m) ** 2 * cauchy_modulus_p(pts @ np.conj(w), w.size, 2.0)
+
+
 def dbr_kernel_diag(b: Symbol, w) -> float:
     """K^b(w, w) = (1 - |b(w)|^2) / (1 - |w|^2)^d > 0 for non-unimodular b."""
     wc = _pole(w)
@@ -148,7 +155,7 @@ def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     for w in _w_points(sgrid):
         diag = dbr_kernel_diag(b, w)
         values[tuple(w)] = None if diag <= 0 else table.integrate(
-            lambda pts: np.abs(dbr_kernel_at(b, w, pts)) ** 2) / diag
+            lambda pts: _kernel_sq(b, w, pts)) / diag
     return values
 
 

@@ -429,10 +429,9 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
 
     Returns (balls, certificate_or_None).
     """
-    if h >= Q.delta:
-        raise ValueError("packing radius h must be smaller than delta")
-    if h <= 0:
-        raise ValueError("packing radius h must be positive")
+    if not 0.0 < h < Q.delta:
+        raise ValueError(f"packing radius h must lie in (0, delta) = "
+                         f"(0, {Q.delta}), got {h}")
     cands = _candidate_centers(Q, h, seed)
     if len(cands) == 0:
         raise RuntimeError("empty candidate grid")

@@ -75,32 +75,22 @@ def cauchy_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (1.0 - pts @ np.conj(w)) ** (-d)
 
 
-def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0) -> np.ndarray:
+def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """|k_w|^p = |1 - r t|^(-pd) at the points r z, from the inner products
-    t = <z, w> (r a scalar or an array that broadcasts against t).
+    t = <z, w> (r a scalar or an array that broadcasts against t): the one
+    place this modulus is formed, as a view of work, a float buffer of two
+    arrays of the broadcast shape (allocated when None), with no temporaries.
 
     Real arithmetic only: |1 - r t|^2 is taken as (1 - r Re t)^2 +
     (r Im t)^2, not as 1 - 2 r Re t + r^2 |t|^2, whose terms cancel near
-    the pole.
+    the pole.  t is copied across the shape before r multiplies it, which
+    numpy does faster than it broadcasts t against r.  When pd/2 is an
+    integer k the power is a reciprocal and k - 1 multiplies, within a few
+    ulps of np.power, which takes every other power.
     """
-    x = 1.0 - r * t.real
-    y = r * t.imag
-    return (x * x + y * y) ** (-0.5 * p * d)
-
-
-def _cauchy_modulus_p_into(t: np.ndarray, d: int, p: float, r: np.ndarray,
-                           work: np.ndarray) -> np.ndarray:
-    """cauchy_modulus_p(t, d, p, r) written into work, a float (2, R, n)
-    buffer, with no temporaries, for n inner products t and radii r of
-    shape (R, n) (or any shape that broadcasts to it); returns the (R, n)
-    view of work that holds it.
-
-    Each t is copied across the rows before r multiplies it, because numpy
-    multiplies two (R, n) arrays faster than it broadcasts t against r.
-    When pd/2 is an integer k the power is a reciprocal and k - 1
-    multiplies, within a few ulps of cauchy_modulus_p; otherwise it is the
-    same np.power, and the values have its bits.
-    """
+    if work is None:
+        work = np.empty((2,) + np.broadcast(t, r).shape)
     s, y = work
     np.copyto(s, t.real)
     np.multiply(s, r, out=s)
@@ -175,8 +165,8 @@ def kernel_norm(w, exponents: Exponents, grid: SphereGrid | None = None) -> floa
     a = np.linalg.norm(wc)
     if grid is None:
         return float((1.0 - a * a) ** (-exponents.d / exponents.q))
-    p = exponents.p
-    return _lp_norm(np.abs(cauchy_kernel_at(wc, grid.nodes)) ** p, p, grid)
+    t, p = grid.nodes @ np.conj(wc), exponents.p
+    return _lp_norm(cauchy_modulus_p(t, exponents.d, p), p, grid)
 
 
 def _norm_factor(a2: float, exponents: Exponents) -> float:
@@ -204,12 +194,10 @@ def normalized_kernel(w, exponents: Exponents,
     At p = 2 the closed form is the exact norm; otherwise a grid is required
     so the normalization is genuine.
     """
-    if abs(exponents.p - 2.0) < 1e-12:
-        nrm = kernel_norm(w, exponents)
-    else:
-        if grid is None:
-            raise ValueError("p != 2 needs a quadrature grid for the norm")
-        nrm = kernel_norm(w, exponents, grid)
+    exact = abs(exponents.p - 2.0) < 1e-12
+    if not exact and grid is None:
+        raise ValueError("p != 2 needs a quadrature grid for the norm")
+    nrm = kernel_norm(w, exponents, None if exact else grid)
     wc = _coords(w)
     return TestFunction(exponents.d, kernel_terms=((1.0 / nrm, wc),))
 
@@ -222,7 +210,7 @@ def poisson_kernel(w, xi) -> float:
 def poisson_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
     d = np.asarray(w).size
     a2 = float(np.linalg.norm(w)) ** 2
-    return (1.0 - a2) ** d / np.abs(1.0 - pts @ np.conj(w)) ** (2 * d)
+    return (1.0 - a2) ** d * cauchy_modulus_p(pts @ np.conj(w), d, 2.0)
 
 
 def phi_h(z, Q: NonisotropicBall, h: float, exponents: Exponents,
@@ -249,7 +237,7 @@ def phi_h(z, Q: NonisotropicBall, h: float, exponents: Exponents,
     def f(pts):
         r2 = np.sum(np.abs(pts) ** 2, axis=1)
         return ((1.0 - r2) ** (p * d - d)
-                / np.abs(1.0 - pts @ np.conj(zc)) ** (p * d))
+                * cauchy_modulus_p(pts @ np.conj(zc), d, p))
 
     return float(np.real(integrate_window(f, S, grid, radial))) / h
 

@@ -17,8 +17,8 @@ import yaml
 
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                        SpherePoint, TOL, niso_gap)
-from .quadrature import (RadialRule, SphereGrid, WindowNodes, integrate_window,
-                         radial_rule, window_nodes, window_sum)
+from .quadrature import (RadialRule, SphereGrid, WindowNodes, radial_rule,
+                         window_nodes, window_sum)
 
 __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
            "measure_of_ball", "measure_of_window", "integrate_measure",
@@ -246,9 +246,9 @@ def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
                       radial: RadialRule) -> float:
     """mu(S) = interior density over S + interior atoms in S
     + (if the window is outer-closed) the boundary parts over its cap."""
+    mask = S.ball.contains_coords(grid.nodes)
     table = _NodeTable.build(mu, grid)
-    return table.window_mass(S, radial, table.ball_mass(
-        S.ball, S.ball.contains_coords(grid.nodes)))
+    return table.window_mass(S, radial, table.ball_mass(S.ball, mask), mask)
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
@@ -263,10 +263,10 @@ def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
     return _NodeTable.build(mu, grid, radial).integrate(f, atom_f)
 
 
-def _match_depth(radial: RadialRule, S: CarlesonWindow) -> RadialRule:
-    if abs(radial.depth - S.depth) < 1e-12 and radial.d == S.d:
+def _match_depth(radial: RadialRule, d: int, depth: float) -> RadialRule:
+    if abs(radial.depth - depth) < 1e-12 and radial.d == d:
         return radial
-    return radial_rule(S.d, radial.resolution, S.depth)
+    return radial_rule(d, radial.resolution, depth)
 
 
 @dataclass(frozen=True)
@@ -311,13 +311,8 @@ class _NodeTable:
         if mu.boundary_density is not None:
             wg = grid.weights * mu.boundary_density_values(grid)
         if radial is not None and mu.interior_density is not None:
-            e1 = SpherePoint(np.eye(mu.d, dtype=complex)[0])
-            full = CarlesonWindow(NonisotropicBall(e1, 2.0), 1.0)
-            interior = window_nodes(full, grid, _match_depth(radial, full))
+            interior = window_nodes(grid, None, _match_depth(radial, mu.d, 1))
             density = mu.interior_density_values(interior.points)
-            # the full-ball cap holds every sphere node, so the tensor nodes
-            # are r_j zeta_i over the grid's nodes in grid order
-            assert len(interior.zeta) == len(grid)
             r = interior.radial
             wint = (r.weights[:, None] * interior.w_ang
                     * density.reshape(len(r.nodes), -1)).ravel()
@@ -354,15 +349,16 @@ class _NodeTable:
         return total
 
     def window_mass(self, S: CarlesonWindow, radial: RadialRule,
-                    cap_mass: float) -> float:
-        """mu(S), see measure_of_window; cap_mass is mu of the cap of S
-        (ball_mass), counted when S is outer-closed."""
+                    cap_mass: float, mask: np.ndarray) -> float:
+        """mu(S), see measure_of_window; mask marks the grid nodes in the cap
+        of S; cap_mass, its mu (ball_mass), counts if S is outer-closed."""
         mu = self.mu
         total = 0.0
-        if mu.interior_density is not None:
-            total += float(np.real(integrate_window(
-                mu.interior_density_values, S, self.grid,
-                _match_depth(radial, S))))
+        if mu.interior_density is not None and mask.any():
+            nodes = window_nodes(self.grid, mask,
+                                 _match_depth(radial, mu.d, S.depth))
+            total += float(np.real(window_sum(
+                nodes, mu.interior_density_values(nodes.points))))
         for pt, mass in mu.interior_atoms:
             if S.contains_coords(pt.coords[None, :])[0]:
                 total += mass
@@ -382,9 +378,9 @@ class _NodeTable:
         """The integral against mu of an integrand given by its values on
         the table's interior nodes (unread when mu has no interior density)
         and on its sphere nodes (unread when mu has no boundary density):
-        one dot product with wint and one with wg.  f is called at the
-        interior atoms and atom_f (default f) at the boundary atoms, as in
-        integrate.  An interior sum that is not finite is taken again by
+        one dot product with wint and one with wg.  f is called once on the
+        interior atoms and atom_f (default f) once on the boundary atoms, as
+        in integrate.  An interior sum that is not finite is taken again by
         window_sum, which names the node at fault."""
         mu = self.mu
         atom_f = atom_f if atom_f is not None else f
@@ -402,19 +398,23 @@ class _NodeTable:
         total = 0.0
         if inner is not None:
             total += inner
-        for pt, mass in mu.interior_atoms:
-            v = float(np.real(f(pt.coords[None, :])[0]))
+        for (_, mass), v in _at_atoms(f, mu.interior_atoms):
             if v < -1e-10:
                 raise ValueError("integrand must be nonnegative")
             total += mass * v
         if outer is not None:
             total += outer
-        for pt, mass in mu.boundary_atoms:
-            v = float(np.real(atom_f(pt.coords[None, :])[0]))
+        for (_, mass), v in _at_atoms(atom_f, mu.boundary_atoms):
             if math.isinf(v):
                 return math.inf
             total += mass * v
         return total
+
+
+def _at_atoms(f, atoms):
+    """(atom, Re f at its point) in order, f called once on all the points."""
+    pts = np.array([pt.coords for pt, _ in atoms])
+    return zip(atoms, np.real(f(pts)).tolist() if atoms else ())
 
 
 @dataclass(frozen=True)

@@ -155,18 +155,14 @@ class WindowNodes(NamedTuple):
     points: np.ndarray         # (R * m, d), radius-major
 
 
-def window_nodes(S: CarlesonWindow, grid: SphereGrid,
-                 radial: RadialRule) -> WindowNodes | None:
-    """The tensor nodes integrate_window uses for S; None if the cap holds
-    no sphere node."""
-    if radial.depth > S.depth + 1e-12:
-        raise ValueError("radial rule exceeds the window depth")
-    mask = S.ball.contains_coords(grid.nodes)
-    if not mask.any():
-        return None
-    zeta = grid.nodes[mask]
+def window_nodes(grid: SphereGrid, mask: np.ndarray | None,
+                 radial: RadialRule) -> WindowNodes:
+    """The tensor nodes of radial over the sphere nodes of grid that mask
+    marks, in grid order (every node when mask is None)."""
+    sel = slice(None) if mask is None else mask
+    zeta = grid.nodes[sel]
     points = (radial.nodes[:, None, None] * zeta).reshape(-1, zeta.shape[1])
-    return WindowNodes(zeta, grid.weights[mask], radial, points)
+    return WindowNodes(zeta, grid.weights[sel], radial, points)
 
 
 def window_sum(nodes: WindowNodes, vals) -> complex:
@@ -199,9 +195,12 @@ def integrate_window(f, S: CarlesonWindow, grid: SphereGrid,
     boundary sphere |z| = 1 never carries volume nodes.  f is called once,
     on all of them.
     """
-    nodes = window_nodes(S, grid, radial)
-    if nodes is None:
+    if radial.depth > S.depth + 1e-12:
+        raise ValueError("radial rule exceeds the window depth")
+    mask = S.ball.contains_coords(grid.nodes)
+    if not mask.any():
         return 0.0 + 0.0j
+    nodes = window_nodes(grid, mask, radial)
     return window_sum(nodes, f(nodes.points))
 
 

@@ -173,6 +173,16 @@ def test_pack_rejects_nonpositive_grid_points(tmp_path, capsys, points):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("h", ["nan", "0", "0.5"])
+def test_pack_rejects_h_outside_zero_delta(tmp_path, capsys, h):
+    code = run(["pack", "--dim", "1", "--delta", "0.5", "--h", h,
+                "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert (f"packing radius h must lie in (0, delta) = (0, 0.5), "
+            f"got {float(h)}") in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_dbr_check(tmp_path):
     sym = tmp_path / "b.yaml"
     sym.write_text(CONST_SYMBOL)
@@ -237,6 +247,29 @@ def test_malformed_config_value_is_input_error(tmp_path, capsys, text,
     cfg.write_text(text)
     assert run(["criteria", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,text,message", [
+    (["--seed", "-1"], "", "seed must be >= 0, got -1"),
+    (["--threshold", "nan"], "",
+     "threshold must be a finite number >= 0, got nan"),
+    ([], "eps_inner: .nan\n", "eps_inner must lie in [0, 1), got nan"),
+    ([], "radial_resolution: 0\n", "radial_resolution must be >= 1, got 0"),
+])
+def test_out_of_range_config_value_is_input_error(tmp_path, capsys, flags,
+                                                  text, message):
+    # refute-sampling reads every one of these fields; a bad value exits 2
+    # with a message naming its field, before any report is written
+    sym, pts, cfg = (tmp_path / "b.yaml", tmp_path / "w.yaml",
+                     tmp_path / "cfg.yaml")
+    sym.write_text(CONST_SYMBOL)
+    pts.write_text(POINTS)
+    cfg.write_text("dim: 1\n" + text)
+    out = tmp_path / "s.json"
+    assert run(["refute-sampling", "--symbol", str(sym), "--points", str(pts),
+                "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,message", [

@@ -174,6 +174,37 @@ def test_kernel_test_reduces_to_condition_ii(grid, rad):
     assert np.allclose(prof_b.values, prof_2.values, atol=1e-10)
 
 
+@pytest.mark.parametrize("c", [0.5, 0.3 + 0.6j])
+def test_kernel_test_of_constant_symbol_on_sigma(grid, rad, c):
+    # K^c_w = (1 - |c|^2) k_w and K^c(w, w) = (1 - |c|^2) ||k_w||_2^2, so the
+    # kernel test reads 1 - |c|^2 at every w
+    sg = SearchGrid(1, 6, 4)
+    prof = kernel_test(sigma_measure(1), _const(c), sg, grid, rad)
+    want = 1.0 - abs(c) ** 2
+    assert len(prof.values) == len(_w_points(sg))
+    assert np.all(np.abs(prof.values - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("b", [
+    _const(0.3 + 0.6j), _poly([0.25, 0.5]), _blaschke([0.5, -0.3j]),
+    Symbol("polynomial", 2, ((0.5 + 0j, (1, 0)), (0.25j, (0, 2))))])
+def test_kernel_integrand_matches_dbr_kernel(b):
+    # the kernel test's integrand, |1 - b conj(b(w))|^2 times the real
+    # modulus |k_w|^2, against |K^b_w|^2 from the complex kernel, on sphere
+    # and interior nodes; w points at a grid node, so at a = 1 - 2^-9 the
+    # sphere nodes come within 2^-9 of the pole
+    d = b.d
+    grid = sphere_grid(d, {1: 256, 2: 8}[d])
+    radii = radial_rule(d, 24).nodes
+    pts = np.concatenate(
+        (grid.nodes, (radii[:, None, None] * grid.nodes).reshape(-1, d)))
+    for a in (0.0, 0.5, 1 - 2.0 ** -9):
+        w = a * grid.nodes[0]
+        got = dbr._kernel_sq(b, w, pts)
+        ref = np.abs(dbr.dbr_kernel_at(b, w, pts)) ** 2
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -233,8 +264,7 @@ def _reference_trend(b, points, sgrid, grid, radial, refinements):
             diag = dbr_kernel_diag(b, w)
             if diag > 0:
                 values.append(integrate_measure(
-                    mu, lambda pts, w=w: np.abs(
-                        dbr.dbr_kernel_at(b, w, pts)) ** 2,
+                    mu, lambda pts, w=w: dbr._kernel_sq(b, w, pts),
                     grid, radial) / diag)
         trend.append(min(values))
         sg = sg.refine()
@@ -259,18 +289,19 @@ def test_refute_sampling_trend_matches_level_by_level_loop(b, d):
 
 @pytest.mark.parametrize("b,d", _SAMPLING_CASES)
 def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
-    # each atom of the candidate measure is a one-point node set: every
-    # distinct w of the three levels meets each atom once
+    # the atoms of the candidate measure are one node set: every distinct
+    # w of the three levels meets each atom once
     grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
     pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
-    calls = Counter()
-    real = dbr.dbr_kernel_at
+    calls, passes = Counter(), Counter()
+    real = dbr._kernel_sq
 
     def counting(b, w, at):
-        calls[tuple(w), tuple(at.ravel())] += 1
+        passes[tuple(w)] += 1
+        calls.update((tuple(w), tuple(p)) for p in at)
         return real(b, w, at)
 
-    monkeypatch.setattr(dbr, "dbr_kernel_at", counting)
+    monkeypatch.setattr(dbr, "_kernel_sq", counting)
     sg = SearchGrid(d, 3, 3)
     refute_sampling(b, pts, sg, grid, rad, refinements=3)
     ws = set()
@@ -278,6 +309,7 @@ def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
         ws |= {tuple(w) for w in _w_points(sg)}
         sg = sg.refine()
     assert calls == Counter({(w, tuple(p)): 1 for w in ws for p in pts})
+    assert passes == Counter(dict.fromkeys(ws, 1))
 
 
 def test_refute_sampling_inner_is_inconclusive(grid, rad):

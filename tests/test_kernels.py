@@ -11,7 +11,6 @@ import pytest
 
 from revcarleson.geometry import NonisotropicBall, SpherePoint
 from revcarleson.kernels import (Exponents, TestFunction,
-                                 _cauchy_modulus_p_into,
                                  boundary_radial_limit, cauchy_kernel,
                                  cauchy_kernel_at,
                                  cauchy_modulus_p, hp_norm, kernel_norm,
@@ -58,15 +57,19 @@ def test_cauchy_modulus_matches_kernel(d, p, a):
 
 
 def _modulus_in_place(d, p, a):
-    """(the in-place modulus, cauchy_modulus_p) on the sphere row and the
-    interior rows of a kernel pass, w within 2^-9 of a grid node."""
+    """(cauchy_modulus_p written into a work buffer, the reference formula
+    (1 - r Re t)^2 + (r Im t)^2 to the power -pd/2) on the sphere row and
+    the interior rows of a kernel pass, w within 2^-9 of a grid node."""
     zeta = sphere_grid(d, {1: 256, 2: 8}.get(d, 500)).nodes
     r = np.concatenate(([1.0], radial_rule(d, 24).nodes))[:, None]
     w = a * zeta[0]
     t = zeta @ np.conj(w)
     radii = np.repeat(r, len(t), axis=1)
-    got = _cauchy_modulus_p_into(t, d, p, radii, np.empty((2,) + radii.shape))
-    return got, cauchy_modulus_p(t, d, p, r)
+    work = np.empty((2,) + radii.shape)
+    got = cauchy_modulus_p(t, d, p, radii, work)
+    assert np.shares_memory(got, work)
+    x, y = 1.0 - r * t.real, r * t.imag
+    return got, (x * x + y * y) ** (-0.5 * p * d)
 
 
 @pytest.mark.parametrize("a", [0.5, 1 - 2.0 ** -9])

@@ -98,6 +98,34 @@ def test_integrate_measure_atom_divergence(circle_grid, radial24):
     assert math.isinf(val)
 
 
+def test_integrate_measure_evaluates_each_kind_of_atom_in_one_call(
+        circle_grid, radial24):
+    # f is called once on the stacked interior atoms and atom_f once on the
+    # stacked boundary atoms, and the masses are summed in atom order
+    inner = ((BallPoint(np.array([0.5 + 0j])), 2.0),
+             (BallPoint(np.array([-0.25j])), 0.5))
+    outer = ((E1, 0.25), (SpherePoint(np.array([1j])), 4.0))
+    mu = BallMeasure(1, interior_atoms=inner, boundary_atoms=outer)
+    calls = []
+
+    def counted(g):
+        def h(z):
+            calls.append((g.__name__, len(z)))
+            return g(z)
+        return h
+
+    def f(z):
+        return np.abs(z[:, 0]) ** 2
+
+    def atom_f(z):
+        return 1.0 + z[:, 0].imag
+
+    val = integrate_measure(mu, counted(f), circle_grid, radial24,
+                            atom_f=counted(atom_f))
+    assert calls == [("f", 2), ("atom_f", 2)]
+    assert val == 2.0 * 0.25 + 0.5 * 0.0625 + 0.25 * 1.0 + 4.0 * 2.0
+
+
 def test_integrate_measure_mixed_parts(circle_grid, radial24):
     z0 = BallPoint(np.array([0.5 + 0j]))
     mu = BallMeasure(1, interior_atoms=((z0, 2.0),),
@@ -140,8 +168,8 @@ def test_node_table_reuse_matches_one_shot(d, res):
         S = CarlesonWindow(NonisotropicBall(mu.boundary_atoms[0][0], delta),
                            depth)
         mask = S.ball.contains_coords(grid.nodes)
-        assert table.window_mass(S, rad, table.ball_mass(S.ball, mask)) \
-            == measure_of_window(mu, S, grid, rad)
+        assert table.window_mass(S, rad, table.ball_mass(S.ball, mask),
+                                 mask) == measure_of_window(mu, S, grid, rad)
         assert table.ball_mass(S.ball, mask) == \
             measure_of_ball(mu, S.ball, grid)
 
