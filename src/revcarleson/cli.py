@@ -60,6 +60,12 @@ class ExperimentConfig:
                 ("resolution", self.resolution >= 4, "be at least 4"),
                 ("radial_resolution", self.radial_resolution >= 1, "be >= 1"),
                 ("refinements", self.refinements >= 1, "be at least 1"),
+                ("search_centers", self.search_centers >= 1, "be >= 1"),
+                # the finest search grid's radii 1 - 2^-k round to 1 past
+                # k = 53
+                ("search_kmax", 1 <= self.search_kmax
+                 <= 54 - self.refinements,
+                 "be >= 1 with search_kmax + refinements - 1 <= 53"),
                 ("seed", self.seed >= 0, "be >= 0"),
                 ("threshold", 0 <= self.threshold < math.inf,
                  "be a finite number >= 0"),

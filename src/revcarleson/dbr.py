@@ -20,8 +20,8 @@ from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at, cauchy_modulus_p)
-from .measures import BallMeasure, _NodeTable, _load_yaml
-from .quadrature import RadialRule, SphereGrid, refine
+from .measures import BallMeasure, _NodeTable, _atom_points, _load_yaml
+from .quadrature import RadialRule, SphereGrid, _blocks
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
            "kernel_test", "necessary_condition_constant",
@@ -118,18 +118,24 @@ def dbr_kernel_at(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (1.0 - b(pts) * np.conj(bw)) * cauchy_kernel_at(w, pts)
 
 
-def _kernel_sq(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _kernel_sq(bz: np.ndarray, bw: complex, w: np.ndarray,
+               pts: np.ndarray) -> np.ndarray:
     """The kernel test's integrand |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2
-    on an (n, d) stack of points, |k_w|^2 from cauchy_modulus_p."""
-    m = 1.0 - b(pts) * np.conj(eval_symbol(b, w))
+    on an (n, d) stack of points, given bz = b(pts) and bw = b(w); |k_w|^2
+    from cauchy_modulus_p."""
+    m = 1.0 - bz * np.conj(bw)
     return np.abs(m) ** 2 * cauchy_modulus_p(pts @ np.conj(w), w.size, 2.0)
 
 
 def dbr_kernel_diag(b: Symbol, w) -> float:
     """K^b(w, w) = (1 - |b(w)|^2) / (1 - |w|^2)^d > 0 for non-unimodular b."""
     wc = _pole(w)
+    return _kernel_diag(wc, eval_symbol(b, wc))
+
+
+def _kernel_diag(wc: np.ndarray, bw: complex) -> float:
+    """K^b(w, w) from the coordinates of w and bw = b(w)."""
     a2 = float(np.linalg.norm(wc)) ** 2
-    bw = eval_symbol(b, wc)
     return float((1.0 - abs(bw) ** 2) / (1.0 - a2) ** wc.size)
 
 
@@ -150,12 +156,26 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
 
 def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     """The kernel test on a node table: tuple(w) -> its value for each w of
-    the search grid (None where K^b(w, w) <= 0)."""
+    the search grid (None where K^b(w, w) <= 0).  b is taken once on each
+    node set the integral reads (interior nodes, sphere nodes, interior and
+    boundary atoms) and once at each w."""
+    mu = table.mu
+    inner = table.interior.points if mu.interior_density is not None else None
+    outer = table.grid.nodes if table.wg is not None else None
+    b_in, b_out, b_ia, b_ba = (
+        None if pts is None or not len(pts) else b(pts)
+        for pts in (inner, outer, _atom_points(mu.interior_atoms),
+                    _atom_points(mu.boundary_atoms)))
     values = {}
     for w in _w_points(sgrid):
-        diag = dbr_kernel_diag(b, w)
-        values[tuple(w)] = None if diag <= 0 else table.integrate(
-            lambda pts: _kernel_sq(b, w, pts)) / diag
+        wc = _pole(w)
+        bw = eval_symbol(b, wc)
+        diag = _kernel_diag(wc, bw)
+        values[tuple(w)] = None if diag <= 0 else table.integrate_values(
+            None if inner is None else _kernel_sq(b_in, bw, wc, inner),
+            None if outer is None else _kernel_sq(b_out, bw, wc, outer),
+            lambda pts: _kernel_sq(b_ia, bw, wc, pts),
+            lambda pts: _kernel_sq(b_ba, bw, wc, pts)) / diag
     return values
 
 
@@ -206,22 +226,37 @@ def one_minus_b_integral(b: Symbol, grid: SphereGrid,
     """Quadrature of 1/(1-|b|) over {|b| < 1} at successive grid refinements.
 
     Divergent when estimates grow by a factor >= 1.5 per refinement; finite
-    when the last two agree within 5%; inconclusive otherwise.
+    when the last two agree within 5%; inconclusive otherwise.  A refined
+    level is read block by block (see quadrature._blocks) and keeps only
+    its terms over {|b| < 1}.
     """
-    ests = []
-    g = grid
-    for level in range(refinements + 1):
-        if level:
-            g = refine(g)
-        mod = b.boundary_modulus(g.nodes)
-        mask = mod < 1.0
-        ests.append(float(np.sum(g.weights[mask] / (1.0 - mod[mask]))))
+    ests = [_one_minus_b_sum(b, len(grid), ((grid.nodes, grid.weights),))]
+    for level in range(1, refinements + 1):
+        ests.append(_one_minus_b_sum(b, *_blocks(
+            grid.d, grid.resolution << level,
+            grid.seed if grid.seed is not None else 0)))
     growing = all(b_ >= 1.5 * a_ for a_, b_ in zip(ests, ests[1:]) if a_ > 0)
     if growing and ests[-1] > ests[0]:
         return IntegrabilityVerdict(tuple(ests), "divergent")
     if ests[-1] == 0.0 or abs(ests[-1] - ests[-2]) <= 0.05 * max(ests[-1], 1e-300):
         return IntegrabilityVerdict(tuple(ests), "finite")
     return IntegrabilityVerdict(tuple(ests), "inconclusive")
+
+
+def _one_minus_b_sum(b: Symbol, size: int, blocks) -> float:
+    """The sum of w / (1 - |b|) over the nodes with |b| < 1 of a grid of
+    size nodes, given as (nodes, weights) blocks in node order: the terms
+    are packed into one buffer, block by block, and summed by one np.sum,
+    so the sum has the bits of one over the whole grid."""
+    terms = np.empty(size)
+    k = 0
+    for nodes, weights in blocks:
+        mod = b.boundary_modulus(nodes)
+        mask = mod < 1.0
+        m = k + int(np.count_nonzero(mask))
+        np.divide(weights[mask], 1.0 - mod[mask], out=terms[k:m])
+        k = m
+    return float(np.sum(terms[:k]))
 
 
 def is_inner_estimate(b: Symbol, grid: SphereGrid,

@@ -411,10 +411,14 @@ class _NodeTable:
         return total
 
 
+def _atom_points(atoms) -> np.ndarray:
+    """The (n, d) points of atoms, in order."""
+    return np.array([pt.coords for pt, _ in atoms])
+
+
 def _at_atoms(f, atoms):
     """(atom, Re f at its point) in order, f called once on all the points."""
-    pts = np.array([pt.coords for pt, _ in atoms])
-    return zip(atoms, np.real(f(pts)).tolist() if atoms else ())
+    return zip(atoms, np.real(f(_atom_points(atoms))).tolist() if atoms else ())
 
 
 @dataclass(frozen=True)

@@ -76,22 +76,64 @@ def _uniform_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.full(n, 1.0 / n)
 
 
-def _torus_product(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Hopf coordinates zeta = (e^{i phi1} cos th, e^{i phi2} sin th);
-    # with u = sin^2 th the normalized measure is du dphi1 dphi2 / (2 pi)^2.
+def _torus_slabs(n: int):
+    """The torus rule of n points per axis, one u-slab at a time.
+
+    Hopf coordinates zeta = (e^{i phi1} cos th, e^{i phi2} sin th); with
+    u = sin^2 th the normalized measure is du dphi1 dphi2 / (2 pi)^2.  The
+    rule is Gauss-Legendre in u times n-point trapezoid rules in phi1 and
+    phi2.  Slab a yields the (n^2, 2) nodes at the a-th u-node, phi1-major,
+    and their weights; the slabs in order are the rule's nodes in u-major
+    order, so no more than n^2 nodes need be held at once.
+    """
     x, wu = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * wu
     phi = np.exp(2j * math.pi * np.arange(n) / n)
     c = np.sqrt(1.0 - u)
     s = np.sqrt(u)
-    U, P1, P2 = np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
-                            indexing="ij")
-    nodes = np.empty((n * n * n, 2), dtype=complex)
-    nodes[:, 0] = (c[U] * phi[P1]).ravel()
-    nodes[:, 1] = (s[U] * phi[P2]).ravel()
-    weights = np.broadcast_to(wu[:, None, None] / (n * n), (n, n, n)).ravel()
-    return nodes, weights.copy()
+    for a in range(n):
+        nodes = np.empty((n, n, 2), dtype=complex)
+        nodes[:, :, 0] = (c[a] * phi)[:, None]
+        nodes[:, :, 1] = s[a] * phi
+        yield nodes.reshape(n * n, 2), np.full(n * n, wu[a] / (n * n))
+
+
+# The fewest nodes in a block of _blocks, unless the grid has fewer.  NumPy
+# evaluates an expression on arrays of 256 KiB or more into one of its
+# temporaries (temporary elision), which can swap the operands of a complex
+# product, and complex products do not commute bit for bit; so an integrand
+# such as a polynomial symbol has the same bits on a block as on the whole
+# grid only when both reach 2^14 complex values or neither does.
+_BLOCK_NODES = 2 ** 14
+
+
+def _stack(slabs, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next k slabs of m nodes each from the iterator slabs, as one
+    array of nodes and one of weights."""
+    nodes = np.empty((k * m, 2), dtype=complex)
+    weights = np.empty(k * m)
+    for a in range(k):
+        nodes[a * m:(a + 1) * m], weights[a * m:(a + 1) * m] = next(slabs)
+    return nodes, weights
+
+
+def _blocks(d: int, resolution: int, seed: int = 0):
+    """sphere_grid(d, resolution, seed) as (size, blocks): its node count
+    and an iterator over its (nodes, weights) in node order, so that a sum
+    over the grid need not hold it whole.  In d = 2 a block is the fewest
+    consecutive u-slabs of the torus rule that hold _BLOCK_NODES nodes (the
+    last block takes the slabs left over, and a grid with fewer nodes is
+    one block); otherwise the grid is built and is one block."""
+    if d == 2:
+        n, m = resolution, resolution * resolution
+        per = min(n, -(-_BLOCK_NODES // m))
+        count = n // per
+        slabs = _torus_slabs(n)
+        sizes = [per] * (count - 1) + [n - per * (count - 1)]
+        return n * m, (_stack(slabs, k, m) for k in sizes)
+    g = sphere_grid(d, resolution, seed)
+    return len(g), iter(((g.nodes, g.weights),))
 
 
 def sphere_grid(d: int, resolution: int, seed: int = 0) -> SphereGrid:
@@ -108,7 +150,8 @@ def sphere_grid(d: int, resolution: int, seed: int = 0) -> SphereGrid:
         nodes, weights = _uniform_circle(resolution)
         return SphereGrid(d, nodes, weights, "uniform", resolution)
     if d == 2:
-        nodes, weights = _torus_product(resolution)
+        nodes, weights = _stack(_torus_slabs(resolution), resolution,
+                                resolution * resolution)
         return SphereGrid(d, nodes, weights, "torus", resolution)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal((resolution, d))

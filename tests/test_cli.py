@@ -255,6 +255,9 @@ def test_malformed_config_value_is_input_error(tmp_path, capsys, text,
      "threshold must be a finite number >= 0, got nan"),
     ([], "eps_inner: .nan\n", "eps_inner must lie in [0, 1), got nan"),
     ([], "radial_resolution: 0\n", "radial_resolution must be >= 1, got 0"),
+    ([], "search_centers: 0\n", "search_centers must be >= 1, got 0"),
+    ([], "search_kmax: 60\n", "search_kmax must be >= 1 with search_kmax + "
+     "refinements - 1 <= 53, got 60"),
 ])
 def test_out_of_range_config_value_is_input_error(tmp_path, capsys, flags,
                                                   text, message):

@@ -1,6 +1,7 @@
 """de Branges-Rovnyak kernels, symbols, and the necessary-condition tests."""
 
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -18,7 +19,9 @@ from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              sampling_candidate_measure, symbol_from_dict,
                              symbol_to_dict)
 from revcarleson.kernels import Exponents, cauchy_kernel
-from revcarleson.measures import integrate_measure, sigma_measure
+from revcarleson.geometry import BallPoint, SpherePoint
+from revcarleson.measures import (BallMeasure, DensityExpr, _NodeTable,
+                                  integrate_measure, sigma_measure)
 from revcarleson.quadrature import radial_rule, refine, sphere_grid
 
 
@@ -149,20 +152,49 @@ def test_one_minus_b_finite_constant(grid):
 
 
 @pytest.mark.parametrize("refinements", [1, 3])
-def test_one_minus_b_refines_only_between_estimates(grid, monkeypatch,
-                                                    refinements):
-    b = _poly([0.25, 0.5])
-    expected, g = [], grid
-    for level in range(refinements + 1):
-        mod = b.boundary_modulus(g.nodes)
-        mask = mod < 1.0
-        expected.append(float(np.sum(g.weights[mask] / (1.0 - mod[mask]))))
-        g = refine(g)
-    built = []
-    monkeypatch.setattr(dbr, "refine", lambda g: built.append(g) or refine(g))
-    verdict = one_minus_b_integral(b, grid, refinements)
-    assert len(built) == refinements
-    assert verdict.estimates == tuple(expected)
+def test_one_minus_b_refines_only_between_estimates(monkeypatch, refinements):
+    # b = c (z_1^2 + ... + z_d^2) with |c| = 1 reaches |b| = 1 up to
+    # rounding where the phases agree, so in d = 1, 2 each level keeps some
+    # terms and drops the rest; the estimates have the bits of one np.sum
+    # over each materialised level (in d = 2 the levels 32 and 64 are read
+    # in 2 and 16 blocks, and b's complex products round like those on the
+    # whole level), and each refined level is opened once, none after the
+    # last
+    opened = []
+    real = dbr._blocks
+    monkeypatch.setattr(dbr, "_blocks",
+                        lambda d, res, seed: opened.append(res)
+                        or real(d, res, seed))
+    for d, res in ((1, 1024), (2, 8), (3, 300)):
+        b = Symbol("polynomial", d, tuple(
+            (0.6 + 0.8j, tuple(2 * (k == j) for k in range(d)))
+            for j in range(d)))
+        grid = sphere_grid(d, res, seed=5)
+        expected, g = [], grid
+        for _ in range(refinements + 1):
+            mod = b.boundary_modulus(g.nodes)
+            mask = mod < 1.0
+            expected.append(
+                float(np.sum(g.weights[mask] / (1.0 - mod[mask]))))
+            g = refine(g)
+        opened.clear()
+        verdict = one_minus_b_integral(b, grid, refinements)
+        assert opened == [res << k for k in range(1, refinements + 1)]
+        assert verdict.estimates == tuple(expected)
+
+
+def test_one_minus_b_streams_the_torus_levels():
+    # the d = 2 levels 26, 52, 104 are read in blocks of whole u-slabs: the
+    # last would hold 104^3 nodes (about 95 MiB of arrays) if materialised
+    b = Symbol("polynomial", 2, ((0.5 + 0j, (1, 0)), (0.25j, (0, 2))))
+    grid = sphere_grid(2, 13)
+    tracemalloc.start()
+    try:
+        one_minus_b_integral(b, grid, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 
 def test_kernel_test_reduces_to_condition_ii(grid, rad):
@@ -200,9 +232,40 @@ def test_kernel_integrand_matches_dbr_kernel(b):
         (grid.nodes, (radii[:, None, None] * grid.nodes).reshape(-1, d)))
     for a in (0.0, 0.5, 1 - 2.0 ** -9):
         w = a * grid.nodes[0]
-        got = dbr._kernel_sq(b, w, pts)
+        got = dbr._kernel_sq(b(pts), dbr.eval_symbol(b, w), w, pts)
         ref = np.abs(dbr.dbr_kernel_at(b, w, pts)) ** 2
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+def test_kernel_values_take_b_once_per_node(monkeypatch):
+    # b is taken once at every node and atom of the table, and once at each
+    # w for b(w); every value keeps the bits of integrating the integrand
+    # with b taken afresh for each w
+    d = 2
+    grid, rad = sphere_grid(d, 6), radial_rule(d, 4)
+    at = [np.array([0.3, 0.2j]), np.array([-0.1, 0.5 + 0.1j])]
+    mu = BallMeasure(
+        d, interior_atoms=tuple((BallPoint(p), 0.5) for p in at),
+        interior_density=DensityExpr({"abs_z": None}),
+        boundary_density=DensityExpr({"sum": [1.0, {"re": 0}]}),
+        boundary_atoms=((SpherePoint(np.array([0.6, 0.8j])), 0.25),))
+    b = Symbol("polynomial", d, ((0.5 + 0j, (1, 0)), (0.25j, (0, 2))))
+    table = _NodeTable.build(mu, grid, rad)
+    sg = SearchGrid(d, 3, 3)
+    ws = _w_points(sg)
+    want = {}
+    for w in ws:
+        bw = dbr.eval_symbol(b, w)
+        want[tuple(w)] = table.integrate(
+            lambda pts: dbr._kernel_sq(b(pts), bw, w, pts)) \
+            / dbr_kernel_diag(b, w)
+    seen = []
+    call = Symbol.__call__
+    monkeypatch.setattr(Symbol, "__call__", lambda self, pts: seen.append(
+        len(np.atleast_2d(pts))) or call(self, pts))
+    got = dbr._kernel_values(b, table, sg)
+    assert sum(seen) == (len(rad.nodes) + 1) * len(grid) + 3 + len(ws)
+    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +327,8 @@ def _reference_trend(b, points, sgrid, grid, radial, refinements):
             diag = dbr_kernel_diag(b, w)
             if diag > 0:
                 values.append(integrate_measure(
-                    mu, lambda pts, w=w: dbr._kernel_sq(b, w, pts),
+                    mu, lambda pts, w=w: dbr._kernel_sq(
+                        b(pts), dbr.eval_symbol(b, w), w, pts),
                     grid, radial) / diag)
         trend.append(min(values))
         sg = sg.refine()
@@ -296,10 +360,10 @@ def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
     calls, passes = Counter(), Counter()
     real = dbr._kernel_sq
 
-    def counting(b, w, at):
+    def counting(bz, bw, w, at):
         passes[tuple(w)] += 1
         calls.update((tuple(w), tuple(p)) for p in at)
-        return real(b, w, at)
+        return real(bz, bw, w, at)
 
     monkeypatch.setattr(dbr, "_kernel_sq", counting)
     sg = SearchGrid(d, 3, 3)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from revcarleson.geometry import CarlesonWindow, NonisotropicBall, SpherePoint
-from revcarleson.quadrature import (RadialRule, SphereGrid, integrate_sphere,
+from revcarleson.quadrature import (_BLOCK_NODES, RadialRule, SphereGrid,
+                                    _blocks, _torus_slabs, integrate_sphere,
                                     integrate_window, radial_rule, refine,
                                     sphere_grid)
 from revcarleson.kernels import cauchy_kernel_at
@@ -28,6 +29,55 @@ def test_first_coordinate_moment(d, res, tol):
     g = sphere_grid(d, res, seed=1)
     m = integrate_sphere(lambda z: np.abs(z[:, 0]) ** 2, g)
     assert float(np.real(m)) == pytest.approx(1.0 / d, abs=tol)
+
+
+def _torus_meshgrid(n):
+    """The torus rule built whole from index meshgrids, as a reference."""
+    x, wu = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (x + 1.0)
+    wu = 0.5 * wu
+    phi = np.exp(2j * np.pi * np.arange(n) / n)
+    c, s = np.sqrt(1.0 - u), np.sqrt(u)
+    U, P1, P2 = np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
+                            indexing="ij")
+    nodes = np.empty((n ** 3, 2), dtype=complex)
+    nodes[:, 0] = (c[U] * phi[P1]).ravel()
+    nodes[:, 1] = (s[U] * phi[P2]).ravel()
+    weights = np.broadcast_to(wu[:, None, None] / (n * n), (n, n, n)).ravel()
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [4, 13, 26])
+def test_torus_grid_is_its_slabs(n):
+    # sphere_grid(2, n) is the u-slabs in order, and has the bits of the
+    # meshgrid construction of the same rule
+    g = sphere_grid(2, n)
+    slabs = list(_torus_slabs(n))
+    assert len(slabs) == n
+    assert all(z.shape == (n * n, 2) and w.shape == (n * n,)
+               for z, w in slabs)
+    ref_nodes, ref_weights = _torus_meshgrid(n)
+    for nodes, weights in (
+            (g.nodes, g.weights),
+            (np.concatenate([z for z, _ in slabs]),
+             np.concatenate([w for _, w in slabs]))):
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.mark.parametrize("n", [13, 52])
+def test_torus_blocks_cover_the_grid(n):
+    # the blocks are consecutive slabs, in order, each with at least
+    # _BLOCK_NODES nodes unless the grid has fewer
+    g = sphere_grid(2, n)
+    size, blocks = _blocks(2, n)
+    blocks = list(blocks)
+    assert size == len(g)
+    assert all(len(w) >= min(size, _BLOCK_NODES) for _, w in blocks)
+    assert np.concatenate([z for z, _ in blocks]).tobytes() == \
+        g.nodes.tobytes()
+    assert np.concatenate([w for _, w in blocks]).tobytes() == \
+        g.weights.tobytes()
 
 
 def test_holomorphic_mean_value(torus_grid):
