@@ -411,12 +411,16 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     lower bound (_lens_minimum), so the family is maximal among the
     candidates.
 
-    The scan is a sweep: the first candidate still alive is admitted, and
-    every later alive candidate whose ball meets its ball is dropped (gap
-    <= h at once, gap in (h, 4h] by the overlap test, batched).  This is
-    first-fit: a candidate's fate depends only on the balls admitted before
-    it in the fixed outward order, and the first alive candidate meets none
-    of them, so it is exactly the one first-fit admits next.
+    The scan is a sweep.  Admitting a ball drops every later alive
+    candidate at gap <= h from it and marks those at gap in (h, 4h]
+    pending, holding their inner products.  The first alive candidate is
+    admitted while it is not pending; once it is, every held pair of a
+    live candidate goes to one overlap call, the candidates that meet are
+    dropped and the marks cleared.  This is first-fit: an answer depends
+    only on its pair's inner product, never on the batch, and the first
+    alive candidate that is not pending has against every ball admitted
+    before it in the fixed outward order either gap > 4h or a "disjoint"
+    answer, so it is exactly the one first-fit admits next.
 
     With certificate_grid > 0, a PackingCertificate over that many uniform
     points of Q (coverage by Q(c_j, 2h), pairwise disjointness) is attached.
@@ -444,19 +448,35 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     cands = cands[(np.sqrt(gap_c) <= budget + TOL) | (gap_c <= Q.delta + TOL)]
 
     selected: list[np.ndarray] = []
-    alive = cands
+    alive, ids = cands, np.arange(len(cands))
+    pending = np.zeros(len(cands), dtype=bool)
+    dropped = np.zeros(len(cands), dtype=bool)
+    held_ids, held_ip = [], []      # the undecided band pairs
     while len(alive):
+        if pending[ids[0]]:
+            # stall: decide every held pair of a live candidate in one call
+            pid, pip = np.concatenate(held_ids), np.concatenate(held_ip)
+            live = ~dropped[pid]
+            dropped[pid[live][_caps_overlap(pip[live], h)]] = True
+            pending[pid] = False
+            held_ids, held_ip = [], []
+            keep = ~dropped[ids]
+            alive, ids = alive[keep], ids[keep]
+            continue
         zj = alive[0].copy()        # a view would keep all of alive
         selected.append(zj)
-        alive = alive[1:]
+        alive, ids = alive[1:], ids[1:]
         ip = (alive * np.conj(zj)).sum(axis=1)
         one_minus = 1.0 - ip
         gap = np.hypot(one_minus.real, one_minus.imag)    # see _caps_overlap
         meets = gap <= h                  # inside the ball of zj
         # beyond 4h the triangle inequality makes the caps disjoint
         band = np.flatnonzero(~meets & (gap <= 4.0 * h))
-        meets[band] = _caps_overlap(ip[band], h)
-        alive = alive[~meets]
+        pending[ids[band]] = True
+        held_ids.append(ids[band])
+        held_ip.append(ip[band])
+        dropped[ids[meets]] = True
+        alive, ids = alive[~meets], ids[~meets]
     if not selected:
         raise RuntimeError("greedy selection produced no balls")
     balls = [NonisotropicBall(SpherePoint(c), h) for c in selected]

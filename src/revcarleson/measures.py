@@ -226,9 +226,6 @@ class BallMeasure:
             raise ValueError("interior density is negative at a ball node")
         return vals
 
-    def total_mass(self, grid: SphereGrid, radial: RadialRule) -> float:
-        return integrate_measure(self, lambda z: np.ones(len(z)), grid, radial)
-
 
 def sigma_measure(d: int) -> BallMeasure:
     """The normalized surface measure itself (g identically 1)."""

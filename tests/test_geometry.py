@@ -202,12 +202,13 @@ def test_sigma_d1_superadditive_pairs(d1, d2):
 # greedy packing
 
 def test_packing_deterministic():
-    Q = NonisotropicBall(SpherePoint(np.array([1.0 + 0j])), 0.5)
-    a, _ = greedy_packing(Q, 0.05, seed=3)
-    b, _ = greedy_packing(Q, 0.05, seed=3)
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.allclose(x.center.coords, y.center.coords)
+    for center in ([1.0 + 0j], [1.0 + 0j, 0j]):
+        Q = NonisotropicBall(SpherePoint(np.array(center)), 0.5)
+        a, _ = greedy_packing(Q, 0.05, seed=3)
+        b, _ = greedy_packing(Q, 0.05, seed=3)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.center.coords.tobytes() == y.center.coords.tobytes()
 
 
 def test_packing_certificate_d1():
@@ -477,18 +478,53 @@ def test_batched_overlap_matches_scalar_reference():
     assert min(stages.values()) >= 500, stages
 
 
+def test_overlap_answers_do_not_depend_on_the_batch():
+    """The sweep defers band pairs and decides them in batches of any make-up,
+    so each pair's answer and witness must depend on its own inner product
+    alone: the 20 000 pairs of the scalar comparison, line-case pairs among
+    them, give the same bits whole as permuted and cut into chunks."""
+    rng = np.random.default_rng(11)
+    sizes = (1, 2, 7, 64)
+    for h in (0.009, 0.03, 0.07, 0.2):
+        beta = _overlap_pairs(h, rng)
+        s = np.sqrt(np.maximum(0.0, 1.0 - np.hypot(beta.real, beta.imag) ** 2))
+        off = s > 1e-9
+        whole = (_caps_overlap(beta, h), *_lens_minimum(beta[off], s[off], h))
+        perm = rng.permutation(len(beta))
+        cuts, k = [0], 0
+        while cuts[-1] < len(perm):
+            cuts.append(min(cuts[-1] + sizes[k % len(sizes)], len(perm)))
+            k += 1
+        meets = np.zeros(len(beta), dtype=bool)
+        lens_meets = np.zeros(len(beta), dtype=bool)
+        lens_t = np.zeros(len(beta), dtype=complex)
+        for a, b in zip(cuts, cuts[1:]):
+            part = perm[a:b]
+            meets[part] = _caps_overlap(beta[part], h)
+            part = part[off[part]]
+            lens_meets[part], lens_t[part] = _lens_minimum(beta[part],
+                                                            s[part], h)
+        assert meets.tobytes() == whole[0].tobytes()
+        assert lens_meets[off].tobytes() == whole[1].tobytes()
+        assert lens_t[off].tobytes() == whole[2].tobytes()
+
+
 def _first_fit_reference(Q, h, seed):
     """Centres of greedy_packing by a scalar first-fit loop, one overlap
-    test per pair."""
+    test per pair.  Pairs beyond 4h by a relative margin of 1e-9 are passed
+    over in one vector test, which leaves every decision to scalars."""
     cands = _candidate_centers(Q, h, seed)
     cands = cands[np.argsort(niso_gap(Q.center.coords, cands))]
     gap_c = niso_gap(Q.center.coords, cands)
     budget = math.sqrt(min(2.0 * Q.delta, 2.0)) - math.sqrt(h)
     cands = cands[(np.sqrt(gap_c) <= budget + TOL) | (gap_c <= Q.delta + TOL)]
-    selected = []
+    selected = np.empty_like(cands)
+    k = 0
     for cand in cands:
+        near = (np.abs(1.0 - selected[:k] @ np.conj(cand))
+                <= 4.0 * h * (1.0 + 1e-9))
         ok = True
-        for zj in selected:
+        for zj in selected[:k][near]:
             ip = np.sum(cand * np.conj(zj))
             gap = abs(1.0 - ip)
             if gap > 4.0 * h:
@@ -497,8 +533,9 @@ def _first_fit_reference(Q, h, seed):
                 ok = False
                 break
         if ok:
-            selected.append(cand)
-    return np.array([SpherePoint(c).coords for c in selected]), cands
+            selected[k] = cand
+            k += 1
+    return np.array([SpherePoint(c).coords for c in selected[:k]]), cands
 
 
 @pytest.mark.parametrize("d, delta, h, seed", [
@@ -506,6 +543,8 @@ def _first_fit_reference(Q, h, seed):
     (1, 0.3, 0.057, 9),     # 0.19, beyond the 0.172 rim threshold
     (2, 0.3, 0.021, 2),     # 0.07: the first ball's (h, 4h] band is large
     (2, 0.45, 0.0855, 6),   # 0.19
+    (2, 0.4, 0.025, 5),     # 1/16, the smallest ratio pack is run at
+    (3, 0.5, 0.07, 3),      # 0.14
 ])
 def test_sweep_matches_scalar_first_fit(d, delta, h, seed):
     center = np.zeros(d, dtype=complex)
@@ -521,3 +560,20 @@ def test_sweep_matches_scalar_first_fit(d, delta, h, seed):
             (niso_gap(cands[0], cands[1:]) > h)
             & (niso_gap(cands[0], cands[1:]) <= 4.0 * h))
         assert first_band > 256
+
+
+def test_sweep_decides_band_pairs_in_few_batches(monkeypatch):
+    # band pairs wait until a pending candidate reaches the front, so one
+    # overlap call serves many of the 133 balls (one call per ball is 133)
+    calls = []
+
+    def spy(beta, h):
+        calls.append(len(beta))
+        return _caps_overlap(beta, h)
+
+    monkeypatch.setattr("revcarleson.geometry._caps_overlap", spy)
+    center = np.array([np.exp(0.3j), 0j])
+    balls, _ = greedy_packing(NonisotropicBall(SpherePoint(center), 0.3),
+                              0.021, seed=2)
+    assert len(balls) == 133
+    assert len(calls) <= 60

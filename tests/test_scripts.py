@@ -1,6 +1,7 @@
 """Smoke runs of every script under scripts/, at their smallest arguments,
 so that the scripts stay in step with the library."""
 
+import json
 import os
 import subprocess
 import sys
@@ -27,3 +28,15 @@ def test_script_runs(argv, expect):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert expect in out.stdout
+
+
+def test_report_digests_writes_one_digest_per_op(tmp_path):
+    out = tmp_path / "digests.json"
+    script = ROOT / "scripts" / "report_digests.py"
+    run = subprocess.run([sys.executable, str(script), "--workload",
+                          "packing", "--seeds", "0:1", "--out", str(out)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    table = json.loads(out.read_text())
+    assert len(table) == 12
+    assert all(len(v) == 64 for v in table.values())
