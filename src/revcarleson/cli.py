@@ -316,11 +316,16 @@ def cmd_pack(args) -> int:
     return EXIT_OK if cert.disjoint else EXIT_VERDICT
 
 
-def cmd_dbr_check(args) -> int:
-    cfg = _load_config(args)
+def _load_symbol(args, cfg):
     b = load_symbol(args.symbol)
     if b.d != cfg.dim:
         raise ValueError("symbol dimension does not match --dim")
+    return b
+
+
+def cmd_dbr_check(args) -> int:
+    cfg = _load_config(args)
+    b = _load_symbol(args, cfg)
     grid, rad, sg = cfg.sphere(), cfg.radial(), cfg.search()
     mu = _load_mu(args, cfg)
     inner_frac = is_inner_estimate(b, grid, cfg.eps_inner)
@@ -371,7 +376,7 @@ def _load_points(path) -> list:
 
 def cmd_refute_sampling(args) -> int:
     cfg = _load_config(args)
-    b = load_symbol(args.symbol)
+    b = _load_symbol(args, cfg)
     ref = refute_sampling(b, _load_points(args.points), cfg.search(),
                           cfg.sphere(), cfg.radial(),
                           refinements=cfg.refinements, eps_inner=cfg.eps_inner,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
-from .kernels import (Exponents, TestFunction, _lp_norm, cauchy_modulus_p,
-                      kernel_norm, normalized_kernel)
+from .kernels import (Exponents, TestFunction, _lp_norm, kernel_norm,
+                      normalized_kernel)
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, sphere_sum
 
@@ -147,41 +147,26 @@ def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
 def _kernel_pass(table: _NodeTable, exponents: Exponents,
                  w: np.ndarray) -> tuple[float, float, TestFunction]:
     """(condition (ii)'s integral, the witness ratio of K_w, K_w) for the
-    Cauchy kernel k_w on a node table, from one inner-product pass.
-
-    Both values need only |k_w|^p, from kernels.cauchy_modulus_p.  The
-    inner products t_i = <zeta_i, w> of the sphere nodes are taken once;
-    the interior node r_j zeta_i has the inner product r_j t_i, and an atom
-    its own.  The sphere and interior moduli are written into the table's
-    work buffer in one pass, and each node set is then one dot product with
-    weights the table folded once: sigma's weights give G, the integral of
-    |k_w|^p against sigma, and integrate_values takes I, its integral
-    against mu, by its dot products with wg and wint.  Condition (ii) is
-    I / ||k_w||_p^p and the witness ratio is I / G; ||k_w||_p is the
+    Cauchy kernel k_w, from the table's kernel pass: I, the integral of
+    |k_w|^p against mu, and G, its integral against sigma (one dot product
+    of the pass's sphere row with sigma's weights, taken again by
+    sphere_sum to name the node at fault when not finite).  Condition (ii)
+    is I / ||k_w||_p^p and the witness ratio is I / G; ||k_w||_p is the
     closed form at p = 2, where it is exact, and G^(1/p) otherwise.
-
-    G is checked like the sums of integrate_values: one that is not
-    finite is taken again by sphere_sum, which names the node at fault.
     """
-    d, p = exponents.d, exponents.p
+    p = exponents.p
     # the closed form also rejects |w| >= 1 before any node is evaluated
     nrm = kernel_norm(w, exponents)
-    grid = table.grid
-    t = grid.nodes @ np.conj(w)
-    v = cauchy_modulus_p(t, d, p, table.radii, table.work)
-    on_grid = v[0]
-    G = float(np.dot(grid.weights, on_grid))
+    I, on_grid = table.kernel_pass(w, p)
+    G = float(np.dot(table.grid.weights, on_grid))
     if not math.isfinite(G):
-        sphere_sum(grid, on_grid)
+        sphere_sum(table.grid, on_grid)
     if G <= 0:
         raise ValueError("zero-norm test function in the family")
-    I = table.integrate_values(
-        v[1:].ravel(), on_grid,
-        lambda pts: cauchy_modulus_p(pts @ np.conj(w), d, p))
     if abs(p - 2) >= 1e-12:
         nrm = G ** (1.0 / p)
     return (I / nrm ** p, I / G,
-            TestFunction(d, kernel_terms=((1.0 / nrm, w),)))
+            TestFunction(exponents.d, kernel_terms=((1.0 / nrm, w),)))
 
 
 def condition_ii_profile(mu: BallMeasure, exponents: Exponents,

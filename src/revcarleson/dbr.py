@@ -11,6 +11,7 @@ necessary, not sufficient).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import yaml
 from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
-                      cauchy_kernel_at, cauchy_modulus_p)
+                      cauchy_kernel_at)
 from .measures import BallMeasure, _NodeTable, _atom_points, _load_yaml
 from .quadrature import RadialRule, SphereGrid, _blocks
 
@@ -59,6 +60,13 @@ class Symbol:
             if abs(abs(complex(phase)) - 1.0) > 1e-10:
                 raise ValueError("Blaschke phase must be unimodular")
         elif self.kind == "polynomial":
+            for i, (_, alpha) in enumerate(self.data):
+                if len(alpha) != self.d or not all(
+                        isinstance(a, numbers.Integral) and a >= 0
+                        for a in alpha):
+                    raise ValueError(
+                        f"polynomial symbol term {i} has exponents "
+                        f"{list(alpha)!r}, not {self.d} integers >= 0")
             sup = self.sup_modulus_estimate()
             if sup > 1 + 1e-10:
                 raise ValueError(f"polynomial symbol has sup |b| ~ {sup} > 1")
@@ -118,15 +126,6 @@ def dbr_kernel_at(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (1.0 - b(pts) * np.conj(bw)) * cauchy_kernel_at(w, pts)
 
 
-def _kernel_sq(bz: np.ndarray, bw: complex, w: np.ndarray,
-               pts: np.ndarray) -> np.ndarray:
-    """The kernel test's integrand |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2
-    on an (n, d) stack of points, given bz = b(pts) and bw = b(w); |k_w|^2
-    from cauchy_modulus_p."""
-    m = 1.0 - bz * np.conj(bw)
-    return np.abs(m) ** 2 * cauchy_modulus_p(pts @ np.conj(w), w.size, 2.0)
-
-
 def dbr_kernel_diag(b: Symbol, w) -> float:
     """K^b(w, w) = (1 - |b(w)|^2) / (1 - |w|^2)^d > 0 for non-unimodular b."""
     wc = _pole(w)
@@ -156,26 +155,25 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
 
 def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     """The kernel test on a node table: tuple(w) -> its value for each w of
-    the search grid (None where K^b(w, w) <= 0).  b is taken once on each
-    node set the integral reads (interior nodes, sphere nodes, interior and
-    boundary atoms) and once at each w."""
+    the search grid (None where K^b(w, w) <= 0).  The integral of
+    |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 is the table's kernel pass at
+    p = 2 with that multiplier.  b is taken once on each node set the
+    integral reads (interior nodes, sphere nodes, interior and boundary
+    atoms) and once at each w."""
     mu = table.mu
-    inner = table.interior.points if mu.interior_density is not None else None
-    outer = table.grid.nodes if table.wg is not None else None
-    b_in, b_out, b_ia, b_ba = (
-        None if pts is None or not len(pts) else b(pts)
-        for pts in (inner, outer, _atom_points(mu.interior_atoms),
-                    _atom_points(mu.boundary_atoms)))
+    bz = [None if pts is None or not len(pts) else b(pts) for pts in (
+        table.interior.points if mu.interior_density is not None else None,
+        table.grid.nodes if table.wg is not None else None,
+        _atom_points(mu.interior_atoms), _atom_points(mu.boundary_atoms))]
     values = {}
     for w in _w_points(sgrid):
         wc = _pole(w)
         bw = eval_symbol(b, wc)
         diag = _kernel_diag(wc, bw)
-        values[tuple(w)] = None if diag <= 0 else table.integrate_values(
-            None if inner is None else _kernel_sq(b_in, bw, wc, inner),
-            None if outer is None else _kernel_sq(b_out, bw, wc, outer),
-            lambda pts: _kernel_sq(b_ia, bw, wc, pts),
-            lambda pts: _kernel_sq(b_ba, bw, wc, pts)) / diag
+        m = [None if z is None else np.abs(1.0 - z * np.conj(bw)) ** 2
+             for z in bz]
+        values[tuple(w)] = None if diag <= 0 else \
+            table.kernel_pass(wc, 2.0, m, row=False)[0] / diag
     return values
 
 
@@ -271,8 +269,11 @@ def sampling_candidate_measure(b: Symbol, points) -> BallMeasure:
     """The atomic measure sum_j delta_{w_j} / K^b(w_j, w_j) attached to a
     would-be sampling sequence; its boundary density is zero by construction."""
     atoms = []
-    for w in points:
+    for i, w in enumerate(points):
         pt = w if isinstance(w, BallPoint) else BallPoint(w)
+        if pt.d != b.d:
+            raise ValueError(f"sampling point {i} has dimension {pt.d}, "
+                             f"the symbol {b.d}")
         if not pt.is_interior:
             raise ValueError("sampling points must be interior")
         diag = dbr_kernel_diag(b, pt)
@@ -382,7 +383,7 @@ def symbol_from_dict(doc: dict) -> Symbol:
         elif kind == "polynomial":
             args = ("polynomial", d, tuple(
                 (complex(t["coeff"][0], t["coeff"][1]),
-                 tuple(int(a) for a in t["exponents"]))
+                 tuple(t["exponents"]))
                 for t in data["terms"]))
         else:
             zeros = tuple(complex(a, bb) for a, bb in data["zeros"])

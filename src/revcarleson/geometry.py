@@ -257,23 +257,25 @@ def sample_cap(Q: NonisotropicBall, n: int,
     return t[:n, None] * c[None, :] + fibre @ perp.T
 
 
-def _caps_overlap(beta: np.ndarray, h: float) -> np.ndarray:
+def _caps_overlap(beta: np.ndarray, h: float, one_line=False) -> np.ndarray:
     """Whether caps of radius h at inner products beta = <b, a> meet.
 
     After a unitary sending a to e1, a common point exists iff some t in the
     lens L = {|1 - t| <= h, |t| <= 1} has
       F(t) = |1 - b1 * t| - s * sqrt(1 - |t|^2) <= h,
-    b1 = beta, s = sqrt(1 - |b1|^2).  Returns one bool per pair.
+    b1 = beta, s = sqrt(1 - |b1|^2).  Returns one bool per pair.  one_line:
+    all pairs lie on one complex line (d = 1; there |beta| may round to give
+    s ~ 1.5e-8, not 0).
     """
     # np.hypot rounds as abs() of a complex scalar does; np.abs may differ
     # in the last ulp
     s = np.sqrt(np.maximum(0.0, 1.0 - np.hypot(beta.real, beta.imag) ** 2))
     out = np.zeros(len(beta), dtype=bool)
-    line = s <= 1e-9
+    line = (s <= 1e-9) | one_line
     if line.any():
-        # both centers on the same complex line (always the case for d = 1):
-        # arcs of half-angle 2 asin(h/2) overlap iff the angular separation
-        # is at most twice that, and the closed caps touch at equality
+        # both centers on the same complex line: arcs of half-angle
+        # 2 asin(h/2) overlap iff the angular separation is at most twice
+        # that, and the closed caps touch at equality
         theta_h = 2.0 * math.asin(min(h / 2.0, 1.0))
         bound = 2.0 * theta_h + TOL
         bl = beta[line]
@@ -283,7 +285,8 @@ def _caps_overlap(beta: np.ndarray, h: float) -> np.ndarray:
         near = np.flatnonzero(np.abs(ang - bound) <= 1e-13)
         ang[near] = [abs(math.atan2(b.imag, b.real)) for b in bl[near]]
         out[line] = ang <= bound
-    out[~line] = _lens_minimum(beta[~line], s[~line], h)[0]
+    if not line.all():
+        out[~line] = _lens_minimum(beta[~line], s[~line], h)[0]
     return out
 
 
@@ -457,7 +460,7 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
             # stall: decide every held pair of a live candidate in one call
             pid, pip = np.concatenate(held_ids), np.concatenate(held_ip)
             live = ~dropped[pid]
-            dropped[pid[live][_caps_overlap(pip[live], h)]] = True
+            dropped[pid[live][_caps_overlap(pip[live], h, Q.d == 1)]] = True
             pending[pid] = False
             held_ids, held_ip = [], []
             keep = ~dropped[ids]

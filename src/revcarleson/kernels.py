@@ -145,12 +145,16 @@ class TestFunction:
 
 def _add_poly(out: np.ndarray, terms, pts: np.ndarray) -> np.ndarray:
     """out plus sum_j c_j z^alpha_j at an (n, d) stack of points, added term
-    by term: the polynomial evaluator of test functions and symbols."""
+    by term: the polynomial evaluator of test functions and symbols.  Each
+    complex product is one np.multiply, coefficient (a scalar) or term
+    first, so a value has the same bits for any number of points: term * x
+    may swap its operands by NumPy's temporary elision on 2^14 values or
+    more, and term *= x rounds otherwise on one value."""
     for c, alpha in terms:
-        term = np.full(len(pts), complex(c))
+        term = complex(c)
         for k, a in enumerate(alpha):
             if a:
-                term = term * pts[:, k] ** a
+                term = np.multiply(term, pts[:, k] ** a)
         out += term
     return out
 

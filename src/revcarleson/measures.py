@@ -17,6 +17,7 @@ import yaml
 
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                        SpherePoint, TOL, niso_gap)
+from .kernels import cauchy_modulus_p
 from .quadrature import (RadialRule, SphereGrid, WindowNodes, radial_rule,
                          window_nodes, window_sum)
 
@@ -282,12 +283,10 @@ class _NodeTable:
     wint also when no radial rule is given).  An integral against the table
     is one dot product with wint and one with wg, plus the atoms.
 
-    radii holds the radius of each node of a kernel pass, one row per
-    radius over the grid's nodes: row 0 is the sphere (radius 1), row j the
-    interior radius r_j (only row 0 without interior nodes).  work is a
-    float buffer of two arrays of radii's shape that a kernel pass
-    overwrites on each call, so a table serves one pass at a time: it is
-    not reentrant.
+    radii holds the radius of each node of kernel_pass, one row per radius
+    over the grid's nodes: row 0 the sphere (radius 1), row j the interior
+    radius r_j.  kernel_pass overwrites work, two float arrays of that
+    shape, so a table serves one pass at a time (it is not reentrant).
     """
 
     mu: BallMeasure
@@ -406,6 +405,35 @@ class _NodeTable:
                 return math.inf
             total += mass * v
         return total
+
+    def kernel_pass(self, w: np.ndarray, p: float, m=None, row=True):
+        """(I, v): I the integral of m |k_w|^p against mu, v the row of
+        |k_w|^p on the grid's nodes; the one place a Cauchy kernel is
+        integrated against a table (condition (ii), the H(b) kernel test).
+
+        The sphere nodes' inner products t_i = <zeta_i, w> are taken once;
+        the interior node r_j zeta_i has r_j t_i, an atom its own.  One
+        cauchy_modulus_p call writes the sphere and interior moduli into
+        work (v is a view, valid until the next pass), one more takes each
+        kind of atom, and integrate_values sums each node set.  m is None
+        (m = 1) or m's values on (interior nodes, sphere nodes, interior
+        atoms, boundary atoms), None where no such set is read.  Without
+        row, a table that reads no grid node skips the grid; v is None.
+        """
+        d, m = w.size, m or (None,) * 4
+
+        def part(k, vals):
+            return vals if m[k] is None else vals * m[k]
+
+        def atoms(k):
+            return lambda pts: part(k, cauchy_modulus_p(pts @ np.conj(w), d, p))
+
+        if not (row or self.wg is not None or self.interior is not None):
+            return self.integrate_values(None, None, atoms(2), atoms(3)), None
+        v = cauchy_modulus_p(self.grid.nodes @ np.conj(w), d, p, self.radii,
+                             self.work)
+        return self.integrate_values(part(0, v[1:].ravel()), part(1, v[0]),
+                                     atoms(2), atoms(3)), v[0]
 
 
 def _atom_points(atoms) -> np.ndarray:

@@ -99,39 +99,13 @@ def _torus_slabs(n: int):
         yield nodes.reshape(n * n, 2), np.full(n * n, wu[a] / (n * n))
 
 
-# The fewest nodes in a block of _blocks, unless the grid has fewer.  NumPy
-# evaluates an expression on arrays of 256 KiB or more into one of its
-# temporaries (temporary elision), which can swap the operands of a complex
-# product, and complex products do not commute bit for bit; so an integrand
-# such as a polynomial symbol has the same bits on a block as on the whole
-# grid only when both reach 2^14 complex values or neither does.
-_BLOCK_NODES = 2 ** 14
-
-
-def _stack(slabs, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next k slabs of m nodes each from the iterator slabs, as one
-    array of nodes and one of weights."""
-    nodes = np.empty((k * m, 2), dtype=complex)
-    weights = np.empty(k * m)
-    for a in range(k):
-        nodes[a * m:(a + 1) * m], weights[a * m:(a + 1) * m] = next(slabs)
-    return nodes, weights
-
-
 def _blocks(d: int, resolution: int, seed: int = 0):
     """sphere_grid(d, resolution, seed) as (size, blocks): its node count
     and an iterator over its (nodes, weights) in node order, so that a sum
-    over the grid need not hold it whole.  In d = 2 a block is the fewest
-    consecutive u-slabs of the torus rule that hold _BLOCK_NODES nodes (the
-    last block takes the slabs left over, and a grid with fewer nodes is
-    one block); otherwise the grid is built and is one block."""
+    over the grid need not hold it whole.  In d = 2 a block is one u-slab
+    of the torus rule; otherwise the grid is built and is one block."""
     if d == 2:
-        n, m = resolution, resolution * resolution
-        per = min(n, -(-_BLOCK_NODES // m))
-        count = n // per
-        slabs = _torus_slabs(n)
-        sizes = [per] * (count - 1) + [n - per * (count - 1)]
-        return n * m, (_stack(slabs, k, m) for k in sizes)
+        return resolution ** 3, _torus_slabs(resolution)
     g = sphere_grid(d, resolution, seed)
     return len(g), iter(((g.nodes, g.weights),))
 
@@ -150,8 +124,7 @@ def sphere_grid(d: int, resolution: int, seed: int = 0) -> SphereGrid:
         nodes, weights = _uniform_circle(resolution)
         return SphereGrid(d, nodes, weights, "uniform", resolution)
     if d == 2:
-        nodes, weights = _stack(_torus_slabs(resolution), resolution,
-                                resolution * resolution)
+        nodes, weights = map(np.concatenate, zip(*_torus_slabs(resolution)))
         return SphereGrid(d, nodes, weights, "torus", resolution)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal((resolution, d))

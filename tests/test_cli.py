@@ -472,3 +472,47 @@ def test_malformed_symbol_is_input_error(tmp_path, capsys, command, text,
         argv += ["--points", str(pts)]
     assert run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dbr-check", "refute-sampling"])
+@pytest.mark.parametrize("dim,exponents", [
+    (2, "[0, 0, 1]"),          # one exponent more than the dimension
+    (1, "[-1]"),               # z^-1 is no symbol
+    (1, "[1.5]"),              # not an integer
+])
+def test_malformed_polynomial_exponents_are_input_error(
+        tmp_path, capsys, command, dim, exponents):
+    sym = tmp_path / "b.yaml"
+    sym.write_text(f"kind: polynomial\ndimension: {dim}\ndata: {{terms: "
+                   f"[{{coeff: [0.25, 0.0], exponents: {exponents}}}]}}\n")
+    pts = tmp_path / "w.yaml"
+    pts.write_text(POINTS)
+    argv = [command, "--dim", str(dim), "--symbol", str(sym),
+            "--resolution", "64", "--out", str(tmp_path / "r.json")]
+    if command == "refute-sampling":
+        argv += ["--points", str(pts)]
+    assert run(argv) == 2
+    assert (f"polynomial symbol term 0 has exponents {exponents}, not {dim} "
+            "integers >= 0") in capsys.readouterr().err
+
+
+D2_SYMBOL = ("kind: polynomial\ndimension: 2\n"
+             "data: {terms: [{coeff: [0.25, 0.0], exponents: [0, 1]}]}\n")
+
+
+@pytest.mark.parametrize("argv_dim,points,message", [
+    ("1", "points:\n- [[0.5, 0.0], [0.0, 0.0]]\n",
+     "symbol dimension does not match --dim"),
+    ("2", POINTS, "sampling point 0 has dimension 1, the symbol 2"),
+])
+def test_refute_sampling_dimension_mismatch_is_input_error(
+        tmp_path, capsys, argv_dim, points, message):
+    sym = tmp_path / "b.yaml"
+    sym.write_text(D2_SYMBOL)
+    pts = tmp_path / "w.yaml"
+    pts.write_text(points)
+    assert run(["refute-sampling", "--dim", argv_dim, "--symbol", str(sym),
+                "--points", str(pts), "--resolution", "8",
+                "--out", str(tmp_path / "s.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revcarleson import dbr
+from revcarleson import criteria, dbr, measures
 from revcarleson.criteria import SearchGrid, _w_points, condition_ii_profile
 from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              is_inner_estimate, kernel_test, load_symbol,
@@ -18,11 +18,11 @@ from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              one_minus_b_integral, refute_sampling,
                              sampling_candidate_measure, symbol_from_dict,
                              symbol_to_dict)
-from revcarleson.kernels import Exponents, cauchy_kernel
-from revcarleson.geometry import BallPoint, SpherePoint
+from revcarleson.kernels import Exponents, cauchy_kernel, cauchy_modulus_p
+from revcarleson.geometry import BallPoint, SpherePoint, sample_sphere
 from revcarleson.measures import (BallMeasure, DensityExpr, _NodeTable,
                                   integrate_measure, sigma_measure)
-from revcarleson.quadrature import radial_rule, refine, sphere_grid
+from revcarleson.quadrature import SphereGrid, radial_rule, refine, sphere_grid
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,29 @@ def test_polynomial_sup_check():
         _poly([0.8, 0.8])          # sup |0.8 + 0.8 z| = 1.6 on the circle
     b = _poly([0.25, 0.25])
     assert b(np.array([[0.5 + 0j]]))[0] == pytest.approx(0.375)
+
+
+def test_polynomial_symbol_has_the_bits_of_its_pieces():
+    # a value does not depend on how many points one call receives: 2^15
+    # points (past the size where NumPy may elide a temporary and swap the
+    # operands of a complex product) against 1 000-point pieces, and the
+    # first 500 points one at a time, as b(w) takes them
+    b = Symbol("polynomial", 2, ((0.1677 - 0.4244j, (1, 0)),
+                                 (0.25 + 0.125j, (1, 2))))
+    pts = sample_sphere(2, 2 ** 15, np.random.default_rng(3))
+    whole = b(pts)
+    pieces = np.concatenate([b(pts[i:i + 1000])
+                             for i in range(0, len(pts), 1000)])
+    assert whole.tobytes() == pieces.tobytes()
+    ones = np.array([dbr.eval_symbol(b, z) for z in pts[:500]])
+    assert whole[:500].tobytes() == ones.tobytes()
+
+
+@pytest.mark.parametrize("exponents", [[0, 0, 1], [1], [-1, 0], [1.5, 0]])
+def test_polynomial_symbol_checks_each_multi_index(exponents):
+    with pytest.raises(ValueError, match=r"term 1 has exponents"):
+        Symbol("polynomial", 2, ((0.25 + 0j, (0, 0)),
+                                 (0.25 + 0j, tuple(exponents))))
 
 
 def test_blaschke_is_inner(grid):
@@ -156,10 +179,9 @@ def test_one_minus_b_refines_only_between_estimates(monkeypatch, refinements):
     # b = c (z_1^2 + ... + z_d^2) with |c| = 1 reaches |b| = 1 up to
     # rounding where the phases agree, so in d = 1, 2 each level keeps some
     # terms and drops the rest; the estimates have the bits of one np.sum
-    # over each materialised level (in d = 2 the levels 32 and 64 are read
-    # in 2 and 16 blocks, and b's complex products round like those on the
-    # whole level), and each refined level is opened once, none after the
-    # last
+    # over each materialised level (in d = 2 each level is read one u-slab
+    # at a time, and b's complex products round like those on the whole
+    # level), and each refined level is opened once, none after the last
     opened = []
     real = dbr._blocks
     monkeypatch.setattr(dbr, "_blocks",
@@ -184,7 +206,7 @@ def test_one_minus_b_refines_only_between_estimates(monkeypatch, refinements):
 
 
 def test_one_minus_b_streams_the_torus_levels():
-    # the d = 2 levels 26, 52, 104 are read in blocks of whole u-slabs: the
+    # the d = 2 levels 26, 52, 104 are read one u-slab at a time: the
     # last would hold 104^3 nodes (about 95 MiB of arrays) if materialised
     b = Symbol("polynomial", 2, ((0.5 + 0j, (1, 0)), (0.25j, (0, 2))))
     grid = sphere_grid(2, 13)
@@ -195,6 +217,36 @@ def test_one_minus_b_streams_the_torus_levels():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2 ** 20
+
+
+def _kernel_sq(b, w, pts, t=None):
+    """|K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 at pts, b taken afresh, from
+    the inner products t (default pts @ conj(w))."""
+    t = pts @ np.conj(w) if t is None else t
+    m = np.abs(1.0 - b(pts) * np.conj(dbr.eval_symbol(b, w))) ** 2
+    return cauchy_modulus_p(t, w.size, 2.0) * m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_test_at_b_zero_is_condition_ii_integral(monkeypatch, d):
+    # at b = 0 the multiplier is 1, so on a measure with all four parts the
+    # kernel test integrates |k_w|^2 as condition (ii) does at p = 2, bit
+    # for bit; K^b(w, w) and ||k_w||_2 read 1 to expose the integrals
+    e1, ed = np.eye(d, dtype=complex)[0], 1j * np.eye(d, dtype=complex)[-1]
+    mu = BallMeasure(
+        d, interior_atoms=((BallPoint(0.3 * e1), 0.5),),
+        interior_density=DensityExpr({"sum": [0.5, {"abs_z": None}]}),
+        boundary_density=DensityExpr({"sum": [1.0, {"re": 0}]}),
+        boundary_atoms=((SpherePoint(ed), 0.25),))
+    grid = sphere_grid(d, {1: 96, 2: 6, 3: 300}[d])
+    table = _NodeTable.build(mu, grid, radial_rule(d, 5))
+    sg = SearchGrid(d, 3, 3)
+    monkeypatch.setattr(dbr, "_kernel_diag", lambda wc, bw: 1.0)
+    monkeypatch.setattr(criteria, "kernel_norm", lambda w, ex: 1.0)
+    ii = criteria._condition_ii(table, Exponents(2.0, d), sg).values
+    kt = dbr._kernel_values(_const(0.0, d), table, sg)
+    assert ii.tobytes() == np.array(
+        [kt[tuple(w)] for w in _w_points(sg)]).tobytes()
 
 
 def test_kernel_test_reduces_to_condition_ii(grid, rad):
@@ -220,21 +272,34 @@ def test_kernel_test_of_constant_symbol_on_sigma(grid, rad, c):
 @pytest.mark.parametrize("b", [
     _const(0.3 + 0.6j), _poly([0.25, 0.5]), _blaschke([0.5, -0.3j]),
     Symbol("polynomial", 2, ((0.5 + 0j, (1, 0)), (0.25j, (0, 2))))])
-def test_kernel_integrand_matches_dbr_kernel(b):
-    # the kernel test's integrand, |1 - b conj(b(w))|^2 times the real
-    # modulus |k_w|^2, against |K^b_w|^2 from the complex kernel, on sphere
-    # and interior nodes; w points at a grid node, so at a = 1 - 2^-9 the
-    # sphere nodes come within 2^-9 of the pole
+def test_kernel_integrand_matches_dbr_kernel(monkeypatch, b):
+    # the integrand the kernel test integrates, |1 - b conj(b(w))|^2 times
+    # the real modulus |k_w|^2, against |K^b_w|^2 from the complex kernel,
+    # on sphere and interior nodes; the search centre is a grid node, so at
+    # |w| = 1 - 2^-9 the sphere nodes come within 2^-9 of the pole
     d = b.d
-    grid = sphere_grid(d, {1: 256, 2: 8}[d])
-    radii = radial_rule(d, 24).nodes
-    pts = np.concatenate(
-        (grid.nodes, (radii[:, None, None] * grid.nodes).reshape(-1, d)))
-    for a in (0.0, 0.5, 1 - 2.0 ** -9):
-        w = a * grid.nodes[0]
-        got = dbr._kernel_sq(b(pts), dbr.eval_symbol(b, w), w, pts)
-        ref = np.abs(dbr.dbr_kernel_at(b, w, pts)) ** 2
-        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+    sg = SearchGrid(d, 1, 9)
+    base = sphere_grid(d, {1: 256, 2: 8}[d])
+    nodes = np.concatenate((sg.centers(), base.nodes))
+    grid = SphereGrid(d, nodes, np.full(len(nodes), 1.0 / len(nodes)),
+                      base.scheme, base.resolution)
+    one = DensityExpr({"const": 1.0})
+    table = _NodeTable.build(
+        BallMeasure(d, interior_density=one, boundary_density=one), grid,
+        radial_rule(d, 24))
+    seen = []
+    real = _NodeTable.integrate_values
+    monkeypatch.setattr(_NodeTable, "integrate_values",
+                        lambda self, inner, outer, *fs: seen.append(
+                            (inner.copy(), outer.copy()))
+                        or real(self, inner, outer, *fs))
+    dbr._kernel_values(b, table, sg)
+    ws = _w_points(sg)
+    assert len(seen) == len(ws)
+    for w, vals in zip(ws, seen):
+        for got, pts in zip(vals, (table.interior.points, grid.nodes)):
+            ref = np.abs(dbr.dbr_kernel_at(b, w, pts)) ** 2
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
 def test_kernel_values_take_b_once_per_node(monkeypatch):
@@ -255,10 +320,12 @@ def test_kernel_values_take_b_once_per_node(monkeypatch):
     ws = _w_points(sg)
     want = {}
     for w in ws:
-        bw = dbr.eval_symbol(b, w)
-        want[tuple(w)] = table.integrate(
-            lambda pts: dbr._kernel_sq(b(pts), bw, w, pts)) \
-            / dbr_kernel_diag(b, w)
+        # the interior node r_j zeta_i has the inner product r_j <zeta_i, w>
+        t = (rad.nodes[:, None] * (grid.nodes @ np.conj(w))).ravel()
+        inner = _kernel_sq(b, w, table.interior.points, t)
+        want[tuple(w)] = table.integrate_values(
+            inner, _kernel_sq(b, w, grid.nodes),
+            lambda pts, w=w: _kernel_sq(b, w, pts)) / dbr_kernel_diag(b, w)
     seen = []
     call = Symbol.__call__
     monkeypatch.setattr(Symbol, "__call__", lambda self, pts: seen.append(
@@ -327,8 +394,7 @@ def _reference_trend(b, points, sgrid, grid, radial, refinements):
             diag = dbr_kernel_diag(b, w)
             if diag > 0:
                 values.append(integrate_measure(
-                    mu, lambda pts, w=w: dbr._kernel_sq(
-                        b(pts), dbr.eval_symbol(b, w), w, pts),
+                    mu, lambda pts, w=w: _kernel_sq(b, w, pts),
                     grid, radial) / diag)
         trend.append(min(values))
         sg = sg.refine()
@@ -357,15 +423,20 @@ def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
     # w of the three levels meets each atom once
     grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
     pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
-    calls, passes = Counter(), Counter()
-    real = dbr._kernel_sq
+    calls, passes, current = Counter(), Counter(), []
+    real_pass, real_at = _NodeTable.kernel_pass, measures._at_atoms
 
-    def counting(bz, bw, w, at):
+    def counting_pass(self, w, *args, **kwargs):
         passes[tuple(w)] += 1
-        calls.update((tuple(w), tuple(p)) for p in at)
-        return real(bz, bw, w, at)
+        current[:] = [tuple(w)]
+        return real_pass(self, w, *args, **kwargs)
 
-    monkeypatch.setattr(dbr, "_kernel_sq", counting)
+    def counting_at(f, atoms):
+        calls.update((current[0], tuple(pt.coords)) for pt, _ in atoms)
+        return real_at(f, atoms)
+
+    monkeypatch.setattr(_NodeTable, "kernel_pass", counting_pass)
+    monkeypatch.setattr(measures, "_at_atoms", counting_at)
     sg = SearchGrid(d, 3, 3)
     refute_sampling(b, pts, sg, grid, rad, refinements=3)
     ws = set()

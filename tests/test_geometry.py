@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revcarleson import geometry
 from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
                                   NonisotropicBall, PackingCertificate,
                                   SpherePoint, _candidate_centers,
@@ -567,9 +568,9 @@ def test_sweep_decides_band_pairs_in_few_batches(monkeypatch):
     # overlap call serves many of the 133 balls (one call per ball is 133)
     calls = []
 
-    def spy(beta, h):
+    def spy(beta, h, *rest):
         calls.append(len(beta))
-        return _caps_overlap(beta, h)
+        return _caps_overlap(beta, h, *rest)
 
     monkeypatch.setattr("revcarleson.geometry._caps_overlap", spy)
     center = np.array([np.exp(0.3j), 0j])
@@ -577,3 +578,18 @@ def test_sweep_decides_band_pairs_in_few_batches(monkeypatch):
                               0.021, seed=2)
     assert len(balls) == 133
     assert len(calls) <= 60
+
+
+def test_one_dimensional_packing_runs_no_lens_program(monkeypatch):
+    # in d = 1 every pair of centres lies on one complex line, where the
+    # arc rule decides the overlap, so the lens program is never entered
+    calls = []
+    real = geometry._lens_minimum
+    monkeypatch.setattr(geometry, "_lens_minimum",
+                        lambda *args: calls.append(len(args[0]))
+                        or real(*args))
+    balls, cert = greedy_packing(
+        NonisotropicBall(SpherePoint(np.array([1j])), 0.4), 0.02, seed=1,
+        certificate_grid=2000)
+    assert len(balls) > 1 and cert.disjoint
+    assert calls == []

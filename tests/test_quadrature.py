@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from revcarleson.geometry import CarlesonWindow, NonisotropicBall, SpherePoint
-from revcarleson.quadrature import (_BLOCK_NODES, RadialRule, SphereGrid,
-                                    _blocks, _torus_slabs, integrate_sphere,
+from revcarleson.quadrature import (RadialRule, SphereGrid, _blocks,
+                                    _torus_slabs, integrate_sphere,
                                     integrate_window, radial_rule, refine,
                                     sphere_grid)
 from revcarleson.kernels import cauchy_kernel_at
@@ -67,13 +67,14 @@ def test_torus_grid_is_its_slabs(n):
 
 @pytest.mark.parametrize("n", [13, 52])
 def test_torus_blocks_cover_the_grid(n):
-    # the blocks are consecutive slabs, in order, each with at least
-    # _BLOCK_NODES nodes unless the grid has fewer
+    # the blocks are the u-slabs of the torus rule, in order
     g = sphere_grid(2, n)
     size, blocks = _blocks(2, n)
     blocks = list(blocks)
     assert size == len(g)
-    assert all(len(w) >= min(size, _BLOCK_NODES) for _, w in blocks)
+    for (z, w), (z_ref, w_ref) in zip(blocks, _torus_slabs(n), strict=True):
+        assert z.tobytes() == z_ref.tobytes()
+        assert w.tobytes() == w_ref.tobytes()
     assert np.concatenate([z for z, _ in blocks]).tobytes() == \
         g.nodes.tobytes()
     assert np.concatenate([w for _, w in blocks]).tobytes() == \
