@@ -3,9 +3,7 @@ unit ball of C^d and the associated necessary conditions for de
 Branges-Rovnyak spaces."""
 
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
-                       SpherePoint, ball_contains, greedy_packing,
-                       niso_distance, scale_ball, sigma_of_ball,
-                       window_contains)
+                       SpherePoint, greedy_packing, sigma_of_ball)
 from .quadrature import (RadialRule, SphereGrid, integrate_sphere,
                          integrate_window, radial_rule, refine, sphere_grid)
 from .measures import (BallMeasure, DensityExpr, integrate_measure,
@@ -13,7 +11,7 @@ from .measures import (BallMeasure, DensityExpr, integrate_measure,
                        radon_nikodym_profile, sigma_measure)
 from .kernels import (Exponents, TestFunction, boundary_radial_limit,
                       cauchy_kernel, hp_norm, kernel_norm, normalized_kernel,
-                      phi_h, poisson_kernel)
+                      phi_h)
 from .criteria import (CriterionProfile, SearchGrid, condition_ii_profile,
                        condition_iii_profile, equivalence_report,
                        forward_profile, reverse_inequality_witness,

@@ -184,6 +184,9 @@ def _print_table(title: str, rows: list[tuple]) -> None:
 # subcommands
 
 def cmd_verify_kernels(args) -> int:
+    tol = args.tol
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
     cfg = _load_config(args)
     ex = Exponents(cfg.p, cfg.dim)
     grid = cfg.sphere()
@@ -217,7 +220,6 @@ def cmd_verify_kernels(args) -> int:
         pois.append({"abs_w": a, "poisson_mass": val,
                      "rel_err": abs(val - 1.0)})
         worst = max(worst, abs(val - 1.0))
-    tol = args.tol
     report = {"command": "verify-kernels", "version": __version__,
               "config": _config_dict(cfg), "kernel_norms": report_rows,
               "poisson_normalization": pois, "max_rel_err": worst,
@@ -329,11 +331,8 @@ def cmd_dbr_check(args) -> int:
     grid, rad, sg = cfg.sphere(), cfg.radial(), cfg.search()
     mu = _load_mu(args, cfg)
     inner_frac = is_inner_estimate(b, grid, cfg.eps_inner)
-    if mu.boundary_density is not None:
-        nc = necessary_condition_constant(b, mu.boundary_density, grid,
-                                          cfg.eps_inner)
-    else:
-        nc = necessary_condition_constant(b, 0.0, grid, cfg.eps_inner)
+    nc = necessary_condition_constant(b, mu.boundary_density or 0.0, grid,
+                                      cfg.eps_inner)
     integ = one_minus_b_integral(b, grid, cfg.refinements)
     kt = kernel_test(mu, b, sg, grid, rad)
     rows = [("quantity", "value"),

@@ -47,7 +47,9 @@ class CriterionProfile:
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Dyadic discretization of "all nonisotropic balls" and "all w in B_d".
+    """Dyadic discretization of "all nonisotropic balls" and "all w in B_d":
+    cap radii delta = 2^-k, k = 0..K, and |w| = 1 - 2^-k, k = 1..K, with
+    K = k_max + level.
 
     Centers are nested under refinement (a refined grid is a superset), so
     reverse extremals can only decrease when the grid is refined.
@@ -56,7 +58,6 @@ class SearchGrid:
     d: int
     n_centers: int
     k_max: int
-    delta0: float = 1.0
     seed: int = 0
     level: int = 0
 
@@ -76,15 +77,15 @@ class SearchGrid:
 
     def deltas(self) -> np.ndarray:
         k = self.k_max + self.level
-        return self.delta0 * 0.5 ** np.arange(k + 1)
+        return 0.5 ** np.arange(k + 1)
 
     def radii(self) -> np.ndarray:
         k = self.k_max + self.level
         return 1.0 - 0.5 ** np.arange(1, k + 1)
 
     def refine(self) -> "SearchGrid":
-        return SearchGrid(self.d, self.n_centers, self.k_max, self.delta0,
-                          self.seed, self.level + 1)
+        return SearchGrid(self.d, self.n_centers, self.k_max, self.seed,
+                          self.level + 1)
 
 
 def _levels(sgrid: SearchGrid, refinements: int) -> list[SearchGrid]:
@@ -123,7 +124,7 @@ def _cell_walk(table: _NodeTable, sgrid: SearchGrid,
         key, m = (tuple(centers[i]), Q.delta), table.ball_mass(Q, mask)
         iii[key] = m / s
         if radial is not None:
-            S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
+            S = CarlesonWindow(Q, min(s, 1.0))
             window[key] = table.window_mass(S, radial, m, mask) / s
     return iii, window
 

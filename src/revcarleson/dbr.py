@@ -15,20 +15,20 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at)
-from .measures import BallMeasure, _NodeTable, _atom_points, _load_yaml
+from .measures import (BallMeasure, _NodeTable, _atom_points, _field,
+                       _load_yaml)
 from .quadrature import RadialRule, SphereGrid, _blocks
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
            "kernel_test", "necessary_condition_constant",
            "one_minus_b_integral", "is_inner_estimate",
            "sampling_candidate_measure", "refute_sampling",
-           "load_symbol", "dump_symbol", "EPS_INNER"]
+           "load_symbol", "EPS_INNER"]
 
 EPS_INNER = 1e-6
 
@@ -97,15 +97,14 @@ class Symbol:
             return np.ones(len(nodes))
         return np.abs(self(nodes))
 
-    def sup_modulus_estimate(self, n: int = 20000, seed: int = 7) -> float:
-        """Numerical sup of |b| over a dense boundary sample (maximum
+    def sup_modulus_estimate(self) -> float:
+        """Numerical sup of |b| over 20000 seeded boundary points (maximum
         principle: the sup over the closed ball is attained on the sphere)."""
         if self.kind == "constant":
             return abs(complex(self.data))
         if self.kind == "blaschke":
             return 1.0
-        rng = np.random.default_rng(seed)
-        pts = sample_sphere(self.d, n, rng)
+        pts = sample_sphere(self.d, 20000, np.random.default_rng(7))
         return float(np.abs(self(pts)).max())
 
 
@@ -337,24 +336,7 @@ def refute_sampling(b: Symbol, points, sgrid, grid: SphereGrid,
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-def symbol_to_dict(b: Symbol) -> dict:
-    if b.kind == "constant":
-        c = complex(b.data)
-        return {"kind": "constant", "dimension": b.d,
-                "data": {"value": [c.real, c.imag]}}
-    if b.kind == "polynomial":
-        return {"kind": "polynomial", "dimension": b.d,
-                "data": {"terms": [
-                    {"coeff": [complex(c).real, complex(c).imag],
-                     "exponents": list(alpha)} for c, alpha in b.data]}}
-    zeros, phase = b.data
-    ph = complex(phase)
-    return {"kind": "blaschke", "dimension": 1,
-            "data": {"zeros": [[complex(a).real, complex(a).imag] for a in zeros],
-                     "phase": [ph.real, ph.imag]}}
-
+# symbol files
 
 # the layout of the data field of each symbol kind, for error messages
 _SYMBOL_DATA = {
@@ -367,7 +349,7 @@ _SYMBOL_DATA = {
 def symbol_from_dict(doc: dict) -> Symbol:
     if not isinstance(doc, dict):
         raise ValueError("symbol file must hold a mapping of fields")
-    kind = doc["kind"]
+    kind = _field(doc, "kind", "symbol")
     if not isinstance(kind, str) or kind not in _SYMBOL_DATA:
         raise ValueError(f"unknown symbol kind {kind!r}")
     try:
@@ -375,7 +357,7 @@ def symbol_from_dict(doc: dict) -> Symbol:
     except (TypeError, ValueError):
         raise ValueError("symbol field 'dimension' must be an integer, "
                          f"got {doc['dimension']!r}") from None
-    data = doc["data"]
+    data = _field(doc, "data", "symbol")
     try:
         if kind == "constant":
             re, im = data["value"]
@@ -397,8 +379,3 @@ def symbol_from_dict(doc: dict) -> Symbol:
 
 def load_symbol(path) -> Symbol:
     return symbol_from_dict(_load_yaml(path))
-
-
-def dump_symbol(b: Symbol, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(symbol_to_dict(b), fh, sort_keys=True)

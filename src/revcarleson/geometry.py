@@ -4,13 +4,14 @@ Carleson windows, cap surface measure, and greedy maximal packings.
 Conventions: the inner product is <a, b> = sum_k a_k * conj(b_k).  A
 nonisotropic ball is parameterized by delta acting on |1 - <center, xi>|
 directly (not on its square root); the metric rho = |1 - <.,.>|^(1/2) is
-exposed separately.  Dilation scales delta: r * Q(c, delta) = Q(c, r*delta).
+the square root of niso_gap.  Carleson windows are outer-closed, |z| <= 1,
+since the measures live on the closed ball.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,6 @@ __all__ = [
     "SpherePoint",
     "NonisotropicBall",
     "CarlesonWindow",
-    "niso_distance",
-    "ball_contains",
-    "window_contains",
-    "scale_ball",
     "sigma_of_ball",
     "greedy_packing",
     "sample_sphere",
@@ -112,29 +109,20 @@ class NonisotropicBall:
 
 @dataclass(frozen=True)
 class CarlesonWindow:
-    """Radial shell of depth h over a spherical cap.
-
-    closed_outer selects between |z| <= 1 (default) and the open variant
-    |z| < 1 used in part of the theory.
-    """
+    """Radial shell 1 - h <= |z| <= 1 of depth h over a spherical cap;
+    z = 0 lies only in the window of depth 1."""
 
     ball: NonisotropicBall
     depth: float
-    closed_outer: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.depth <= 1.0 + TOL:
             raise ValueError(f"depth must lie in (0, 1], got {self.depth}")
 
-    @property
-    def d(self) -> int:
-        return self.ball.d
-
     def contains_coords(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         r = np.linalg.norm(pts, axis=1)
-        ok_outer = r <= 1 + TOL if self.closed_outer else r < 1 - TOL
-        radial = (r >= 1 - self.depth - TOL) & ok_outer
+        radial = (r >= 1 - self.depth - TOL) & (r <= 1 + TOL)
         mask = radial & (r > 0)
         out = np.zeros(len(pts), dtype=bool)
         if mask.any():
@@ -144,29 +132,6 @@ class CarlesonWindow:
             # origin belongs to the full-depth window by convention
             out |= radial & (r == 0)
         return out
-
-
-def niso_distance(a: SpherePoint, b: SpherePoint) -> float:
-    """The nonisotropic metric |1 - <a, b>|^(1/2); values lie in [0, sqrt(2)]."""
-    if a.d != b.d:
-        raise ValueError("dimension mismatch")
-    return math.sqrt(abs(1.0 - np.vdot(b.coords, a.coords)))
-
-
-def ball_contains(Q: NonisotropicBall, xi: SpherePoint) -> bool:
-    return bool(Q.contains_coords(xi.coords[None, :])[0])
-
-
-def window_contains(S: CarlesonWindow, z: BallPoint) -> bool:
-    """Membership in the shell; z = 0 is outside every window of depth < 1."""
-    return bool(S.contains_coords(z.coords[None, :])[0])
-
-
-def scale_ball(Q: NonisotropicBall, r: float) -> NonisotropicBall:
-    """Dilation r*Q = Q(center, r*delta), radius clamped at 2 (full sphere)."""
-    if r <= 0:
-        raise ValueError("scale factor must be positive")
-    return replace(Q, delta=min(r * Q.delta, 2.0))
 
 
 # Gauss-Legendre nodes and weights on [-1, 1] for sigma_of_ball's two pieces

@@ -30,8 +30,8 @@ from .geometry import BallPoint, NonisotropicBall, SpherePoint
 from .quadrature import RadialRule, SphereGrid, integrate_window, sphere_sum
 
 __all__ = ["Exponents", "TestFunction", "cauchy_kernel", "kernel_norm",
-           "normalized_kernel", "poisson_kernel", "phi_h", "hp_norm",
-           "boundary_radial_limit", "RadialLimit"]
+           "normalized_kernel", "phi_h", "hp_norm", "boundary_radial_limit",
+           "RadialLimit"]
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,6 @@ class TestFunction:
             out += c * cauchy_kernel_at(np.asarray(w), pts)
         return _add_poly(out, self.poly_terms, pts)
 
-    def scaled(self, c: complex) -> "TestFunction":
-        return TestFunction(
-            self.d,
-            tuple((c * cj, w) for cj, w in self.kernel_terms),
-            tuple((c * cj, a) for cj, a in self.poly_terms))
-
 
 def _add_poly(out: np.ndarray, terms, pts: np.ndarray) -> np.ndarray:
     """out plus sum_j c_j z^alpha_j at an (n, d) stack of points, added term
@@ -187,7 +181,9 @@ def _norm_factor(a2: float, exponents: Exponents) -> float:
 
 def _lp_norm(vals, p: float, grid: SphereGrid) -> float:
     """(integral of |f|^p against sigma)^(1/p) from vals = |f|^p on the
-    grid's nodes; every boundary L^p norm here is taken by this one sum."""
+    grid's nodes, by sphere_sum: the norms of kernel_norm, hp_norm and the
+    witness functions.  criteria._kernel_pass takes its G = integral of
+    |k_w|^p by np.dot with the weights instead, whose last bits differ."""
     return float(np.real(sphere_sum(grid, vals))) ** (1.0 / p)
 
 
@@ -206,12 +202,9 @@ def normalized_kernel(w, exponents: Exponents,
     return TestFunction(exponents.d, kernel_terms=((1.0 / nrm, wc),))
 
 
-def poisson_kernel(w, xi) -> float:
-    """(1 - |w|^2)^d / |1 - <w, xi>|^(2d), the invariant Poisson-type kernel."""
-    return float(poisson_kernel_at(_pole(w), _coords(xi)[None, :])[0])
-
-
 def poisson_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(1 - |w|^2)^d / |1 - <pts_i, w>|^(2d), the invariant Poisson-type
+    kernel, over an (n, d) stack of points."""
     d = np.asarray(w).size
     a2 = float(np.linalg.norm(w)) ** 2
     return (1.0 - a2) ** d * cauchy_modulus_p(pts @ np.conj(w), d, 2.0)
@@ -258,24 +251,24 @@ class RadialLimit:
     diverged: bool
 
 
-def boundary_radial_limit(f, zeta: SpherePoint, k_max: int = 40,
-                          tol: float = 1e-7) -> RadialLimit:
-    """Limit of f(r * zeta) along r_k = 1 - 2^(-k).
+def boundary_radial_limit(f, zeta: SpherePoint) -> RadialLimit:
+    """Limit of f(r * zeta) along r_k = 1 - 2^(-k), k = 1..40.
 
-    Returns the extrapolated value once the tail is Cauchy within tol; a
-    divergence flag (not an exception) otherwise.
+    Returns the value once two successive steps each move it by at most
+    1e-7, relative (absolute below modulus one); a divergence flag (not an
+    exception) otherwise.
     """
     zc = zeta.coords
     prev = None
     stable = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, 41):
         r = 1.0 - 2.0 ** (-k)
         val = complex(np.asarray(f((r * zc)[None, :]))[0])
         if not np.isfinite(val.real) or not np.isfinite(val.imag):
             return RadialLimit(None, True)
         if prev is not None:
             scale = max(1.0, abs(val))
-            if abs(val - prev) <= tol * scale:
+            if abs(val - prev) <= 1e-7 * scale:
                 stable += 1
                 if stable >= 2:
                     return RadialLimit(val, False)

@@ -3,7 +3,7 @@ Lebesgue decomposition: interior atoms, an interior density against volume,
 a boundary density against sigma, and finitely many boundary singular atoms.
 
 Densities come from a small closed expression grammar so that measures are
-serializable (YAML) and reproducible.  L^2-type integrals may legitimately be
+read from YAML and reproducible.  L^2-type integrals may legitimately be
 infinite; infinity is produced deliberately (math.inf), never by overflow.
 """
 
@@ -23,7 +23,7 @@ from .quadrature import (RadialRule, SphereGrid, WindowNodes, radial_rule,
 
 __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
            "measure_of_ball", "measure_of_window", "integrate_measure",
-           "radon_nikodym_profile", "load_measure", "dump_measure"]
+           "radon_nikodym_profile", "load_measure"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,8 @@ def parse_density(spec) -> DensityExpr | None:
 
 
 def _parse_point(obj) -> np.ndarray:
-    """Point serialization: list of [re, im] pairs, one per coordinate."""
+    """A point as files write it: a list of [re, im] pairs, one per
+    coordinate."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
@@ -159,10 +160,6 @@ def _parse_point(obj) -> np.ndarray:
         raise ValueError("a point must be a list [[re, im], ...] of finite "
                          f"numbers, one pair per coordinate, got {obj!r}")
     return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _dump_point(coords: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +176,16 @@ class BallMeasure:
     boundary_atoms: tuple = ()              # ((SpherePoint, mass), ...)
 
     def __post_init__(self):
-        for pt, mass in self.interior_atoms:
-            if mass <= 0:
-                raise ValueError("atom masses must be positive")
-            if not pt.is_interior:
-                raise ValueError("interior atoms must satisfy |z| < 1")
-        for pt, mass in self.boundary_atoms:
-            if mass <= 0:
-                raise ValueError("atom masses must be positive")
+        for key in ("interior_atoms", "boundary_atoms"):
+            for i, (pt, mass) in enumerate(getattr(self, key)):
+                if mass <= 0:
+                    raise ValueError("atom masses must be positive")
+                if pt.d != self.d:
+                    raise ValueError(f"measure field {key!r} entry {i} has a "
+                                     f"point with {pt.d} coordinates, but "
+                                     f"the measure has dimension {self.d}")
+                if key == "interior_atoms" and not pt.is_interior:
+                    raise ValueError("interior atoms must satisfy |z| < 1")
         for dens in (self.interior_density, self.boundary_density):
             if dens is not None:
                 DensityExpr._check(dens.spec, self.d)
@@ -242,8 +241,8 @@ def measure_of_ball(mu: BallMeasure, Q: NonisotropicBall,
 
 def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
                       radial: RadialRule) -> float:
-    """mu(S) = interior density over S + interior atoms in S
-    + (if the window is outer-closed) the boundary parts over its cap."""
+    """mu(S) = interior density over S + interior atoms in S + the boundary
+    parts over its cap (windows are outer-closed)."""
     mask = S.ball.contains_coords(grid.nodes)
     table = _NodeTable.build(mu, grid)
     return table.window_mass(S, radial, table.ball_mass(S.ball, mask), mask)
@@ -347,7 +346,7 @@ class _NodeTable:
     def window_mass(self, S: CarlesonWindow, radial: RadialRule,
                     cap_mass: float, mask: np.ndarray) -> float:
         """mu(S), see measure_of_window; mask marks the grid nodes in the cap
-        of S; cap_mass, its mu (ball_mass), counts if S is outer-closed."""
+        of S and cap_mass is its mu (ball_mass)."""
         mu = self.mu
         total = 0.0
         if mu.interior_density is not None and mask.any():
@@ -358,9 +357,7 @@ class _NodeTable:
         for pt, mass in mu.interior_atoms:
             if S.contains_coords(pt.coords[None, :])[0]:
                 total += mass
-        if S.closed_outer:
-            total += cap_mass
-        return total
+        return total + cap_mass
 
     def integrate(self, f, atom_f=None) -> float:
         """The integral of f against mu, see integrate_measure; needs a
@@ -474,22 +471,13 @@ def radon_nikodym_profile(mu: BallMeasure, centers, deltas,
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# measure files
 
-def measure_to_dict(mu: BallMeasure) -> dict:
-    return {
-        "dimension": mu.d,
-        "interior_atoms": [
-            {"point": _dump_point(p.coords), "mass": float(m)}
-            for p, m in mu.interior_atoms],
-        "interior_density": None if mu.interior_density is None
-        else mu.interior_density.spec,
-        "boundary_density": None if mu.boundary_density is None
-        else mu.boundary_density.spec,
-        "boundary_atoms": [
-            {"point": _dump_point(p.coords), "mass": float(m)}
-            for p, m in mu.boundary_atoms],
-    }
+def _field(doc: dict, key: str, kind: str):
+    """doc[key], the field key of a kind ("measure", "symbol") file."""
+    if key not in doc:
+        raise ValueError(f"{kind} field {key!r} is missing")
+    return doc[key]
 
 
 def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
@@ -514,11 +502,12 @@ def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
 def measure_from_dict(doc: dict) -> BallMeasure:
     if not isinstance(doc, dict):
         raise ValueError("measure file must hold a mapping of fields")
+    dim = _field(doc, "dimension", "measure")
     try:
-        d = int(doc["dimension"])
+        d = int(dim)
     except (TypeError, ValueError):
         raise ValueError("measure field 'dimension' must be an integer, "
-                         f"got {doc['dimension']!r}") from None
+                         f"got {dim!r}") from None
     return BallMeasure(
         d, _atoms_from_dict(doc, "interior_atoms", BallPoint),
         parse_density(doc.get("interior_density")),
@@ -539,8 +528,3 @@ def _load_yaml(path):
 
 def load_measure(path) -> BallMeasure:
     return measure_from_dict(_load_yaml(path))
-
-
-def dump_measure(mu: BallMeasure, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(measure_to_dict(mu), fh, sort_keys=True)

@@ -173,6 +173,19 @@ def test_pack_rejects_nonpositive_grid_points(tmp_path, capsys, points):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_kernels_rejects_tol_not_finite_nonnegative(tmp_path, capsys,
+                                                         monkeypatch, tol):
+    # rejected before any quadrature: no sphere grid is built
+    monkeypatch.setattr(cli.ExperimentConfig, "sphere", None)
+    code = run(["verify-kernels", "--dim", "1", "--tol", tol,
+                "--out", str(tmp_path / "v.json")])
+    assert code == 2
+    assert (f"--tol must be a finite number >= 0, got {float(tol)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "v.json").exists()
+
+
 @pytest.mark.parametrize("h", ["nan", "0", "0.5"])
 def test_pack_rejects_h_outside_zero_delta(tmp_path, capsys, h):
     code = run(["pack", "--dim", "1", "--delta", "0.5", "--h", h,
@@ -435,6 +448,14 @@ def test_reports_byte_identical_across_runs(argv, tmp_path):
     ("dimension: 1\ninterior_atoms:\n- {point: 0.5, mass: 1.0}\n",
      "measure field 'interior_atoms' entry 0 must be"),
     ("dimension: [1]\n", "measure field 'dimension' must be an integer"),
+    ("interior_atoms: []\n", "measure field 'dimension' is missing"),
+    ("dimension: 2\ninterior_atoms:\n- {point: [[0.5, 0.0]], mass: 1.0}\n",
+     "measure field 'interior_atoms' entry 0 has a point with 1 coordinates, "
+     "but the measure has dimension 2"),
+    ("dimension: 2\nboundary_atoms:\n- {point: [[0.0, 0.0], [1.0, 0.0]], "
+     "mass: 1.0}\n- {point: [[1.0, 0.0]], mass: 1.0}\n",
+     "measure field 'boundary_atoms' entry 1 has a point with 1 coordinates, "
+     "but the measure has dimension 2"),
     ("[1, 2]\n", "measure file must hold a mapping"),
     ("dimension: [1\n", "while parsing a flow sequence"),
 ])
@@ -458,6 +479,8 @@ def test_malformed_measure_is_input_error(tmp_path, capsys, text, message):
      "symbol field 'dimension' must be an integer"),
     ("kind: [constant]\ndata: {value: [0.5, 0]}\n",
      "unknown symbol kind ['constant']"),
+    ("dimension: 1\ndata: {value: [0.5, 0]}\n", "symbol field 'kind' is missing"),
+    ("kind: constant\ndimension: 1\n", "symbol field 'data' is missing"),
     ("5\n", "symbol file must hold a mapping"),
 ])
 def test_malformed_symbol_is_input_error(tmp_path, capsys, command, text,

@@ -231,7 +231,7 @@ def _reference_windows(mu, sgrid, grid, radial):
     measure_of_window."""
     params, values = [], []
     for key, Q, s in _reference_cells(sgrid, grid):
-        S = CarlesonWindow(Q, min(s, 1.0), closed_outer=True)
+        S = CarlesonWindow(Q, min(s, 1.0))
         values.append(measure_of_window(mu, S, grid, radial) / s)
         params.append(key)
     return (CriterionProfile.from_values("window", params, values, True),

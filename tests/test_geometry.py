@@ -12,10 +12,9 @@ from revcarleson import geometry
 from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
                                   NonisotropicBall, PackingCertificate,
                                   SpherePoint, _candidate_centers,
-                                  _caps_overlap, _lens_minimum, ball_contains,
-                                  greedy_packing, niso_distance, niso_gap,
-                                  sample_cap, sample_sphere, scale_ball,
-                                  sigma_of_ball, window_contains)
+                                  _caps_overlap, _lens_minimum,
+                                  greedy_packing, niso_gap, sample_cap,
+                                  sample_sphere, sigma_of_ball)
 
 QUASI_CONST = math.sqrt(2.0)  # rho(a,c) <= sqrt(2) (rho(a,b) + rho(b,c))
 
@@ -24,15 +23,20 @@ def _sphere_point(d, rng):
     return SpherePoint(sample_sphere(d, 1, rng)[0])
 
 
+def _rho(a, b):
+    """The metric rho(a, b) = |1 - <a, b>|^(1/2) between sphere points."""
+    return math.sqrt(niso_gap(a.coords, b.coords)[0])
+
+
 # ---------------------------------------------------------------------------
 # metric
 
 def test_distance_symmetric_and_zero_on_diagonal(rng):
     for d in (1, 2, 3):
         a, b = _sphere_point(d, rng), _sphere_point(d, rng)
-        assert niso_distance(a, b) == pytest.approx(niso_distance(b, a))
+        assert _rho(a, b) == pytest.approx(_rho(b, a))
         # sqrt of |1 - |a|^2| amplifies rounding to about sqrt(eps)
-        assert niso_distance(a, a) <= 1e-7
+        assert _rho(a, a) <= 1e-7
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -51,7 +55,7 @@ def test_distance_range(rng):
     # |1 - <a,b>| <= 2 on the sphere, so rho <= sqrt(2)
     for _ in range(200):
         a, b = _sphere_point(2, rng), _sphere_point(2, rng)
-        assert 0.0 <= niso_distance(a, b) <= math.sqrt(2.0) + 1e-12
+        assert 0.0 <= _rho(a, b) <= math.sqrt(2.0) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -61,30 +65,25 @@ def test_ball_membership_matches_distance(rng):
     Q = NonisotropicBall(_sphere_point(2, rng), 0.3)
     for _ in range(100):
         xi = _sphere_point(2, rng)
-        inside = niso_distance(Q.center, xi) ** 2 <= 0.3
-        assert ball_contains(Q, xi) == inside
-
-
-def test_scale_ball_clamps_at_full_sphere(rng):
-    Q = NonisotropicBall(_sphere_point(1, rng), 1.5)
-    assert scale_ball(Q, 2.0).delta == 2.0
+        inside = _rho(Q.center, xi) ** 2 <= 0.3
+        assert Q.contains_coords(xi.coords)[0] == inside
 
 
 def test_window_contains_radial_shell():
     zeta = SpherePoint(np.array([1.0 + 0j]))
     S = CarlesonWindow(NonisotropicBall(zeta, 0.1), 0.2)
-    assert window_contains(S, BallPoint(np.array([0.95 + 0j])))
-    assert not window_contains(S, BallPoint(np.array([0.5 + 0j])))  # too deep
-    assert not window_contains(S, BallPoint(np.array([0.95j])))     # off-cap
+    pts = np.array([[0.95 + 0j],     # inside
+                    [0.5 + 0j],      # too deep
+                    [0.95j],         # off-cap
+                    [1.0 + 0j]])     # on the sphere: windows are outer-closed
+    assert S.contains_coords(pts).tolist() == [True, False, False, True]
 
 
 def test_origin_only_in_full_depth_window():
-    zeta = SpherePoint(np.array([1.0 + 0j]))
+    Q = NonisotropicBall(SpherePoint(np.array([1.0 + 0j])), 0.1)
     origin = BallPoint(np.array([0.0 + 0j]))
-    assert window_contains(CarlesonWindow(NonisotropicBall(zeta, 0.1), 1.0),
-                           origin)
-    assert not window_contains(CarlesonWindow(NonisotropicBall(zeta, 0.1), 0.5),
-                               origin)
+    assert CarlesonWindow(Q, 1.0).contains_coords(origin.coords)[0]
+    assert not CarlesonWindow(Q, 0.5).contains_coords(origin.coords)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def test_packing_centers_inside_target(rng):
     Q = NonisotropicBall(_sphere_point(2, rng), 0.4)
     balls, _ = greedy_packing(Q, 0.08, seed=1)
     for b in balls:
-        assert niso_distance(Q.center, b.center) ** 2 <= 0.4 + 1e-9
+        assert _rho(Q.center, b.center) ** 2 <= 0.4 + 1e-9
 
 
 def test_packing_covers_the_rim_by_4h():

@@ -12,9 +12,9 @@ import pytest
 from revcarleson.geometry import NonisotropicBall, SpherePoint
 from revcarleson.kernels import (Exponents, TestFunction,
                                  boundary_radial_limit, cauchy_kernel,
-                                 cauchy_kernel_at,
-                                 cauchy_modulus_p, hp_norm, kernel_norm,
-                                 normalized_kernel, phi_h, poisson_kernel)
+                                 cauchy_kernel_at, cauchy_modulus_p, hp_norm,
+                                 kernel_norm, normalized_kernel, phi_h,
+                                 poisson_kernel_at)
 from revcarleson.quadrature import radial_rule, sphere_grid
 E1 = SpherePoint(np.array([1.0 + 0j]))
 
@@ -147,7 +147,6 @@ def test_hp_norm_of_constant(circle_grid):
 
 
 def test_poisson_positive_and_normalized(circle_grid, torus_grid):
-    from revcarleson.kernels import poisson_kernel_at
     from revcarleson.quadrature import integrate_sphere
     # the 16-node torus phases alias the 0.5^{2n} tail, hence the looser tol
     for grid, d, tol in ((circle_grid, 1, 1e-9), (torus_grid, 2, 2e-4)):
@@ -160,7 +159,7 @@ def test_poisson_positive_and_normalized(circle_grid, torus_grid):
 
 
 def test_poisson_at_origin_is_one():
-    assert poisson_kernel(np.array([0j]), np.array([1.0 + 0j])) == \
+    assert poisson_kernel_at(np.array([0j]), np.array([[1.0 + 0j]]))[0] == \
         pytest.approx(1.0)
 
 
@@ -171,7 +170,9 @@ def test_test_function_combination(circle_grid):
     z = np.array([[0.1 + 0.2j]])
     expect = 1.0 / (1 - z[0, 0] * 0.3) + 2.0 * z[0, 0]
     assert f(z)[0] == pytest.approx(expect)
-    assert hp_norm(f.scaled(3.0), ex, circle_grid) == \
+    f3 = TestFunction(kernel_terms=((3.0, np.array([0.3 + 0j])),),
+                      poly_terms=((6.0, (1,)),), d=1)
+    assert hp_norm(f3, ex, circle_grid) == \
         pytest.approx(3.0 * hp_norm(f, ex, circle_grid))
 
 
