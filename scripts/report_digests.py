@@ -9,6 +9,11 @@ nothing there, so the tables that two checkouts write can be compared:
 
     python3 scripts/report_digests.py --workload packing --seeds 0:32 \\
         --out digests-new.json
+
+With ``--against OLD.json`` (a table written so by another checkout) it
+prints every op key whose digest differs from OLD's, or that only one of
+the two tables holds, and exits 1 if there is any; ``--out`` is then
+optional.
 """
 
 import argparse
@@ -32,8 +37,12 @@ def main() -> int:
                     choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seeds", required=True, metavar="A:B",
                     help="workload seeds A .. B-1")
-    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--against", type=Path, metavar="OLD.json",
+                    help="compare with this table; exit 1 on any difference")
     args = ap.parse_args()
+    if args.out is None and args.against is None:
+        ap.error("give --out, --against or both")
     start, stop = (int(x) for x in args.seeds.split(":"))
     for var in run.BLAS_ENV:
         os.environ[var] = str(run.BLAS_THREADS)
@@ -54,9 +63,20 @@ def main() -> int:
                     f"{digest}\0exit={code}".encode()).hexdigest()
             print(f"{args.workload} seed {seed}: {len(wl.ops)} ops, exit "
                   f"codes {sorted(set(map(str, r['codes'])))}", flush=True)
-    args.out.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
-    print(f"{len(table)} digests written to {args.out}")
-    return 0
+    if args.out is not None:
+        args.out.write_text(json.dumps(table, indent=0, sort_keys=True)
+                            + "\n")
+        print(f"{len(table)} digests written to {args.out}")
+    if args.against is None:
+        return 0
+    old = json.loads(args.against.read_text())
+    differ = sorted(k for k in table.keys() | old.keys()
+                    if table.get(k) != old.get(k))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(differ)} of {len(table.keys() | old.keys())} op keys differ "
+          f"from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -299,8 +299,11 @@ def cmd_pack(args) -> int:
     e1 = np.zeros(cfg.dim, dtype=complex)
     e1[0] = 1.0
     Q = NonisotropicBall(SpherePoint(e1), args.delta)
-    balls, cert = greedy_packing(Q, args.h, seed=cfg.seed,
-                                 certificate_grid=args.grid_points)
+    try:
+        balls, cert = greedy_packing(Q, args.h, seed=cfg.seed,
+                                     certificate_grid=args.grid_points)
+    except ValueError as exc:       # greedy_packing checks h alone
+        raise ValueError(f"--h {args.h}: {exc}") from None
     rows = [("quantity", "value"),
             ("balls", len(balls)),
             ("pairwise_disjoint", cert.disjoint),

@@ -326,14 +326,20 @@ def _lens_minimum(beta: np.ndarray, s: np.ndarray, h: float):
     return meets, t_out
 
 
+_MAX_ARC_CANDIDATES = 10 ** 6     # d = 1: 2k + 1 arc points at most
+
+
 def _candidate_centers(Q: NonisotropicBall, h: float, seed: int) -> np.ndarray:
     """Candidate centres on 2Q.
 
-    d = 1: the arc of 2Q at angular step 2 asin(h/8), a chordal gap of h/8.
+    d = 1: the arc of 2Q at angular step 2 asin(h/8), a chordal gap of h/8;
+    an arc of more than 10^6 points is refused.
     d >= 2: n = min(20000, max(2000, 8 N)) seeded uniform points of 2Q,
     N = (2 delta / (h/4))^d being its count of (h/4)-cells: 8 points per
     cell unless the cap of 20000 binds, and 20000 / N once it does, which
-    is when h < 0.16 delta in d = 2 (1.2 per cell at h = delta/16).
+    is when h < 0.16 delta in d = 2 (1.2 per cell at h = delta/16); an h
+    so small that 8 N overflows is refused.  Both are decided before any
+    array is built.
     """
     d = Q.d
     c = Q.center.coords
@@ -341,10 +347,23 @@ def _candidate_centers(Q: NonisotropicBall, h: float, seed: int) -> np.ndarray:
     if d == 1:
         theta0 = 2.0 * math.asin(delta2 / 2.0)
         step = 2.0 * math.asin(min(h / 8.0, 1.0))
+        # 2k + 1 points, k = ceil(theta0 / step); no division, for h ~ 0
+        if theta0 > (_MAX_ARC_CANDIDATES - 1) // 2 * step:
+            raise ValueError(f"packing radius h = {h} is too small: its arc "
+                             "of candidates would hold more than "
+                             f"{_MAX_ARC_CANDIDATES} points")
         k = max(int(math.ceil(theta0 / step)), 1)
         offs = np.arange(-k, k + 1) * step
         return (c[0] * np.exp(1j * offs))[:, None]
-    n = int(min(20000, max(2000, 8 * (delta2 / (h / 4.0)) ** d)))
+    try:
+        cells = 8 * (delta2 / (h / 4.0)) ** d
+    except (OverflowError, ZeroDivisionError):
+        cells = math.inf
+    if math.isinf(cells):
+        raise ValueError(f"packing radius h = {h} is too small: the count "
+                         f"8 (2 delta / (h/4))^{d} of candidate cells "
+                         "overflows")
+    n = int(min(20000, max(2000, cells)))
     return sample_cap(NonisotropicBall(Q.center, delta2), n,
                       np.random.default_rng(seed))
 
@@ -388,10 +407,17 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     only on its pair's inner product, never on the batch, and the first
     alive candidate that is not pending has against every ball admitted
     before it in the fixed outward order either gap > 4h or a "disjoint"
-    answer, so it is exactly the one first-fit admits next.
+    answer, so it is exactly the one first-fit admits next.  The alive
+    candidates are held as d contiguous columns, and a ball's inner
+    products are a sum of column products with the bits of a row sum
+    (_column_inner); the exact np.hypot gap is taken only where the
+    squared gap is at most 16 h^2 (1 + 1e-12), so "meets" (<= h) and the
+    band (<= 4h) are decided by np.hypot alone.
 
     With certificate_grid > 0, a PackingCertificate over that many uniform
     points of Q (coverage by Q(c_j, 2h), pairwise disjointness) is attached.
+    Its gaps are formed a block of balls at a time (_grid_certificate), so
+    its memory does not grow with the ball count.
 
     Covering: rho is a metric, so a candidate rejected for meeting Q(c_j, h)
     lies within rho <= 2 sqrt(h) of c_j, i.e. in Q(c_j, 4h).  Every centre
@@ -416,11 +442,13 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     cands = cands[(np.sqrt(gap_c) <= budget + TOL) | (gap_c <= Q.delta + TOL)]
 
     selected: list[np.ndarray] = []
-    alive, ids = cands, np.arange(len(cands))
+    # the alive candidates as d contiguous columns, in the outward order
+    alive, ids = np.ascontiguousarray(cands.T), np.arange(len(cands))
     pending = np.zeros(len(cands), dtype=bool)
     dropped = np.zeros(len(cands), dtype=bool)
     held_ids, held_ip = [], []      # the undecided band pairs
-    while len(alive):
+    near_sq = 16.0 * h * h * (1.0 + 1e-12)    # (4h)^2, with room for rounding
+    while len(ids):
         if pending[ids[0]]:
             # stall: decide every held pair of a live candidate in one call
             pid, pip = np.concatenate(held_ids), np.concatenate(held_ip)
@@ -429,22 +457,26 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
             pending[pid] = False
             held_ids, held_ip = [], []
             keep = ~dropped[ids]
-            alive, ids = alive[keep], ids[keep]
+            alive, ids = alive[:, keep], ids[keep]
             continue
-        zj = alive[0].copy()        # a view would keep all of alive
+        zj = alive[:, 0].copy()     # a view would keep all of alive
         selected.append(zj)
-        alive, ids = alive[1:], ids[1:]
-        ip = (alive * np.conj(zj)).sum(axis=1)
-        one_minus = 1.0 - ip
+        alive, ids = alive[:, 1:], ids[1:]
+        ip = _column_inner(alive, zj)
+        # the exact gap only where it can be <= 4h: beyond 4h the triangle
+        # inequality makes the caps disjoint
+        near = np.flatnonzero((1.0 - ip.real) ** 2 + ip.imag ** 2 <= near_sq)
+        one_minus = 1.0 - ip[near]
         gap = np.hypot(one_minus.real, one_minus.imag)    # see _caps_overlap
         meets = gap <= h                  # inside the ball of zj
-        # beyond 4h the triangle inequality makes the caps disjoint
-        band = np.flatnonzero(~meets & (gap <= 4.0 * h))
+        band = near[~meets & (gap <= 4.0 * h)]
         pending[ids[band]] = True
         held_ids.append(ids[band])
         held_ip.append(ip[band])
-        dropped[ids[meets]] = True
-        alive, ids = alive[~meets], ids[~meets]
+        if meets.any():
+            dropped[ids[near[meets]]] = True
+            keep = ~dropped[ids]
+            alive, ids = alive[:, keep], ids[keep]
     if not selected:
         raise RuntimeError("greedy selection produced no balls")
     balls = [NonisotropicBall(SpherePoint(c), h) for c in selected]
@@ -453,8 +485,47 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     if certificate_grid > 0:
         grid = sample_cap(Q, certificate_grid,
                           np.random.default_rng(seed + 1))
-        gaps = np.abs(1.0 - grid @ np.conj(np.array(selected).T))
-        disjoint = bool(((gaps <= h + TOL).sum(axis=1) <= 1).all())
-        covered = float((gaps <= 2.0 * h + TOL).any(axis=1).mean())
-        cert = PackingCertificate(disjoint, covered, certificate_grid)
+        inside, covered = _grid_certificate(grid, np.array(selected), h)
+        cert = PackingCertificate(bool((inside <= 1).all()),
+                                  float(covered.mean()), certificate_grid)
     return balls, cert
+
+
+def _column_inner(cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<x_i, z> for the points x_i held as the columns of cols (d, n).
+
+    The bits are those of (rows * conj(z)).sum(axis=1) on the (n, d) rows:
+    the product is taken with the rows' shapes (NumPy rounds a one-element
+    (1, 1) * (1,) product without the fused multiply-add of its other
+    loops), and the columns are added in the order of NumPy's pairwise sum,
+    left to right up to d = 3; beyond that the rows are summed as they are.
+    """
+    prod = (cols.T * np.conj(z)).T
+    if len(z) > 3:
+        return np.ascontiguousarray(prod.T).sum(axis=1)
+    ip = prod[0]
+    for col in prod[1:]:
+        ip = ip + col
+    return ip
+
+
+_CERT_BLOCK = 1 << 18       # complex gaps per certificate block (4 MiB)
+
+
+def _grid_certificate(grid: np.ndarray, centers: np.ndarray, h: float):
+    """Per grid point: the number of centres at gap <= h + TOL and whether
+    one lies at gap <= 2h + TOL.
+
+    The gaps |1 - <grid_i, c_j>| are formed for a block of centres at a
+    time, about 2^18 of them, so memory does not grow with the ball count.
+    """
+    inside = np.zeros(len(grid), dtype=np.intp)
+    covered = np.zeros(len(grid), dtype=bool)
+    step = max(1, _CERT_BLOCK // len(grid))
+    for a in range(0, len(centers), step):
+        gaps = grid @ np.conj(centers[a:a + step].T)
+        np.subtract(1.0, gaps, out=gaps)
+        gaps = np.abs(gaps)
+        inside += (gaps <= h + TOL).sum(axis=1)
+        covered |= (gaps <= 2.0 * h + TOL).any(axis=1)
+    return inside, covered

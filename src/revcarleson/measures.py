@@ -178,8 +178,7 @@ class BallMeasure:
     def __post_init__(self):
         for key in ("interior_atoms", "boundary_atoms"):
             for i, (pt, mass) in enumerate(getattr(self, key)):
-                if mass <= 0:
-                    raise ValueError("atom masses must be positive")
+                _check_mass(key, i, mass)
                 if pt.d != self.d:
                     raise ValueError(f"measure field {key!r} entry {i} has a "
                                      f"point with {pt.d} coordinates, but "
@@ -480,6 +479,12 @@ def _field(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _check_mass(key: str, i: int, mass) -> None:
+    if not 0.0 < mass < math.inf:       # nan fails both comparisons
+        raise ValueError(f"measure field {key!r} entry {i} has mass {mass}; "
+                         "atom masses must be finite and positive")
+
+
 def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
     entries = doc.get(key) or []
     if not isinstance(entries, list):
@@ -493,8 +498,7 @@ def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
             raise ValueError(f"measure field {key!r} entry {i} must be "
                              "{point: [[re, im], ...], mass: number}, "
                              f"got {e!r}") from None
-        if mass <= 0:
-            raise ValueError(f"non-positive mass in {key}")
+        _check_mass(key, i, mass)
         atoms.append((kind(point), mass))
     return tuple(atoms)
 

@@ -196,6 +196,24 @@ def test_pack_rejects_h_outside_zero_delta(tmp_path, capsys, h):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    # an arc of 6.6e9 candidates at step h/8 (49 GiB)
+    (["--dim", "1", "--h", "1e-9"], "its arc of candidates would hold more "
+     "than 1000000 points"),
+    # 8 (2 delta / (h/4))^2 overflows
+    (["--dim", "2", "--h", "1e-300"], "of candidate cells overflows"),
+])
+def test_pack_rejects_tiny_h_before_building_arrays(tmp_path, capsys, argv,
+                                                    message):
+    code = run(["pack", "--delta", "0.4", *argv,
+                "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"input error: --h {float(argv[-1])}: packing radius h" in err
+    assert message in err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_dbr_check(tmp_path):
     sym = tmp_path / "b.yaml"
     sym.write_text(CONST_SYMBOL)
@@ -458,6 +476,13 @@ def test_reports_byte_identical_across_runs(argv, tmp_path):
      "but the measure has dimension 2"),
     ("[1, 2]\n", "measure file must hold a mapping"),
     ("dimension: [1\n", "while parsing a flow sequence"),
+    ("dimension: 1\nboundary_atoms:\n- {point: [[1.0, 0.0]], mass: .nan}\n",
+     "measure field 'boundary_atoms' entry 0 has mass nan; atom masses must "
+     "be finite and positive"),
+    ("dimension: 1\ninterior_atoms:\n- {point: [[0.5, 0.0]], mass: 1.0}\n"
+     "- {point: [[0.5, 0.0]], mass: .inf}\n",
+     "measure field 'interior_atoms' entry 1 has mass inf; atom masses must "
+     "be finite and positive"),
 ])
 def test_malformed_measure_is_input_error(tmp_path, capsys, text, message):
     mu = tmp_path / "mu.yaml"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from revcarleson import geometry
 from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
                                   NonisotropicBall, PackingCertificate,
                                   SpherePoint, _candidate_centers,
-                                  _caps_overlap, _lens_minimum,
+                                  _caps_overlap, _column_inner,
+                                  _grid_certificate, _lens_minimum,
                                   greedy_packing, niso_gap, sample_cap,
                                   sample_sphere, sigma_of_ball)
 
@@ -545,6 +547,7 @@ def _first_fit_reference(Q, h, seed):
     (2, 0.45, 0.0855, 6),   # 0.19
     (2, 0.4, 0.025, 5),     # 1/16, the smallest ratio pack is run at
     (3, 0.5, 0.07, 3),      # 0.14
+    (3, 0.4, 0.04, 8),      # 0.1: three column products, added in order
 ])
 def test_sweep_matches_scalar_first_fit(d, delta, h, seed):
     center = np.zeros(d, dtype=complex)
@@ -592,3 +595,112 @@ def test_one_dimensional_packing_runs_no_lens_program(monkeypatch):
         certificate_grid=2000)
     assert len(balls) > 1 and cert.disjoint
     assert calls == []
+
+
+def test_column_inner_has_the_bits_of_the_row_sum():
+    # the sweep holds its candidates as columns; their inner products must
+    # round as (rows * conj(z)).sum(axis=1) did, one-row slices included
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 4, 5):
+        for n in (1, 2, 3, 9, 300):
+            rows = sample_sphere(d, n + 1, rng)
+            for z in (rows[1], sample_sphere(d, 1, rng)[0]):
+                want = (rows[1:] * np.conj(z)).sum(axis=1)
+                got = _column_inner(np.ascontiguousarray(rows.T)[:, 1:], z)
+                assert got.tobytes() == want.tobytes(), (d, n)
+
+
+def _ips_at_gap_edge(g, rng):
+    """Inner products b in the unit disc whose gap np.hypot(1 - b) lies
+    within 4 ulps of g, chosen where a squared gap would decide otherwise:
+    (1 - Re b)^2 + (Im b)^2 against g^2 with and without the factor
+    1 + 1e-12, and the same sum formed from 1 - b; eight of each, and eight
+    more at random."""
+    phi = rng.uniform(-1.2, 1.2, 40000)
+    b = 1.0 - g * (1 + rng.integers(-4, 5, phi.size) * 2.0 ** -53) \
+        * np.exp(1j * phi)
+    om = 1.0 - b
+    within = np.hypot(om.real, om.imag) <= g
+    sq = (1.0 - b.real) ** 2 + b.imag ** 2
+    picks = [np.flatnonzero(within != (sq <= g * g * (1 + f)))[:8]
+             for f in (0.0, 1e-12)]
+    picks.append(np.flatnonzero(within != (om.real ** 2 + om.imag ** 2
+                                           <= g * g))[:8])
+    assert all(len(p) for p in picks[::2])   # the slack leaves none
+    return b[np.concatenate(picks + [np.arange(8)])]
+
+
+def test_sweep_classifies_gaps_as_hypot_does(monkeypatch):
+    # one admitted ball e1 and one candidate x with <x, e1> = b: the sweep
+    # drops x (gap <= h), holds the pair for an overlap call (h < gap <=
+    # 4h) or passes it by (gap > 4h), deciding by np.hypot(1 - b) to the
+    # last bit, past its squared-gap prefilter; the candidates lie within
+    # 4 ulps of h and 4h, h(1 +- 2^-52) among them
+    h = 0.05
+    e1 = np.array([1.0 + 0j, 0j])
+    Q = NonisotropicBall(SpherePoint(e1), 0.5)
+    calls = []
+
+    def spy(beta, h, *rest):
+        calls.append(beta.copy())
+        return _caps_overlap(beta, h, *rest)
+
+    monkeypatch.setattr(geometry, "_caps_overlap", spy)
+    rng = np.random.default_rng(12)
+    classes = set()
+    for g in (h, 4.0 * h):
+        for b in _ips_at_gap_edge(g, rng):
+            x = np.array([b, math.sqrt(1.0 - abs(b) ** 2)])
+            monkeypatch.setattr(geometry, "_candidate_centers",
+                                lambda *args: np.array([e1, x]))
+            calls.clear()
+            balls, _ = greedy_packing(Q, h)
+            om = 1.0 - b
+            gap = np.hypot(om.real, om.imag)
+            if gap <= h:
+                assert len(balls) == 1 and calls == [], gap
+                classes.add("meets")
+            elif gap <= 4.0 * h:
+                assert len(calls) == 1, gap
+                np.testing.assert_array_equal(calls[0], [b])
+                classes.add("band")
+            else:
+                assert len(balls) == 2 and calls == [], gap
+                classes.add("out")
+    assert classes == {"meets", "band", "out"}
+
+
+@pytest.mark.parametrize("d, delta, h", [(1, 0.6, 0.02), (2, 0.4, 0.03)])
+def test_blocked_certificate_matches_dense_formula(monkeypatch, d, delta, h):
+    # blocks of three balls, so every instance spans many blocks
+    center = np.zeros(d, dtype=complex)
+    center[0] = np.exp(0.7j)
+    Q = NonisotropicBall(SpherePoint(center), delta)
+    grid_n = 3000
+    monkeypatch.setattr(geometry, "_CERT_BLOCK", 3 * grid_n)
+    balls, cert = greedy_packing(Q, h, seed=4, certificate_grid=grid_n)
+    centers = np.array([b.center.coords for b in balls])
+    assert len(centers) > 9
+    # the packing's own grid (seed + 1) and the dense formula on it
+    grid = sample_cap(Q, grid_n, np.random.default_rng(5))
+    gaps = np.abs(1.0 - grid @ np.conj(centers.T))
+    inside, covered = (gaps <= h + TOL).sum(axis=1), \
+        (gaps <= 2.0 * h + TOL).any(axis=1)
+    got = _grid_certificate(grid, centers, h)
+    np.testing.assert_array_equal(got[0], inside)
+    np.testing.assert_array_equal(got[1], covered)
+    assert cert.disjoint == bool((inside <= 1).all())
+    assert cert.covered_fraction == float(covered.mean())
+
+
+def test_packing_memory_does_not_grow_with_the_ball_count():
+    # the dense certificate's gap matrices peaked at 78 MiB here
+    Q = NonisotropicBall(SpherePoint(np.array([1.0 + 0j, 0j])), 0.4)
+    tracemalloc.start()
+    try:
+        balls, cert = greedy_packing(Q, 0.02, certificate_grid=10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(balls) == 253 and cert.disjoint
+    assert peak < 16 * 2 ** 20

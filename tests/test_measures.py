@@ -76,6 +76,10 @@ def test_atom_masses_must_be_positive():
         BallMeasure(1, boundary_atoms=((E1, -1.0),))
     with pytest.raises(ValueError):
         BallMeasure(1, interior_atoms=((BallPoint(np.array([0j])), 0.0),))
+    # nan and inf pass a test of mass <= 0
+    for mass in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"entry 0 has mass {mass}"):
+            BallMeasure(1, boundary_atoms=((E1, mass),))
 
 
 def test_interior_atom_must_be_interior():

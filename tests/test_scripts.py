@@ -33,10 +33,23 @@ def test_script_runs(argv, expect):
 def test_report_digests_writes_one_digest_per_op(tmp_path):
     out = tmp_path / "digests.json"
     script = ROOT / "scripts" / "report_digests.py"
-    run = subprocess.run([sys.executable, str(script), "--workload",
-                          "packing", "--seeds", "0:1", "--out", str(out)],
+    argv = [sys.executable, str(script), "--workload", "packing",
+            "--seeds", "0:1"]
+    run = subprocess.run(argv + ["--out", str(out)],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     table = json.loads(out.read_text())
     assert len(table) == 12
     assert all(len(v) == 64 for v in table.values())
+    # --against: the table matches itself, and a changed digest is named
+    run = subprocess.run(argv + ["--against", str(out)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "0 of 12 op keys differ" in run.stdout
+    key = sorted(table)[0]
+    out.write_text(json.dumps({**table, key: "0" * 64}))
+    run = subprocess.run(argv + ["--against", str(out)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert f"differs: {key}" in run.stdout
+
