@@ -15,7 +15,7 @@ from .kernels import (Exponents, TestFunction, boundary_radial_limit,
 from .criteria import (CriterionProfile, SearchGrid, condition_ii_profile,
                        condition_iii_profile, equivalence_report,
                        forward_profile, reverse_inequality_witness,
-                       window_profile, window_profiles)
+                       window_profile)
 from .dbr import (Symbol, dbr_kernel, eval_symbol, is_inner_estimate,
                   kernel_test, load_symbol, necessary_condition_constant,
                   one_minus_b_integral, refute_sampling,

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
-from .kernels import (Exponents, TestFunction, _lp_norm, kernel_norm,
-                      normalized_kernel)
+from .kernels import Exponents, TestFunction, _lp_norm, kernel_norm
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, sphere_sum
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
-           "condition_ii_profile", "criteria_profiles", "window_profiles",
-           "window_profile", "forward_profile", "reverse_inequality_witness",
-           "equivalence_report", "EquivalenceReport", "default_witness_family"]
+           "condition_ii_profile", "criteria_profiles", "window_profile",
+           "forward_profile", "reverse_inequality_witness",
+           "equivalence_report", "EquivalenceReport"]
 
 _N_COMBOS = 8                  # random two-kernel witnesses per level
 
@@ -189,9 +188,10 @@ def criteria_profiles(mu: BallMeasure, exponents: Exponents,
                       sgrid: SearchGrid, grid: SphereGrid,
                       radial: RadialRule) -> tuple[CriterionProfile, ...]:
     """(iii, ii, window, forward) profiles of one search grid, as
-    condition_iii_profile, condition_ii_profile and window_profiles give
-    them, from one node table and one walk over the cells; the kernels
-    are taken before the walk, as in equivalence_report."""
+    condition_iii_profile, condition_ii_profile, window_profile and
+    forward_profile give them, from one node table and one walk over the
+    cells; the kernels are taken before the walk, as in
+    equivalence_report."""
     table = _NodeTable.build(mu, grid, radial)
     p2 = _condition_ii(table, exponents, sgrid)
     iii, window = _cell_walk(table, sgrid, radial)
@@ -201,37 +201,19 @@ def criteria_profiles(mu: BallMeasure, exponents: Exponents,
             _view("forward", keys, window, reverse=False))
 
 
-def window_profiles(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
-                    radial: RadialRule
-                    ) -> tuple[CriterionProfile, CriterionProfile]:
-    """(window_profile, forward_profile) from one walk over the cells: both
-    are read off the same ratios mu(S_Q)/sigma(Q)."""
-    _, window = _cell_walk(_NodeTable.build(mu, grid), sgrid, radial)
-    keys = _cell_keys(sgrid)
-    return (_view("window", keys, window, reverse=True),
-            _view("forward", keys, window, reverse=False))
-
-
 def window_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                    radial: RadialRule) -> CriterionProfile:
     """min of mu(S_Q)/sigma(Q) over sampled balls, S_Q the window of depth
     sigma(Q) (grid estimate, outer-closed)."""
-    return window_profiles(mu, sgrid, grid, radial)[0]
+    _, window = _cell_walk(_NodeTable.build(mu, grid), sgrid, radial)
+    return _view("window", _cell_keys(sgrid), window, reverse=True)
 
 
 def forward_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                     radial: RadialRule) -> CriterionProfile:
     """max of mu(S_Q)/sigma(Q): the classical Carleson-condition profile."""
-    return window_profiles(mu, sgrid, grid, radial)[1]
-
-
-def default_witness_family(exponents: Exponents, sgrid: SearchGrid,
-                           grid: SphereGrid) -> list[TestFunction]:
-    """Kernels first (the reproducing kernel thesis), then random two-kernel
-    combinations, then low monomials as a cross-check."""
-    ws = _w_points(sgrid)
-    return ([normalized_kernel(w, exponents, grid) for w in ws]
-            + _combinations(exponents.d, ws, 0) + _monomials(exponents.d))
+    _, window = _cell_walk(_NodeTable.build(mu, grid), sgrid, radial)
+    return _view("forward", _cell_keys(sgrid), window, reverse=False)
 
 
 def _combinations(d: int, ws: list, seed: int) -> list[TestFunction]:
@@ -258,16 +240,17 @@ def _monomials(d: int) -> list[TestFunction]:
 
 def _function_ratio(table: _NodeTable, p: float, f) -> float:
     """The witness ratio integral |f|^p dmu / ||f||_{H^p}^p of a test
-    function f, f evaluated once per node set."""
+    function f, f evaluated once per node set of the table (and once on
+    the sphere nodes for the norm when the table has no such set)."""
     def g(pts):
         return np.abs(f(pts)) ** p
 
-    interior = None if table.interior is None else g(table.interior.points)
-    on_grid = g(table.grid.nodes)
-    nrm = _lp_norm(on_grid, p, table.grid)
+    vals = [None if pts is None else g(pts) for pts in table.sets]
+    nrm = _lp_norm(g(table.grid.nodes) if vals[1] is None else vals[1], p,
+                   table.grid)
     if nrm <= 0:
         raise ValueError("zero-norm test function in the family")
-    return table.integrate_values(interior, on_grid, g) / nrm ** p
+    return table.integrate_values(vals) / nrm ** p
 
 
 def _least(ratios, family):

@@ -20,8 +20,7 @@ from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at)
-from .measures import (BallMeasure, _NodeTable, _atom_points, _field,
-                       _load_yaml)
+from .measures import BallMeasure, _NodeTable, _field, _load_yaml
 from .quadrature import RadialRule, SphereGrid, _blocks
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
@@ -156,14 +155,9 @@ def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     """The kernel test on a node table: tuple(w) -> its value for each w of
     the search grid (None where K^b(w, w) <= 0).  The integral of
     |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 is the table's kernel pass at
-    p = 2 with that multiplier.  b is taken once on each node set the
-    integral reads (interior nodes, sphere nodes, interior and boundary
-    atoms) and once at each w."""
-    mu = table.mu
-    bz = [None if pts is None or not len(pts) else b(pts) for pts in (
-        table.interior.points if mu.interior_density is not None else None,
-        table.grid.nodes if table.wg is not None else None,
-        _atom_points(mu.interior_atoms), _atom_points(mu.boundary_atoms))]
+    p = 2 with that multiplier.  b is taken once on each of the table's
+    node sets and once at each w."""
+    bz = [None if pts is None else b(pts) for pts in table.sets]
     values = {}
     for w in _w_points(sgrid):
         wc = _pole(w)

@@ -49,100 +49,110 @@ class DensityExpr:
       {"abs_inner": {"w": point}}          |<z, w0>|
       {"indicator": {"center": point, "delta": d}}   cap indicator (radial projection)
       {"sum": [...]}, {"prod": [...]}, {"pow": [expr, exponent]}
+
+    The spec is compiled once, by _compile, into its evaluator.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        self._check(spec)
-
-    @staticmethod
-    def _check(spec, d=None):
-        """Raise ValueError naming the first malformed node; given d, also
-        a point without d coordinates or an index outside [0, d)."""
-        if isinstance(spec, (int, float)):
-            return
-        if not isinstance(spec, dict) or len(spec) != 1:
-            raise ValueError(f"malformed density node: {spec!r}")
-        (op, arg), = spec.items()
-        if op not in _DENSITY_ARGS:
-            raise ValueError(f"unknown density op {op!r}")
-        form = ValueError(f"density node {spec!r} must take "
-                          f"{_DENSITY_ARGS[op]}")
-        container = {"abs_inner": dict, "indicator": dict, "sum": list,
-                     "prod": list, "pow": list}.get(op, object)
-        keys = {"abs_inner": ("w",), "indicator": ("center", "delta")}
-        if not isinstance(arg, container) or (op == "pow" and len(arg) != 2) \
-                or any(k not in arg for k in keys.get(op, ())):
-            raise form
-        try:
-            if op in ("re", "im"):
-                index = int(arg)
-            elif op in ("const", "indicator", "pow"):
-                float(arg if op == "const" else arg[-1] if op == "pow"
-                      else arg["delta"])
-        except (TypeError, ValueError):
-            raise form from None
-        if op in ("re", "im") and d is not None and not 0 <= index < d:
-            raise ValueError(f"density node {spec!r} reads coordinate {index}, "
-                             f"but the measure has dimension {d}")
-        if op in ("sum", "prod", "pow"):
-            for a in arg[:1] if op == "pow" else arg:
-                DensityExpr._check(a, d)
-        elif op in keys:
-            n = len(_parse_point(arg[keys[op][0]]))
-            if d is not None and n != d:
-                raise ValueError(f"density node {spec!r} has a point with {n} "
-                                 f"coordinates, but the measure has dimension "
-                                 f"{d}")
+        self._fn = _compile(spec)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-        return self._eval(self.spec, pts)
+        return self._fn(np.atleast_2d(np.asarray(pts, dtype=complex)))
 
-    @classmethod
-    def _eval(cls, spec, pts: np.ndarray) -> np.ndarray:
-        n = len(pts)
-        if isinstance(spec, (int, float)):
-            return np.full(n, float(spec))
+
+def _finite(x, spec, form: ValueError) -> float:
+    """x as a float; form when it is no number, and an error naming spec
+    when it is not finite."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise form from None
+    if not math.isfinite(x):
+        raise ValueError(f"density node {spec!r} needs a finite number, "
+                         f"got {x}")
+    return x
+
+
+def _compile(spec, d=None):
+    """The evaluator of a density spec, an (n, d) complex array of points
+    to n values, from one walk over the spec that raises ValueError naming
+    the first malformed node; given d, also a point without d coordinates
+    or an index outside [0, d).  Points and numbers are parsed here, once,
+    so an evaluation walks no dict."""
+    if isinstance(spec, (int, float)):
+        op, arg = "const", spec
+    elif not isinstance(spec, dict) or len(spec) != 1:
+        raise ValueError(f"malformed density node: {spec!r}")
+    else:
         (op, arg), = spec.items()
-        if op == "const":
-            return np.full(n, float(arg))
-        if op == "abs_z":
-            return np.linalg.norm(pts, axis=1)
-        if op == "re":
-            return pts[:, int(arg)].real
-        if op == "im":
-            return pts[:, int(arg)].imag
-        if op == "abs_inner":
-            w0 = _parse_point(arg["w"])
-            return np.abs(pts @ np.conj(w0))
-        if op == "indicator":
-            center = _parse_point(arg["center"])
-            delta = float(arg["delta"])
-            r = np.linalg.norm(pts, axis=1)
-            out = np.zeros(n)
-            ok = r > 0
-            proj = pts[ok] / r[ok, None]
-            out[ok] = (np.abs(1.0 - proj @ np.conj(center)) <= delta + TOL)
-            return out
-        if op == "sum":
-            return np.sum([cls._eval(a, pts) for a in arg], axis=0)
-        if op == "prod":
-            return np.prod([cls._eval(a, pts) for a in arg], axis=0)
-        if op == "pow":
-            base, e = cls._eval(arg[0], pts), float(arg[1])
-            if not e.is_integer():
-                bad = base < -TOL
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise ValueError(
-                        f"density node {spec!r} raises the negative value "
-                        f"{base[i]} at point {pts[i]} to the non-integer "
-                        f"power {e}")
-                # within TOL of zero a negative base counts as zero
-                base = np.maximum(base, 0.0)
-            return base ** e
+    if op not in _DENSITY_ARGS:
         raise ValueError(f"unknown density op {op!r}")
+    form = ValueError(f"density node {spec!r} must take {_DENSITY_ARGS[op]}")
+    container = {"abs_z": type(None), "re": (int, float), "im": (int, float),
+                 "abs_inner": dict, "indicator": dict, "sum": list,
+                 "prod": list, "pow": list}.get(op, object)
+    keys = {"abs_inner": ("w",), "indicator": ("center", "delta")}.get(op, ())
+    if not isinstance(arg, container) or (op == "pow" and len(arg) != 2) \
+            or (op in ("re", "im") and arg % 1 != 0) \
+            or any(k not in arg for k in keys):
+        raise form
+    if op == "const":
+        c = _finite(arg, spec, form)
+        return lambda pts: np.full(len(pts), c)
+    if op == "abs_z":
+        return lambda pts: np.linalg.norm(pts, axis=1)
+    if op in ("re", "im"):
+        k = int(arg)
+        if d is not None and not 0 <= k < d:
+            raise ValueError(f"density node {spec!r} reads coordinate {k}, "
+                             f"but the measure has dimension {d}")
+        if op == "re":
+            return lambda pts: pts[:, k].real
+        return lambda pts: pts[:, k].imag
+    if op in ("sum", "prod"):
+        if not arg:
+            raise ValueError(f"density node {spec!r} must take at least "
+                             "one node")
+        fns, reduce = [_compile(a, d) for a in arg], getattr(np, op)
+        return lambda pts: reduce([fn(pts) for fn in fns], axis=0)
+    if op == "pow":
+        e = _finite(arg[1], spec, form)
+        base = _compile(arg[0], d)
+        if e.is_integer():
+            return lambda pts: base(pts) ** e
+
+        def power(pts):
+            vals = base(pts)
+            bad = vals < -TOL
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"density node {spec!r} raises the negative value "
+                    f"{vals[i]} at point {pts[i]} to the non-integer power "
+                    f"{e}")
+            # within TOL of zero a negative base counts as zero
+            return np.maximum(vals, 0.0) ** e
+        return power
+    if op == "indicator":      # its delta is checked before its point
+        bound = _finite(arg["delta"], spec, form) + TOL
+    point = _parse_point(arg[keys[0]])
+    if d is not None and len(point) != d:
+        raise ValueError(f"density node {spec!r} has a point with "
+                         f"{len(point)} coordinates, but the measure has "
+                         f"dimension {d}")
+    conj = np.conj(point)
+    if op == "abs_inner":
+        return lambda pts: np.abs(pts @ conj)
+
+    def indicator(pts):
+        r = np.linalg.norm(pts, axis=1)
+        out = np.zeros(len(pts))
+        ok = r > 0
+        proj = pts[ok] / r[ok, None]
+        out[ok] = (np.abs(1.0 - proj @ conj) <= bound)
+        return out
+    return indicator
 
 
 def parse_density(spec) -> DensityExpr | None:
@@ -154,7 +164,7 @@ def _parse_point(obj) -> np.ndarray:
     coordinate."""
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
         raise ValueError("a point must be a list [[re, im], ...] of finite "
@@ -184,10 +194,10 @@ class BallMeasure:
                                      f"point with {pt.d} coordinates, but "
                                      f"the measure has dimension {self.d}")
                 if key == "interior_atoms" and not pt.is_interior:
-                    raise ValueError("interior atoms must satisfy |z| < 1")
+                    raise _atom_norm_error(key, i, pt.norm)
         for dens in (self.interior_density, self.boundary_density):
             if dens is not None:
-                DensityExpr._check(dens.spec, self.d)
+                _compile(dens.spec, self.d)
 
     def scaled(self, c: float) -> "BallMeasure":
         if c <= 0:
@@ -248,15 +258,17 @@ def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
-                      radial: RadialRule, atom_f=None) -> float:
+                      radial: RadialRule) -> float:
     """integral of a nonnegative f against mu over the closed ball.
 
-    f maps an (n, d) complex array of points to values and is evaluated at
-    the interior nodes, the sphere nodes and the interior atoms; atom_f
-    (default f) is evaluated at boundary singular atoms and may return
-    math.inf when a radial limit diverges there.
+    f maps an (n, d) complex array of points to values and is called once
+    on each of mu's node sets (see _NodeTable): the interior nodes, the
+    sphere nodes, the interior atoms and the boundary atoms.  It may return
+    math.inf at a boundary atom where a radial limit diverges.
     """
-    return _NodeTable.build(mu, grid, radial).integrate(f, atom_f)
+    table = _NodeTable.build(mu, grid, radial)
+    return table.integrate_values(
+        [None if pts is None else f(pts) for pts in table.sets])
 
 
 def _match_depth(radial: RadialRule, d: int, depth: float) -> RadialRule:
@@ -273,13 +285,17 @@ class _NodeTable:
     a kernel profile, every cell of a window profile) builds the table once
     and passes it on, so no density is evaluated twice on the same nodes;
     the cap and window profiles walk their cells through its cell pass.
-    wg holds sigma's weight times the validated boundary density at each
-    sphere node; interior holds the full-ball tensor nodes of the radial
-    rule, and wint the volume weight times the interior density,
-    wr_j * w_ang_i * density(r_j zeta_i), in the radius-major order of
-    interior.points.  Each is None when mu has no such part (interior and
-    wint also when no radial rule is given).  An integral against the table
-    is one dot product with wint and one with wg, plus the atoms.
+
+    sets holds mu's node sets, each an (n, d) array, in the order every
+    integral reads them: the full-ball tensor nodes of the radial rule
+    (interior.points, radius-major), the grid's sphere nodes, the interior
+    atoms and the boundary atoms, stacked in atom order.  A set is None
+    when mu has no such part (the interior nodes also when no radial rule
+    is given).  wg holds sigma's weight times the validated boundary
+    density at each sphere node, wint the volume weight times the interior
+    density, wr_j * w_ang_i * density(r_j zeta_i); each is None with its
+    set.  An integral against the table is one dot product with wint and
+    one with wg, plus the atoms.
 
     radii holds the radius of each node of kernel_pass, one row per radius
     over the grid's nodes: row 0 the sphere (radius 1), row j the interior
@@ -289,6 +305,7 @@ class _NodeTable:
 
     mu: BallMeasure
     grid: SphereGrid
+    sets: tuple
     wg: np.ndarray | None
     interior: WindowNodes | None
     wint: np.ndarray | None
@@ -311,8 +328,12 @@ class _NodeTable:
             wint = (r.weights[:, None] * interior.w_ang
                     * density.reshape(len(r.nodes), -1)).ravel()
             radii = np.concatenate((radii, r.nodes))
+        sets = (None if interior is None else interior.points,
+                None if wg is None else grid.nodes,
+                *(np.array([pt.coords for pt, _ in atoms]) if atoms else None
+                  for atoms in (mu.interior_atoms, mu.boundary_atoms)))
         radii = np.repeat(radii[:, None], len(grid), axis=1)
-        return cls(mu, grid, wg, interior, wint, radii,
+        return cls(mu, grid, sets, wg, interior, wint, radii,
                    np.empty((2,) + radii.shape))
 
     def cells(self, centers, deltas):
@@ -337,10 +358,7 @@ class _NodeTable:
         total = 0.0
         if self.wg is not None:
             total = float(np.sum(self.wg[mask]))
-        for pt, mass in self.mu.boundary_atoms:
-            if Q.contains_coords(pt.coords[None, :])[0]:
-                total += mass
-        return total
+        return _add_atoms(total, self.mu.boundary_atoms, self.sets[3], Q)
 
     def window_mass(self, S: CarlesonWindow, radial: RadialRule,
                     cap_mass: float, mask: np.ndarray) -> float:
@@ -353,53 +371,44 @@ class _NodeTable:
                                  _match_depth(radial, mu.d, S.depth))
             total += float(np.real(window_sum(
                 nodes, mu.interior_density_values(nodes.points))))
-        for pt, mass in mu.interior_atoms:
-            if S.contains_coords(pt.coords[None, :])[0]:
-                total += mass
+        total = _add_atoms(total, mu.interior_atoms, self.sets[2], S)
         return total + cap_mass
 
-    def integrate(self, f, atom_f=None) -> float:
-        """The integral of f against mu, see integrate_measure; needs a
-        table built with a radial rule when mu has an interior density."""
-        return self.integrate_values(
-            None if self.mu.interior_density is None
-            else f(self.interior.points),
-            None if self.wg is None else f(self.grid.nodes), f, atom_f)
-
-    def integrate_values(self, interior, boundary, f, atom_f=None) -> float:
+    def integrate_values(self, vals) -> float:
         """The integral against mu of an integrand given by its values on
-        the table's interior nodes (unread when mu has no interior density)
-        and on its sphere nodes (unread when mu has no boundary density):
-        one dot product with wint and one with wg.  f is called once on the
-        interior atoms and atom_f (default f) once on the boundary atoms, as
-        in integrate.  An interior sum that is not finite is taken again by
+        each node set of sets, None where the set is None: one dot product
+        with wint and one with wg, and the atoms' masses times their values
+        in atom order.  A boundary atom's value may be inf, and then so is
+        the integral.  An interior sum that is not finite is taken again by
         window_sum, which names the node at fault."""
-        mu = self.mu
-        atom_f = atom_f if atom_f is not None else f
+        interior, boundary, inner_atoms, outer_atoms = vals
         inner = outer = None
-        if mu.interior_density is not None:
-            vals = np.asarray(interior)
-            inner = float(np.real(np.dot(vals, self.wint)))
+        if interior is not None:
+            inner = float(np.real(np.dot(interior, self.wint)))
             if not math.isfinite(inner):
-                window_sum(self.interior, vals * self.wint)
-        if self.wg is not None:
-            vals = np.real(np.asarray(boundary))
-            if np.any(vals < -1e-10):
+                window_sum(self.interior, interior * self.wint)
+        if boundary is not None:
+            boundary = np.real(boundary)
+            if np.any(boundary < -1e-10):
                 raise ValueError("integrand must be nonnegative")
-            outer = float(np.dot(self.wg, vals))
+            outer = float(np.dot(self.wg, boundary))
         total = 0.0
         if inner is not None:
             total += inner
-        for (_, mass), v in _at_atoms(f, mu.interior_atoms):
-            if v < -1e-10:
-                raise ValueError("integrand must be nonnegative")
-            total += mass * v
+        if inner_atoms is not None:
+            for (_, mass), v in zip(self.mu.interior_atoms,
+                                    np.real(inner_atoms).tolist()):
+                if v < -1e-10:
+                    raise ValueError("integrand must be nonnegative")
+                total += mass * v
         if outer is not None:
             total += outer
-        for (_, mass), v in _at_atoms(atom_f, mu.boundary_atoms):
-            if math.isinf(v):
-                return math.inf
-            total += mass * v
+        if outer_atoms is not None:
+            for (_, mass), v in zip(self.mu.boundary_atoms,
+                                    np.real(outer_atoms).tolist()):
+                if math.isinf(v):
+                    return math.inf
+                total += mass * v
         return total
 
     def kernel_pass(self, w: np.ndarray, p: float, m=None, row=True):
@@ -412,34 +421,31 @@ class _NodeTable:
         cauchy_modulus_p call writes the sphere and interior moduli into
         work (v is a view, valid until the next pass), one more takes each
         kind of atom, and integrate_values sums each node set.  m is None
-        (m = 1) or m's values on (interior nodes, sphere nodes, interior
-        atoms, boundary atoms), None where no such set is read.  Without
-        row, a table that reads no grid node skips the grid; v is None.
+        (m = 1) or m's values on each node set of sets, None where the set
+        is None.  Without row, a table that reads no grid node skips the
+        grid; v is None.
         """
-        d, m = w.size, m or (None,) * 4
-
-        def part(k, vals):
-            return vals if m[k] is None else vals * m[k]
-
-        def atoms(k):
-            return lambda pts: part(k, cauchy_modulus_p(pts @ np.conj(w), d, p))
-
-        if not (row or self.wg is not None or self.interior is not None):
-            return self.integrate_values(None, None, atoms(2), atoms(3)), None
-        v = cauchy_modulus_p(self.grid.nodes @ np.conj(w), d, p, self.radii,
-                             self.work)
-        return self.integrate_values(part(0, v[1:].ravel()), part(1, v[0]),
-                                     atoms(2), atoms(3)), v[0]
+        d, v, vals = w.size, None, [None] * 4
+        if row or self.sets[0] is not None or self.sets[1] is not None:
+            v = cauchy_modulus_p(self.grid.nodes @ np.conj(w), d, p,
+                                 self.radii, self.work)
+            vals[:2] = v[1:].ravel(), v[0]
+        for k, pts in enumerate(self.sets):
+            if k >= 2 and pts is not None:
+                vals[k] = cauchy_modulus_p(pts @ np.conj(w), d, p)
+            vals[k] = None if pts is None else \
+                vals[k] if m is None else vals[k] * m[k]
+        return self.integrate_values(vals), None if v is None else v[0]
 
 
-def _atom_points(atoms) -> np.ndarray:
-    """The (n, d) points of atoms, in order."""
-    return np.array([pt.coords for pt, _ in atoms])
-
-
-def _at_atoms(f, atoms):
-    """(atom, Re f at its point) in order, f called once on all the points."""
-    return zip(atoms, np.real(f(_atom_points(atoms))).tolist() if atoms else ())
+def _add_atoms(total: float, atoms, pts, region) -> float:
+    """total plus the mass of each of atoms (stacked at pts, None when there
+    are none) inside region, in atom order: one contains_coords call."""
+    if pts is not None:
+        for (_, mass), inside in zip(atoms, region.contains_coords(pts)):
+            if inside:
+                total += mass
+    return total
 
 
 @dataclass(frozen=True)
@@ -485,6 +491,12 @@ def _check_mass(key: str, i: int, mass) -> None:
                          "atom masses must be finite and positive")
 
 
+def _atom_norm_error(key: str, i: int, norm: float) -> ValueError:
+    rule = "|z| < 1" if key == "interior_atoms" else "|z| = 1"
+    return ValueError(f"measure field {key!r} entry {i} has a point of norm "
+                      f"{norm}; its atoms must satisfy {rule}")
+
+
 def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
     entries = doc.get(key) or []
     if not isinstance(entries, list):
@@ -499,7 +511,11 @@ def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
                              "{point: [[re, im], ...], mass: number}, "
                              f"got {e!r}") from None
         _check_mass(key, i, mass)
-        atoms.append((kind(point), mass))
+        try:
+            atoms.append((kind(point), mass))
+        except ValueError:
+            raise _atom_norm_error(
+                key, i, float(np.linalg.norm(point))) from None
     return tuple(atoms)
 
 

@@ -401,6 +401,20 @@ def test_malformed_density_point_is_input_error(tmp_path, capsys, node):
      "point with 2 coordinates, but the measure has dimension 1"),
     ("{indicator: {center: [[1.0, 0.0], [0.0, 0.0]], delta: 0.5}}",
      "has a point with 2 coordinates, but the measure has dimension 1"),
+    ("{sum: [2, {re: 1.5}]}",
+     "density node {'re': 1.5} must take a coordinate index"),
+    ("{indicator: {center: [[1.0, 0.0]], delta: .nan}}",
+     "density node {'indicator': {'center': [[1.0, 0.0]], 'delta': nan}} "
+     "needs a finite number, got nan"),
+    ("{pow: [{abs_z: null}, .nan]}", "density node {'pow': [{'abs_z': None}, "
+     "nan]} needs a finite number, got nan"),
+    ("{const: .nan}", "density node {'const': nan} needs a finite number, "
+     "got nan"),
+    ("{const: .inf}", "density node {'const': inf} needs a finite number, "
+     "got inf"),
+    ("{abs_z: 7}", "density node {'abs_z': 7} must take null"),
+    ("{sum: []}", "density node {'sum': []} must take at least one node"),
+    ("{prod: []}", "density node {'prod': []} must take at least one node"),
 ])
 @pytest.mark.parametrize("part", ["interior_density", "boundary_density"])
 def test_malformed_density_node_is_input_error(tmp_path, capsys, part, node,
@@ -474,6 +488,16 @@ def test_reports_byte_identical_across_runs(argv, tmp_path):
      "mass: 1.0}\n- {point: [[1.0, 0.0]], mass: 1.0}\n",
      "measure field 'boundary_atoms' entry 1 has a point with 1 coordinates, "
      "but the measure has dimension 2"),
+    ("dimension: 1\ninterior_atoms:\n- {point: [[1.0, 0.0]], mass: 1}\n",
+     "measure field 'interior_atoms' entry 0 has a point of norm 1.0; its "
+     "atoms must satisfy |z| < 1"),
+    ("dimension: 1\ninterior_atoms:\n- {point: [[0.5, 0.0]], mass: 1}\n"
+     "- {point: [[1.5, 0.0]], mass: 1}\n",
+     "measure field 'interior_atoms' entry 1 has a point of norm 1.5; its "
+     "atoms must satisfy |z| < 1"),
+    ("dimension: 1\nboundary_atoms:\n- {point: [[0.5, 0.0]], mass: 1}\n",
+     "measure field 'boundary_atoms' entry 0 has a point of norm 0.5; its "
+     "atoms must satisfy |z| = 1"),
     ("[1, 2]\n", "measure file must hold a mapping"),
     ("dimension: [1\n", "while parsing a flow sequence"),
     ("dimension: 1\nboundary_atoms:\n- {point: [[1.0, 0.0]], mass: .nan}\n",

@@ -12,9 +12,8 @@ from revcarleson.criteria import (ConditionSummary, CriterionProfile,
                                   EquivalenceReport, SearchGrid, _verdict,
                                   _w_points, condition_ii_profile,
                                   condition_iii_profile, criteria_profiles,
-                                  default_witness_family, equivalence_report,
-                                  forward_profile, reverse_inequality_witness,
-                                  window_profile, window_profiles)
+                                  equivalence_report, forward_profile,
+                                  reverse_inequality_witness, window_profile)
 from revcarleson.geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                                   SpherePoint)
 from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel_at,
@@ -106,8 +105,18 @@ def test_reverse_extremals_monotone_under_refinement(grid, rad):
 # ---------------------------------------------------------------------------
 # witnesses
 
+def _witness_family(exponents, sgrid, grid):
+    """The kernels of the search grid's w-points, then the two-kernel
+    combinations and the monomials, as equivalence_report's finest level
+    orders its witnesses."""
+    ws = _w_points(sgrid)
+    return ([normalized_kernel(w, exponents, grid) for w in ws]
+            + criteria._combinations(exponents.d, ws, 0)
+            + criteria._monomials(exponents.d))
+
+
 def test_witness_family_contains_constant(grid):
-    fam = default_witness_family(EX1, SearchGrid(1, 4, 3), grid)
+    fam = _witness_family(EX1, SearchGrid(1, 4, 3), grid)
     assert len(fam) > 4
     from revcarleson.kernels import hp_norm
     # the constant witness detects an interior atom that kernels miss
@@ -116,7 +125,7 @@ def test_witness_family_contains_constant(grid):
 
 
 def test_reverse_witness_on_sigma_is_near_one(grid, rad):
-    fam = default_witness_family(EX1, SearchGrid(1, 4, 3), grid)
+    fam = _witness_family(EX1, SearchGrid(1, 4, 3), grid)
     val, f, values = reverse_inequality_witness(sigma_measure(1), EX1, fam,
                                                 grid, rad)
     assert val == pytest.approx(1.0, abs=0.05)
@@ -128,7 +137,7 @@ def test_reverse_witness_on_sigma_is_near_one(grid, rad):
 def test_reverse_witness_detects_atom_degeneracy(grid, rad):
     # a single interior atom cannot dominate kernels centred away from it
     mu = BallMeasure(1, interior_atoms=((BallPoint(np.array([0j])), 1.0),))
-    fam = default_witness_family(EX1, SearchGrid(1, 4, 5), grid)
+    fam = _witness_family(EX1, SearchGrid(1, 4, 5), grid)
     val, _, _ = reverse_inequality_witness(mu, EX1, fam, grid, rad)
     assert val < 0.1
 
@@ -227,8 +236,8 @@ def _reference_iii(mu, sgrid, grid):
 
 
 def _reference_windows(mu, sgrid, grid, radial):
-    """window_profiles as a cell-by-cell loop, mu(S_Q) through
-    measure_of_window."""
+    """window_profile and forward_profile as a cell-by-cell loop, mu(S_Q)
+    through measure_of_window."""
     params, values = [], []
     for key, Q, s in _reference_cells(sgrid, grid):
         S = CarlesonWindow(Q, min(s, 1.0))
@@ -320,7 +329,7 @@ def test_kernel_pass_values_match_public_functions(d, p):
     reference_ii = [_reference_ii(mu, ex, w, grid, radial) for w in ws]
     _close(condition_ii_profile(mu, ex, sg, grid, radial).values,
            reference_ii)
-    fam = default_witness_family(ex, sg, grid)
+    fam = _witness_family(ex, sg, grid)
     _, _, ratios = reverse_inequality_witness(mu, ex, fam, grid, radial)
     assert ratios.tolist() == \
         [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
@@ -399,7 +408,8 @@ def test_cell_profiles_match_cell_by_cell_loops(d, measure):
     for _ in range(3):
         assert _bits(condition_iii_profile(mu, sg, grid)) == \
             _bits(_reference_iii(mu, sg, grid))
-        assert [_bits(p) for p in window_profiles(mu, sg, grid, radial)] == \
+        assert [_bits(window_profile(mu, sg, grid, radial)),
+                _bits(forward_profile(mu, sg, grid, radial))] == \
             [_bits(p) for p in _reference_windows(mu, sg, grid, radial)]
         sg = sg.refine()
 
@@ -412,7 +422,8 @@ def test_criteria_profiles_match_the_separate_profiles(d, p):
     mu, ex, sg = _four_part(d), Exponents(p, d), SearchGrid(d, 3, 3)
     separate = (condition_iii_profile(mu, sg, grid),
                 condition_ii_profile(mu, ex, sg, grid, radial),
-                *window_profiles(mu, sg, grid, radial))
+                window_profile(mu, sg, grid, radial),
+                forward_profile(mu, sg, grid, radial))
     assert [_bits(prof) for prof in criteria_profiles(mu, ex, sg, grid,
                                                       radial)] == \
         [_bits(prof) for prof in separate]

@@ -289,9 +289,9 @@ def test_kernel_integrand_matches_dbr_kernel(monkeypatch, b):
     seen = []
     real = _NodeTable.integrate_values
     monkeypatch.setattr(_NodeTable, "integrate_values",
-                        lambda self, inner, outer, *fs: seen.append(
-                            (inner.copy(), outer.copy()))
-                        or real(self, inner, outer, *fs))
+                        lambda self, vals: seen.append(
+                            (vals[0].copy(), vals[1].copy()))
+                        or real(self, vals))
     dbr._kernel_values(b, table, sg)
     ws = _w_points(sg)
     assert len(seen) == len(ws)
@@ -323,8 +323,9 @@ def test_kernel_values_take_b_once_per_node(monkeypatch):
         t = (rad.nodes[:, None] * (grid.nodes @ np.conj(w))).ravel()
         inner = _kernel_sq(b, w, table.interior.points, t)
         want[tuple(w)] = table.integrate_values(
-            inner, _kernel_sq(b, w, grid.nodes),
-            lambda pts, w=w: _kernel_sq(b, w, pts)) / dbr_kernel_diag(b, w)
+            [inner, _kernel_sq(b, w, grid.nodes),
+             _kernel_sq(b, w, table.sets[2]),
+             _kernel_sq(b, w, table.sets[3])]) / dbr_kernel_diag(b, w)
     seen = []
     call = Symbol.__call__
     monkeypatch.setattr(Symbol, "__call__", lambda self, pts: seen.append(
@@ -419,30 +420,31 @@ def test_refute_sampling_trend_matches_level_by_level_loop(b, d):
 @pytest.mark.parametrize("b,d", _SAMPLING_CASES)
 def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
     # the atoms of the candidate measure are one node set: every distinct
-    # w of the three levels meets each atom once
+    # w of the three levels meets all of them in one modulus call, its
+    # only one (an atom set's call takes no radii and no work buffer)
     grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
     pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
     calls, passes, current = Counter(), Counter(), []
-    real_pass, real_at = _NodeTable.kernel_pass, measures._at_atoms
+    real_pass, real_modulus = _NodeTable.kernel_pass, measures.cauchy_modulus_p
 
     def counting_pass(self, w, *args, **kwargs):
         passes[tuple(w)] += 1
         current[:] = [tuple(w)]
         return real_pass(self, w, *args, **kwargs)
 
-    def counting_at(f, atoms):
-        calls.update((current[0], tuple(pt.coords)) for pt, _ in atoms)
-        return real_at(f, atoms)
+    def counting_modulus(t, d, p, *rest):
+        calls[current[0], len(t), len(rest)] += 1
+        return real_modulus(t, d, p, *rest)
 
     monkeypatch.setattr(_NodeTable, "kernel_pass", counting_pass)
-    monkeypatch.setattr(measures, "_at_atoms", counting_at)
+    monkeypatch.setattr(measures, "cauchy_modulus_p", counting_modulus)
     sg = SearchGrid(d, 3, 3)
     refute_sampling(b, pts, sg, grid, rad, refinements=3)
     ws = set()
     for _ in range(3):
         ws |= {tuple(w) for w in _w_points(sg)}
         sg = sg.refine()
-    assert calls == Counter({(w, tuple(p)): 1 for w in ws for p in pts})
+    assert calls == Counter({(w, len(pts), 0): 1 for w in ws})
     assert passes == Counter(dict.fromkeys(ws, 1))
 
 

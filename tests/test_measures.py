@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revcarleson.geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
-                                  SpherePoint, sigma_of_ball)
+from revcarleson import measures
+from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
+                                  NonisotropicBall, SpherePoint, sigma_of_ball)
 from revcarleson.kernels import cauchy_kernel_at
 from revcarleson.measures import (BallMeasure, DensityExpr, _NodeTable,
-                                  integrate_measure, load_measure,
-                                  measure_from_dict, measure_of_ball,
-                                  measure_of_window, radon_nikodym_profile,
-                                  sigma_measure)
+                                  _parse_point, integrate_measure,
+                                  load_measure, measure_from_dict,
+                                  measure_of_ball, measure_of_window,
+                                  radon_nikodym_profile, sigma_measure)
 from revcarleson.quadrature import radial_rule, sphere_grid
 
 E1 = SpherePoint(np.array([1.0 + 0j]))
@@ -97,38 +98,43 @@ def test_scaled_measure(circle_grid, radial24):
 def test_integrate_measure_atom_divergence(circle_grid, radial24):
     """A boundary singular atom where the integrand blows up gives +inf,
     deliberately, rather than a large float."""
-    mu = BallMeasure(1, boundary_atoms=((E1, 1.0),))
-    val = integrate_measure(mu, lambda z: np.ones(len(z)), circle_grid,
-                            radial24, atom_f=lambda z: np.array([math.inf]))
-    assert math.isinf(val)
+    atom = SpherePoint(np.array([np.exp(0.3j)]))     # not a grid node
+    mu = BallMeasure(1, interior_atoms=((BallPoint(np.array([0.5 + 0j])),
+                                         1.0),),
+                     boundary_density=DensityExpr(1.0),
+                     boundary_atoms=((atom, 1.0),))
+
+    def f(z):
+        # finite at every grid node and interior atom, inf at the atom
+        return np.where(np.all(z == atom.coords, axis=1), math.inf, 1.0)
+
+    assert math.isinf(integrate_measure(mu, f, circle_grid, radial24))
+    finite = BallMeasure(1, interior_atoms=mu.interior_atoms,
+                         boundary_density=mu.boundary_density)
+    assert math.isfinite(integrate_measure(finite, f, circle_grid, radial24))
 
 
 def test_integrate_measure_evaluates_each_kind_of_atom_in_one_call(
         circle_grid, radial24):
-    # f is called once on the stacked interior atoms and atom_f once on the
-    # stacked boundary atoms, and the masses are summed in atom order
-    inner = ((BallPoint(np.array([0.5 + 0j])), 2.0),
-             (BallPoint(np.array([-0.25j])), 0.5))
-    outer = ((E1, 0.25), (SpherePoint(np.array([1j])), 4.0))
+    # f is called once on the stacked interior atoms and once on the
+    # stacked boundary atoms, and the masses are summed in atom order: the
+    # two interior masses add to 2^-52 before the 1.0 and survive it, where
+    # each would round away if the 1.0 came first
+    tiny = 2.0 ** -53
+    inner = ((BallPoint(np.array([0.5 + 0j])), tiny),
+             (BallPoint(np.array([-0.25j])), tiny))
+    outer = ((E1, 1.0), (SpherePoint(np.array([1j])), tiny))
     mu = BallMeasure(1, interior_atoms=inner, boundary_atoms=outer)
     calls = []
 
-    def counted(g):
-        def h(z):
-            calls.append((g.__name__, len(z)))
-            return g(z)
-        return h
-
     def f(z):
-        return np.abs(z[:, 0]) ** 2
+        calls.append(len(z))
+        return np.ones(len(z))
 
-    def atom_f(z):
-        return 1.0 + z[:, 0].imag
-
-    val = integrate_measure(mu, counted(f), circle_grid, radial24,
-                            atom_f=counted(atom_f))
-    assert calls == [("f", 2), ("atom_f", 2)]
-    assert val == 2.0 * 0.25 + 0.5 * 0.0625 + 0.25 * 1.0 + 4.0 * 2.0
+    val = integrate_measure(mu, f, circle_grid, radial24)
+    assert calls == [2, 2]
+    assert val == ((tiny + tiny) + 1.0) + tiny
+    assert val != ((1.0 + tiny) + tiny) + tiny
 
 
 def test_integrate_measure_mixed_parts(circle_grid, radial24):
@@ -168,7 +174,9 @@ def test_node_table_reuse_matches_one_shot(d, res):
         for w in ws:
             def f(pts, w=w):
                 return np.abs(cauchy_kernel_at(w, pts)) ** 2.6
-            assert table.integrate(f) == integrate_measure(mu, f, grid, rad)
+            vals = [None if pts is None else f(pts) for pts in table.sets]
+            assert table.integrate_values(vals) == \
+                integrate_measure(mu, f, grid, rad)
     for delta, depth in ((2.0, 1.0), (0.4, 0.2)):
         S = CarlesonWindow(NonisotropicBall(mu.boundary_atoms[0][0], delta),
                            depth)
@@ -191,7 +199,7 @@ def test_node_table_evaluates_densities_once(circle_grid, radial24):
                      boundary_density=Counted(2.0))
     table = _NodeTable.build(mu, circle_grid, radial24)
     for a in (0.0, 0.3, 0.6):
-        table.integrate(lambda z, a=a: np.abs(1.0 - a * z[:, 0]) ** 2)
+        table.kernel_pass(np.array([a + 0j]), 2.0)
         Q = NonisotropicBall(E1, a + 0.1)
         table.ball_mass(Q, Q.contains_coords(circle_grid.nodes))
     # the boundary density first, so that it is checked first
@@ -313,6 +321,140 @@ def test_fractional_power_of_negative_density_is_input_error():
     assert sq(pts).tolist() == [0.25, 0.0625]
     # a negative base within TOL of zero counts as zero
     assert dens(np.array([[-1e-14 + 0j], [0.25 + 0j]])).tolist() == [0.0, 0.5]
+
+
+def _reference_eval(spec, pts):
+    """The density evaluator that walked the spec and parsed its points and
+    numbers on every call: the oracle of the compiled evaluator."""
+    n = len(pts)
+    if isinstance(spec, (int, float)):
+        return np.full(n, float(spec))
+    (op, arg), = spec.items()
+    if op == "const":
+        return np.full(n, float(arg))
+    if op == "abs_z":
+        return np.linalg.norm(pts, axis=1)
+    if op == "re":
+        return pts[:, int(arg)].real
+    if op == "im":
+        return pts[:, int(arg)].imag
+    if op == "abs_inner":
+        w0 = _parse_point(arg["w"])
+        return np.abs(pts @ np.conj(w0))
+    if op == "indicator":
+        center = _parse_point(arg["center"])
+        delta = float(arg["delta"])
+        r = np.linalg.norm(pts, axis=1)
+        out = np.zeros(n)
+        ok = r > 0
+        proj = pts[ok] / r[ok, None]
+        out[ok] = (np.abs(1.0 - proj @ np.conj(center)) <= delta + TOL)
+        return out
+    if op == "sum":
+        return np.sum([_reference_eval(a, pts) for a in arg], axis=0)
+    if op == "prod":
+        return np.prod([_reference_eval(a, pts) for a in arg], axis=0)
+    if op == "pow":
+        base, e = _reference_eval(arg[0], pts), float(arg[1])
+        if not e.is_integer():
+            bad = base < -TOL
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"density node {spec!r} raises the negative value "
+                    f"{base[i]} at point {pts[i]} to the non-integer "
+                    f"power {e}")
+            base = np.maximum(base, 0.0)
+        return base ** e
+    raise ValueError(f"unknown density op {op!r}")
+
+
+def _specs(d: int):
+    """Nested density specs for a measure of dimension d; about one leaf in
+    seven is a malformed node, or holds a malformed point or number."""
+    numbers = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3))
+    point = st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+                     min_size=d, max_size=d)
+    one = [[1.0, 0.0]] * d
+    malformed = st.sampled_from([
+        math.nan, math.inf, 10 ** 400, {"const": math.nan}, {"const": None},
+        {"const": "x"}, {"abs_z": 7}, {"re": -1}, {"re": d}, {"im": 1.5},
+        {"re": None}, {"im": math.inf}, {"abs_inner": {"w": [[0.5]]}},
+        {"abs_inner": {"w": one + [[0.5, 0.0]]}},
+        {"abs_inner": {"w": [[math.nan, 0.0]] * d}},
+        {"indicator": {"center": one, "delta": math.nan}},
+        {"indicator": {"center": "x", "delta": 0.5}}, {"frobnicate": 1},
+        {"sum": 5}, {"sum": []}, {"prod": []}, {"re": 0, "im": 0},
+        {"abs_inner": {}}, {"pow": 3}, {"pow": [1.0]}, [], "x", None])
+    leaves = st.one_of(
+        numbers, st.builds(lambda c: {"const": c}, numbers),
+        st.just({"abs_z": None}),
+        st.builds(lambda op, k: {op: k}, st.sampled_from(["re", "im"]),
+                  st.integers(0, d - 1)),
+        st.builds(lambda w: {"abs_inner": {"w": w}}, point),
+        st.builds(lambda c, delta: {"indicator": {"center": c,
+                                                  "delta": delta}},
+                  point, st.floats(0.0, 2.5)),
+        malformed)
+    exponent = st.one_of(numbers, st.sampled_from(
+        [0.5, 2.5, -1.0, math.nan, math.inf, None, "x"]))
+
+    def branches(children):
+        return st.one_of(
+            st.builds(lambda op, args: {op: args},
+                      st.sampled_from(["sum", "prod"]),
+                      st.lists(children, min_size=1, max_size=3)),
+            st.builds(lambda base, e: {"pow": [base, e]}, children,
+                      exponent))
+    return st.recursive(leaves, branches, max_leaves=6)
+
+
+_SPECS = {d: _specs(d) for d in (1, 2, 3)}
+
+
+@given(data=st.data(), d=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None)
+def test_density_grammar_matches_the_reference_walk(data, d, seed):
+    # a spec is rejected only by ValueError; one the measure accepts gives
+    # the reference walk's bits at random ball points (the origin among
+    # them), or the same ValueError
+    spec = data.draw(_SPECS[d])
+    try:
+        dens = DensityExpr(spec)
+        BallMeasure(d, boundary_density=dens)
+    except ValueError:
+        return
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((24, d)) + 1j * rng.standard_normal((24, d))
+    pts /= 1.5 * np.linalg.norm(pts, axis=1)[:, None]
+    pts[0] = 0.0
+    with np.errstate(all="ignore"):
+        try:
+            want = _reference_eval(spec, pts)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                dens(pts)
+            assert str(got.value) == str(exc)
+            return
+        got = dens(pts)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_density_points_are_parsed_once(monkeypatch):
+    # building an abs_inner and an indicator node parses each point once;
+    # evaluations parse nothing
+    seen = []
+    monkeypatch.setattr(measures, "_parse_point",
+                        lambda obj: seen.append(obj) or _parse_point(obj))
+    dens = DensityExpr({"sum": [
+        {"abs_inner": {"w": [[0.6, 0.0]]}},
+        {"indicator": {"center": [[0.0, 1.0]], "delta": 0.5}}]})
+    assert seen == [[[0.6, 0.0]], [[0.0, 1.0]]]
+    pts = np.array([[0.5 + 0j], [0.8j], [0j]])
+    for _ in range(3):
+        assert dens(pts).tolist() == [0.3, 1.0 + 0.48, 0.0]
+    assert len(seen) == 2
 
 
 @given(st.floats(min_value=0.01, max_value=10.0))
