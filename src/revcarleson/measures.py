@@ -358,7 +358,10 @@ class _NodeTable:
         total = 0.0
         if self.wg is not None:
             total = float(np.sum(self.wg[mask]))
-        return _add_atoms(total, self.mu.boundary_atoms, self.sets[3], Q)
+        for pt, mass in self.mu.boundary_atoms:
+            if Q.contains_coords(pt.coords[None, :])[0]:
+                total += mass
+        return total
 
     def window_mass(self, S: CarlesonWindow, radial: RadialRule,
                     cap_mass: float, mask: np.ndarray) -> float:
@@ -371,7 +374,9 @@ class _NodeTable:
                                  _match_depth(radial, mu.d, S.depth))
             total += float(np.real(window_sum(
                 nodes, mu.interior_density_values(nodes.points))))
-        total = _add_atoms(total, mu.interior_atoms, self.sets[2], S)
+        for pt, mass in mu.interior_atoms:
+            if S.contains_coords(pt.coords[None, :])[0]:
+                total += mass
         return total + cap_mass
 
     def integrate_values(self, vals) -> float:
@@ -381,6 +386,9 @@ class _NodeTable:
         in atom order.  A boundary atom's value may be inf, and then so is
         the integral.  An interior sum that is not finite is taken again by
         window_sum, which names the node at fault."""
+        if self.mu.interior_density is not None and self.sets[0] is None:
+            raise ValueError("an integral against a measure with an interior "
+                             "density needs a table built with a radial rule")
         interior, boundary, inner_atoms, outer_atoms = vals
         inner = outer = None
         if interior is not None:
@@ -430,22 +438,12 @@ class _NodeTable:
             v = cauchy_modulus_p(self.grid.nodes @ np.conj(w), d, p,
                                  self.radii, self.work)
             vals[:2] = v[1:].ravel(), v[0]
-        for k, pts in enumerate(self.sets):
-            if k >= 2 and pts is not None:
-                vals[k] = cauchy_modulus_p(pts @ np.conj(w), d, p)
-            vals[k] = None if pts is None else \
-                vals[k] if m is None else vals[k] * m[k]
+        for k in (2, 3):
+            if self.sets[k] is not None:
+                vals[k] = cauchy_modulus_p(self.sets[k] @ np.conj(w), d, p)
+        vals = [None if pts is None else u if m is None else u * m[k]
+                for k, (pts, u) in enumerate(zip(self.sets, vals))]
         return self.integrate_values(vals), None if v is None else v[0]
-
-
-def _add_atoms(total: float, atoms, pts, region) -> float:
-    """total plus the mass of each of atoms (stacked at pts, None when there
-    are none) inside region, in atom order: one contains_coords call."""
-    if pts is not None:
-        for (_, mass), inside in zip(atoms, region.contains_coords(pts)):
-            if inside:
-                total += mass
-    return total
 
 
 @dataclass(frozen=True)

@@ -117,24 +117,46 @@ def test_integrate_measure_atom_divergence(circle_grid, radial24):
 def test_integrate_measure_evaluates_each_kind_of_atom_in_one_call(
         circle_grid, radial24):
     # f is called once on the stacked interior atoms and once on the
-    # stacked boundary atoms, and the masses are summed in atom order: the
-    # two interior masses add to 2^-52 before the 1.0 and survive it, where
-    # each would round away if the 1.0 came first
-    tiny = 2.0 ** -53
-    inner = ((BallPoint(np.array([0.5 + 0j])), tiny),
-             (BallPoint(np.array([-0.25j])), tiny))
-    outer = ((E1, 1.0), (SpherePoint(np.array([1j])), tiny))
+    # stacked boundary atoms; each atom's value is a different power of
+    # two, so the exact sum pins both which mass multiplies which value
+    # and the order of the additions: the interior terms 2^-51 and 2^-53
+    # survive the 4.0 only when they are added first
+    inner = ((BallPoint(np.array([0.5 + 0j])), 2.0 ** -51),
+             (BallPoint(np.array([-0.25j])), 2.0 ** -52))
+    outer = ((E1, 1.0), (SpherePoint(np.array([1j])), 1.0))
     mu = BallMeasure(1, interior_atoms=inner, boundary_atoms=outer)
+    value_at = {0.5: 1.0, -0.25j: 0.5, 1.0: 4.0, 1j: 2.0}
     calls = []
 
     def f(z):
         calls.append(len(z))
-        return np.ones(len(z))
+        return np.array([value_at[complex(p[0])] for p in z])
 
     val = integrate_measure(mu, f, circle_grid, radial24)
     assert calls == [2, 2]
-    assert val == ((tiny + tiny) + 1.0) + tiny
-    assert val != ((1.0 + tiny) + tiny) + tiny
+    terms = [2.0 ** -51 * 1.0, 2.0 ** -52 * 0.5, 1.0 * 4.0, 1.0 * 2.0]
+    assert val == ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    # the sum each misreading gives is another number
+    wrong = [
+        [2.0 ** -51 * 0.5, 2.0 ** -52 * 1.0, 4.0, 2.0],   # interior reversed
+        [terms[0], terms[1], 2.0, 4.0],                   # boundary reversed
+        [2.0 ** -51 * 4.0, 2.0 ** -52 * 2.0, 1.0, 0.5],   # sets swapped
+        terms[2:] + terms[:2],                            # boundary first
+        terms[::-1],                                      # reverse order
+    ]
+    for order in wrong:
+        assert val != sum(order)
+
+
+def test_integrate_values_needs_the_interior_nodes(circle_grid):
+    # a table built without a radial rule has no interior node set, so it
+    # cannot integrate a measure with an interior density
+    mu = BallMeasure(1, interior_density=DensityExpr(1.0))
+    table = _NodeTable.build(mu, circle_grid)
+    with pytest.raises(ValueError, match="radial rule"):
+        table.integrate_values([None] * 4)
+    with pytest.raises(ValueError, match="radial rule"):
+        table.kernel_pass(np.array([0.5 + 0j]), 2.0)
 
 
 def test_integrate_measure_mixed_parts(circle_grid, radial24):
