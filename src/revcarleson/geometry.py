@@ -228,9 +228,13 @@ def _caps_overlap(beta: np.ndarray, h: float, one_line=False) -> np.ndarray:
     After a unitary sending a to e1, a common point exists iff some t in the
     lens L = {|1 - t| <= h, |t| <= 1} has
       F(t) = |1 - b1 * t| - s * sqrt(1 - |t|^2) <= h,
-    b1 = beta, s = sqrt(1 - |b1|^2).  Returns one bool per pair.  one_line:
-    all pairs lie on one complex line (d = 1; there |beta| may round to give
-    s ~ 1.5e-8, not 0).
+    b1 = beta, s = sqrt(1 - |b1|^2).  For |1 - beta| > h, F is least over L
+    on its circular edge: F >= 0 on the unit disc, as |1 - beta t| >=
+    1 - |beta t| >= s sqrt(1 - |t|^2) (Cauchy-Schwarz), and 0 only at
+    conj(beta), outside L; F is convex, so it falls from any t of L towards
+    conj(beta); on the rim |t| = 1, grad F is infinite and outward.
+    Returns one bool per pair.  one_line: all pairs lie on one complex line
+    (d = 1; there |beta| may round to give s ~ 1.5e-8, not 0).
     """
     # np.hypot rounds as abs() of a complex scalar does; np.abs may differ
     # in the last ulp
@@ -256,12 +260,11 @@ def _caps_overlap(beta: np.ndarray, h: float, one_line=False) -> np.ndarray:
 
 
 def _lens_objective(t, beta, s):
-    """F(t), grad F, grad |1 - beta t|, |1 - beta t| and sqrt(1 - |t|^2)."""
+    """F(t) and grad F."""
     u = 1.0 - beta * t
     au = np.hypot(u.real, u.imag)
     w = np.sqrt(1.0 - (t.real ** 2 + t.imag ** 2))
-    g1 = -np.conj(beta) * u / au
-    return au - s * w, g1 + s * t / w, g1, au, w
+    return au - s * w, s * t / w - np.conj(beta) * u / au
 
 
 def _lens_lmo(g: np.ndarray, h: float) -> np.ndarray:
@@ -279,50 +282,49 @@ def _lens_lmo(g: np.ndarray, h: float) -> np.ndarray:
 def _lens_minimum(beta: np.ndarray, s: np.ndarray, h: float):
     """Certified test of min_{t in L} F(t) <= h + TOL per pair (s > 0).
 
-    F is convex on the convex lens L, so each iterate t bounds the minimum
-    below by F(t) + min_{v in L} Re(conj(grad F(t)) (v - t)) (Frank-Wolfe).
-    A pair meets once F(t) <= h + TOL, t its witness, and is disjoint once
-    the bound exceeds h + TOL; a tie within rounding of tangency (F(t) less
-    the bound at most TOL, or 30 steps, which no other pair needs) goes by
-    F(t) <= h + TOL.  Steps are Newton's, the model minimised over the disc
-    |1 - t| <= h (More-Sorensen), with backtracking; the rim |t| = 1, where
-    grad F is infinite and outward, is never active.  Returns (meets, t).
+    A pair at gap |1 - beta| <= h meets at t = conj(beta), where F = 0.  Any
+    other is searched on L's circular edge (_caps_overlap): t = 1 - h z,
+    z = e^{i psi}, |psi| < acos(h/2), F = sqrt(A + Re(c z)) - s sqrt(2h Re z
+    - h^2), A = |1 - beta|^2 + |beta|^2 h^2, c = 2h conj(1 - beta) beta.  A
+    scan of 16 cell midpoints brackets the minimum between the best one's
+    neighbours; Newton steps in psi follow, safeguarded by bisection.  Each
+    iterate gives a witness t at |1 - t| = h - 2^-47, in L after rounding:
+    the pair meets once F(t) <= h + TOL and is disjoint once the Frank-Wolfe
+    bound F(t) + min_{v in L} Re(conj(grad F(t)) (v - t)) exceeds h + TOL.
+    Once psi has converged to rounding, a tie (F(t) - bound <= TOL) goes
+    by F(t) <= h + TOL, as does any pair after 40 steps.  Returns (meets, t).
     """
-    t = np.full(len(beta), 1.0 - 0.5 * h, dtype=complex)
-    meets, t_out, idx = np.zeros(len(t), bool), t.copy(), np.arange(len(t))
-    for _ in range(30):
-        f, g, g1, au, w = _lens_objective(t, beta, s)
+    gap = np.hypot(1.0 - beta.real, beta.imag)
+    meets, t_out, idx = gap <= h, np.conj(beta), np.flatnonzero(gap > h)
+    beta, s, gap = beta[idx], s[idx], gap[idx]
+    A, c = gap ** 2 + h * h * (1.0 - s * s), 2.0 * h * (beta - (1.0 - s * s))
+    # the arc's ends, then the midpoints of its 16 cells
+    grid = math.acos(h / 2.0) / 16.0 * np.arange(-17, 18, 2).clip(-16, 16)
+    cg, sg = np.cos(grid[1:-1]), np.sin(grid[1:-1])
+    f = np.sqrt(A[:, None] + c.real[:, None] * cg - c.imag[:, None] * sg)
+    k = np.argmin(f - s[:, None] * np.sqrt(2.0 * h * cg - h * h), axis=1)
+    psi, lo, hi, conv = grid[k + 1], grid[k], grid[k + 2], False
+    for _ in range(40):
+        z = np.exp(1j * psi)
+        t = 1.0 - (h - 2.0 ** -47) * z
+        f, g = _lens_objective(t, beta, s)
         lb = f + (np.conj(g) * (_lens_lmo(g, h) - t)).real
         t_out[idx], meets[idx] = t, f <= h + TOL
-        go = ~(meets[idx] | (lb > h + TOL) | (f - lb <= TOL))
+        go = ~(meets[idx] | (lb > h + TOL) | conv & (f - lb <= TOL))
         if not go.any():
             break
-        idx, t, beta, s = idx[go], t[go], beta[go], s[go]
-        f, g, g1, au, w = f[go], g[go], g1[go], au[go], w[go]
-        # the Hessian as x -> P x + R conj(x): |1 - beta t| curves only along
-        # i g1, normal to its gradient; the hemisphere adds s/w + s/w^3 t t^T
-        P = (np.abs(g1) ** 2 / au + s * np.abs(t) ** 2 / w ** 3) / 2 + s / w
-        R = (s * t ** 2 / w ** 3 - g1 ** 2 / au) / 2
-        # the model in q = y - 1 is Re(conj(e) q) + q^T H q / 2, |q| <= h
-        e = g - P * (t - 1.0) - R * np.conj(t - 1.0)
-        lam = np.zeros(len(t))
-        for _ in range(8):
-            det = (P + lam) ** 2 - np.abs(R) ** 2
-            q = (R * np.conj(e) - (P + lam) * e) / det
-            nq = np.abs(q)
-            qmq = ((P + lam) * nq ** 2 - (R * np.conj(q) ** 2).real) / det
-            lam = np.where(nq > h, lam + (nq / h - 1.0) * nq ** 2 / qmq, lam)
-        step = 1.0 + q * np.minimum(1.0, h / nq) - t
-        slope = (np.conj(g) * step).real
-        # Armijo backtracking; a trial on or beyond the rim fails
-        alpha, todo = 1.0, np.arange(len(t))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            while len(todo) and alpha > 1e-12:      # 40 halvings at most
-                trial = t[todo] + alpha * step[todo]
-                ft, _, _, _, wt = _lens_objective(trial, beta[todo], s[todo])
-                ok = (ft <= f[todo] + 1e-4 * alpha * slope[todo]) & (wt > 0.0)
-                t[todo[ok]] = trial[ok]
-                todo, alpha = todo[~ok], alpha / 2.0
+        idx, beta, s, A, c = idx[go], beta[go], s[go], A[go], c[go]
+        psi, lo, hi, z = psi[go], lo[go], hi[go], z[go]
+        # dF/dpsi and d2F/dpsi2 from Phi = A + Re(c z), G = 2h Re z - h^2
+        cz, G = c * z, 2.0 * h * z.real - h * h
+        rp, rg = np.sqrt(A + cz.real), np.sqrt(G)
+        d1 = s * h * z.imag / rg - cz.imag / (2.0 * rp)
+        d2 = (s * h * (z.real + h * z.imag ** 2 / G) / rg
+              - (cz.real + cz.imag ** 2 / (2.0 * rp * rp)) / (2.0 * rp))
+        lo, hi = np.where(d1 < 0.0, psi, lo), np.where(d1 > 0.0, psi, hi)
+        new = psi - d1 / d2
+        new = np.where((d2 > 0) & (new > lo) & (new < hi), new, (lo + hi) / 2)
+        conv, psi = np.abs(new - psi) <= 4e-16, new
     return meets, t_out
 
 
@@ -393,10 +395,10 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     rho(c, center) + sqrt(h) <= sqrt(2 delta); that clause reaches beyond Q
     only when h <= (sqrt(2) - 1)^2 delta ~ 0.172 delta, and every ball lies
     in max(2, (1 + sqrt(h / delta))^2) Q, inside 4Q.  Two caps meet at gap
-    <= h and never beyond 4h; in between, a convex program over the lens
-    of their common points decides, each answer resting on a witness or a
-    lower bound (_lens_minimum), so the family is maximal among the
-    candidates.
+    <= h and never beyond 4h; in between, a search on the circular edge of
+    the lens of their common points decides (_caps_overlap), each answer
+    resting on a witness or a lower bound, so the family is maximal among
+    the candidates.
 
     The scan is a sweep.  Admitting a ball drops every later alive
     candidate at gap <= h from it and marks those at gap in (h, 4h]
@@ -444,8 +446,7 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
     selected: list[np.ndarray] = []
     # the alive candidates as d contiguous columns, in the outward order
     alive, ids = np.ascontiguousarray(cands.T), np.arange(len(cands))
-    pending = np.zeros(len(cands), dtype=bool)
-    dropped = np.zeros(len(cands), dtype=bool)
+    pending, dropped = np.zeros((2, len(cands)), dtype=bool)
     held_ids, held_ip = [], []      # the undecided band pairs
     near_sq = 16.0 * h * h * (1.0 + 1e-12)    # (4h)^2, with room for rounding
     while len(ids):
@@ -466,8 +467,7 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
         # the exact gap only where it can be <= 4h: beyond 4h the triangle
         # inequality makes the caps disjoint
         near = np.flatnonzero((1.0 - ip.real) ** 2 + ip.imag ** 2 <= near_sq)
-        one_minus = 1.0 - ip[near]
-        gap = np.hypot(one_minus.real, one_minus.imag)    # see _caps_overlap
+        gap = np.hypot(1.0 - ip.real[near], ip.imag[near])  # see _caps_overlap
         meets = gap <= h                  # inside the ball of zj
         band = near[~meets & (gap <= 4.0 * h)]
         pending[ids[band]] = True

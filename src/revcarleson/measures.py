@@ -10,6 +10,7 @@ infinite; infinity is produced deliberately (math.inf), never by overflow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class DensityExpr:
       {"abs_z": null}                      Euclidean |z|
       {"re": k} / {"im": k}                Re/Im of coordinate k
       {"abs_inner": {"w": point}}          |<z, w0>|
-      {"indicator": {"center": point, "delta": d}}   cap indicator (radial projection)
+      {"indicator": {"center": point, "delta": d}}   cap indicator, 0 < d <= 2
+                                           (radial projection)
       {"sum": [...]}, {"prod": [...]}, {"pow": [expr, exponent]}
 
     The spec is compiled once, by _compile, into its evaluator.
@@ -62,11 +64,13 @@ class DensityExpr:
 
 
 def _finite(x, spec, form: ValueError) -> float:
-    """x as a float; form when it is no number, and an error naming spec
-    when it is not finite."""
+    """x as a float; form when it is no number (a bool or a string is
+    none), and an error naming spec when it is not finite."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise form
     try:
         x = float(x)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise form from None
     if not math.isfinite(x):
         raise ValueError(f"density node {spec!r} needs a finite number, "
@@ -94,7 +98,7 @@ def _compile(spec, d=None):
                  "prod": list, "pow": list}.get(op, object)
     keys = {"abs_inner": ("w",), "indicator": ("center", "delta")}.get(op, ())
     if not isinstance(arg, container) or (op == "pow" and len(arg) != 2) \
-            or (op in ("re", "im") and arg % 1 != 0) \
+            or (op in ("re", "im") and (isinstance(arg, bool) or arg % 1)) \
             or any(k not in arg for k in keys):
         raise form
     if op == "const":
@@ -135,7 +139,11 @@ def _compile(spec, d=None):
             return np.maximum(vals, 0.0) ** e
         return power
     if op == "indicator":      # its delta is checked before its point
-        bound = _finite(arg["delta"], spec, form) + TOL
+        delta = _finite(arg["delta"], spec, form)
+        if not 0.0 < delta <= 2.0:
+            raise ValueError(f"density node {spec!r} needs a delta in "
+                             f"(0, 2], got {delta}")
+        bound = delta + TOL
     point = _parse_point(arg[keys[0]])
     if d is not None and len(point) != d:
         raise ValueError(f"density node {spec!r} has a point with "

@@ -415,6 +415,24 @@ def test_malformed_density_point_is_input_error(tmp_path, capsys, node):
     ("{abs_z: 7}", "density node {'abs_z': 7} must take null"),
     ("{sum: []}", "density node {'sum': []} must take at least one node"),
     ("{prod: []}", "density node {'prod': []} must take at least one node"),
+    # a cap indicator's delta lies in (0, 2], as a NonisotropicBall's does
+    ("{indicator: {center: [[1.0, 0.0]], delta: -1.0}}",
+     "density node {'indicator': {'center': [[1.0, 0.0]], 'delta': -1.0}} "
+     "needs a delta in (0, 2], got -1.0"),
+    ("{indicator: {center: [[1.0, 0.0]], delta: 0}}",
+     "needs a delta in (0, 2], got 0.0"),
+    ("{indicator: {center: [[1.0, 0.0]], delta: 2.5}}",
+     "needs a delta in (0, 2], got 2.5"),
+    # a YAML boolean or a quoted string is no number
+    ("true", "density node True must take a number"),
+    ("{const: '2.5'}", "density node {'const': '2.5'} must take a number"),
+    ("{const: false}", "density node {'const': False} must take a number"),
+    ("{pow: [{abs_z: null}, '2']}", "density node {'pow': [{'abs_z': None}, "
+     "'2']} must take a list [node, exponent]"),
+    ("{indicator: {center: [[1.0, 0.0]], delta: true}}",
+     "density node {'indicator': {'center': [[1.0, 0.0]], 'delta': True}} "
+     "must take a mapping {center: point, delta: number}"),
+    ("{re: true}", "density node {'re': True} must take a coordinate index"),
 ])
 @pytest.mark.parametrize("part", ["interior_density", "boundary_density"])
 def test_malformed_density_node_is_input_error(tmp_path, capsys, part, node,

@@ -511,6 +511,71 @@ def test_overlap_answers_do_not_depend_on_the_batch():
         assert lens_t[off].tobytes() == whole[2].tobytes()
 
 
+def _lens_values(beta, s, r, e):
+    """F at t = 1 - r e (|e| = 1), with 1 - |t|^2 = 2 r Re e - r^2."""
+    w = np.sqrt(np.clip(2.0 * r * e.real - r * r, 0.0, None))
+    return np.abs((1.0 - beta) + beta * r * e) - s * w
+
+
+def _edge_minimum(beta, s, h):
+    """min of F on the arc t = 1 - h e^{i psi}, |psi| < acos(h/2), by a
+    dense scan and nine shrinking ones: (min, psi there, acos(h/2))."""
+    half = math.acos(h / 2.0)
+    psi = np.linspace(-half, half, 2001)[1:-1]
+    for _ in range(10):
+        f = _lens_values(beta, s, h, np.exp(1j * psi))
+        i, width = int(np.argmin(f)), psi[1] - psi[0]
+        best, at = float(f[i]), float(psi[i])
+        psi = np.clip(np.linspace(at - width, at + width, 41), -half, half)
+    return best, at, half
+
+
+def _lens_grid_minimum(beta, s, h):
+    """min of F over the lens by a polar grid about 1 (121 radii, 241
+    angles) and eight shrinking grids about its least point."""
+    r, a = np.linspace(0.0, h, 121), np.linspace(-math.pi, math.pi, 241)
+    rw, aw, best = r[1] - r[0], a[1] - a[0], math.inf
+    for _ in range(9):
+        f = _lens_values(beta, s, r[:, None], np.exp(1j * a)[None, :])
+        f[2.0 * r[:, None] * np.cos(a)[None, :] < r[:, None] ** 2] = np.inf
+        i, j = np.unravel_index(int(np.argmin(f)), f.shape)
+        best = min(best, float(f[i, j]))
+        r = np.clip(np.linspace(r[i] - rw, r[i] + rw, 21), 0.0, h)
+        a = np.linspace(a[j] - aw, a[j] + aw, 21)
+        rw, aw = rw / 4.0, aw / 4.0
+    return best
+
+
+def test_lens_minimum_lies_on_the_circular_edge():
+    """The reduction _lens_minimum rests on: for a band pair (gap in
+    (h, 4h]) no point of the lens goes below the minimum over its circular
+    edge, and that minimum lies strictly inside the arc; the solver's
+    answer is the edge minimum's.  Pairs at gap <= h meet at conj(beta)."""
+    rng = np.random.default_rng(21)
+    closest = 1.0
+    for d in (2, 3):
+        for h in (0.009, 0.03, 0.07, 0.2):
+            a = sample_sphere(d, 1, rng)[0]
+            pts = sample_cap(NonisotropicBall(SpherePoint(a), 4.0 * h), 400,
+                             rng)
+            beta = pts @ np.conj(a)
+            inner, beta = beta[np.abs(1.0 - beta) <= h], \
+                beta[np.abs(1.0 - beta) > h][:20]
+            s = np.sqrt(1.0 - np.abs(beta) ** 2)
+            meets, _ = _lens_minimum(beta, s, h)
+            for b, sb, met in zip(beta, s, meets):
+                edge, at, half = _edge_minimum(b, sb, h)
+                assert _lens_grid_minimum(b, sb, h) >= edge - 1e-12
+                closest = min(closest, (half - abs(at)) / half)
+                assert met == (edge <= h + TOL)
+            met, t = _lens_minimum(inner, np.sqrt(1.0 - np.abs(inner) ** 2), h)
+            assert len(inner) and met.all()
+            assert t.tobytes() == np.conj(inner).tobytes()
+    # no minimiser near an end of the arc: the closest lies 0.2 acos(h/2)
+    # from one
+    assert closest > 0.05
+
+
 def _first_fit_reference(Q, h, seed):
     """Centres of greedy_packing by a scalar first-fit loop, one overlap
     test per pair.  Pairs beyond 4h by a relative margin of 1e-9 are passed

@@ -333,6 +333,33 @@ def test_density_grammar_rejects_garbage():
         DensityExpr({"sum": [1.0], "prod": [1.0]})
 
 
+def test_density_numbers_are_numbers():
+    # a bool or a string is rejected wherever a number is read: a bare
+    # number, const, the pow exponent and the indicator delta
+    one = [[1.0, 0.0]]
+    for spec in (True, "2.5", {"const": "2.5"}, {"const": False},
+                 {"pow": [{"abs_z": None}, "2"]},
+                 {"pow": [{"abs_z": None}, True]},
+                 {"indicator": {"center": one, "delta": "0.5"}},
+                 {"indicator": {"center": one, "delta": True}}):
+        with pytest.raises(ValueError, match="density node"):
+            DensityExpr(spec)
+    # integers stay numbers, NumPy's among them
+    pts = np.array([[0.5 + 0j], [0.0j]])
+    assert DensityExpr(2)(pts).tolist() == [2.0, 2.0]
+    assert DensityExpr({"const": np.float64(2.5)})(pts).tolist() == [2.5, 2.5]
+    assert DensityExpr({"pow": [{"abs_z": None}, 2]})(pts).tolist() \
+        == [0.25, 0.0]
+    cap = {"indicator": {"center": one, "delta": np.int64(2)}}
+    assert DensityExpr(cap)(pts).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0, 0.0, 2.0 + 1e-9, 3])
+def test_indicator_delta_outside_zero_two_is_rejected(delta):
+    with pytest.raises(ValueError, match=r"needs a delta in \(0, 2\]"):
+        DensityExpr({"indicator": {"center": [[1.0, 0.0]], "delta": delta}})
+
+
 def test_fractional_power_of_negative_density_is_input_error():
     dens = DensityExpr({"pow": [{"re": 0}, 0.5]})
     pts = np.array([[0.5 + 0j], [-0.25 + 0j]])
