@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass
@@ -129,12 +130,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    doc = asdict(cfg)
-    doc.pop("out")  # keep reports byte-identical across destinations
-    return doc
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -158,7 +153,7 @@ def _emit(report: dict, out: str | None, curves: dict | None = None) -> None:
         with open(out, "w") as fh:
             fh.write(doc + "\n")
         if curves:
-            base = out.rsplit(".", 1)[0]
+            base = os.path.splitext(out)[0]
             for name, rows in curves.items():
                 with open(f"{base}.{name}.csv", "w", newline="") as fh:
                     writer = csv.writer(fh)
@@ -181,20 +176,49 @@ def _print_table(title: str, rows: list[tuple]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes from (args, cfg) and returns an Outcome, which
+# _run prints and writes
 
-def cmd_verify_kernels(args) -> int:
+@dataclass
+class Outcome:
+    """What a subcommand computed: its table (header row first), the lines
+    printed after the table, its report body, its CSV curves and its exit
+    code."""
+
+    title: str
+    rows: list
+    report: dict
+    notes: tuple = ()
+    curves: dict | None = None
+    code: int = EXIT_OK
+
+
+def _run(args) -> int:
+    """Load the config, run the subcommand, print its table and notes,
+    and write its report under the common header; return its exit code."""
+    cfg = _load_config(args)
+    outcome = args.func(args, cfg)
+    _print_table(outcome.title, outcome.rows)
+    for line in outcome.notes:
+        print(line)
+    config = asdict(cfg)
+    config.pop("out")  # keep reports byte-identical across destinations
+    header = {"command": args.command, "version": __version__,
+              "config": config}
+    _emit({**header, **outcome.report}, cfg.out, outcome.curves)
+    return outcome.code
+
+
+def cmd_verify_kernels(args, cfg) -> Outcome:
     tol = args.tol
     if not 0 <= tol < math.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
-    cfg = _load_config(args)
     ex = Exponents(cfg.p, cfg.dim)
     grid = cfg.sphere()
     rows = [("|w|", "closed", "exact", "quadrature", "rel_err")]
     report_rows = []
     worst = 0.0
-    e1 = np.zeros(cfg.dim, dtype=complex)
-    e1[0] = 1.0
+    e1 = np.eye(cfg.dim, dtype=complex)[0]
     e = cfg.dim - cfg.p * cfg.dim / 2      # the upper parameters of 2F1
     for a in (0.0, 0.3, 0.6, 0.9):
         w = a * e1
@@ -220,50 +244,46 @@ def cmd_verify_kernels(args) -> int:
         pois.append({"abs_w": a, "poisson_mass": val,
                      "rel_err": abs(val - 1.0)})
         worst = max(worst, abs(val - 1.0))
-    report = {"command": "verify-kernels", "version": __version__,
-              "config": _config_dict(cfg), "kernel_norms": report_rows,
-              "poisson_normalization": pois, "max_rel_err": worst,
-              "tolerance": tol, "passed": worst <= tol}
-    _print_table(f"kernel norms (d={cfg.dim}, p={cfg.p})", rows)
-    print(f"max relative error {worst:.3e} (tolerance {tol:.1e})")
-    _emit(report, cfg.out)
-    return EXIT_OK if worst <= tol else EXIT_VERDICT
+    return Outcome(
+        f"kernel norms (d={cfg.dim}, p={cfg.p})", rows,
+        {"kernel_norms": report_rows, "poisson_normalization": pois,
+         "max_rel_err": worst, "tolerance": tol, "passed": worst <= tol},
+        notes=(f"max relative error {worst:.3e} (tolerance {tol:.1e})",),
+        code=EXIT_OK if worst <= tol else EXIT_VERDICT)
+
+
+def _of_dim(obj, what: str, cfg):
+    """obj, a measure or symbol read from a file, if it has dimension
+    --dim."""
+    if obj.d != cfg.dim:
+        raise ValueError(f"{what} dimension does not match --dim")
+    return obj
 
 
 def _load_mu(args, cfg):
     if getattr(args, "measure", None):
-        mu = load_measure(args.measure)
-        if mu.d != cfg.dim:
-            raise ValueError("measure dimension does not match --dim")
-        return mu
+        return _of_dim(load_measure(args.measure), "measure", cfg)
     return sigma_measure(cfg.dim)
 
 
-def cmd_criteria(args) -> int:
-    cfg = _load_config(args)
+def cmd_criteria(args, cfg) -> Outcome:
     ex = Exponents(cfg.p, cfg.dim)
     mu = _load_mu(args, cfg)
-    p3, p2, pw, pf = criteria_profiles(mu, ex, cfg.search(), cfg.sphere(),
-                                       cfg.radial())
-    rows = [("condition", "extremal", "argext")]
-    for prof in (p3, p2, pw, pf):
-        rows.append((prof.condition, f"{prof.extremal:.6g}",
-                     str(_jsonable(prof.arg_extremal))[:60]))
-    _print_table(f"criterion profiles (d={cfg.dim}, p={cfg.p})", rows)
-    report = {"command": "criteria", "version": __version__,
-              "config": _config_dict(cfg),
-              "profiles": {prof.condition: {
-                  "extremal": prof.extremal,
-                  "arg_extremal": _jsonable(prof.arg_extremal),
-                  "values": _jsonable(prof.values)}
-                  for prof in (p3, p2, pw, pf)}}
-    curves = {prof.condition: _profile_rows(prof) for prof in (p3, p2, pw, pf)}
-    _emit(report, cfg.out, curves)
-    return EXIT_OK
+    profiles = criteria_profiles(mu, ex, cfg.search(), cfg.sphere(),
+                                 cfg.radial())
+    rows = [("condition", "extremal", "argext")] + [
+        (prof.condition, f"{prof.extremal:.6g}",
+         str(_jsonable(prof.arg_extremal))[:60]) for prof in profiles]
+    return Outcome(
+        f"criterion profiles (d={cfg.dim}, p={cfg.p})", rows,
+        {"profiles": {prof.condition: {
+            "extremal": prof.extremal,
+            "arg_extremal": _jsonable(prof.arg_extremal),
+            "values": _jsonable(prof.values)} for prof in profiles}},
+        curves={prof.condition: _profile_rows(prof) for prof in profiles})
 
 
-def cmd_equivalence(args) -> int:
-    cfg = _load_config(args)
+def cmd_equivalence(args, cfg) -> Outcome:
     ex = Exponents(cfg.p, cfg.dim)
     mu = _load_mu(args, cfg)
     rep = equivalence_report(mu, ex, cfg.search(), cfg.sphere(), cfg.radial(),
@@ -274,30 +294,26 @@ def cmd_equivalence(args) -> int:
         c = rep.conditions[tag]
         rows.append((tag, "[" + ", ".join(f"{v:.4g}" for v in c.trend) + "]",
                      c.verdict))
-    _print_table(f"equivalence harness (d={cfg.dim}, p={cfg.p}, "
-                 f"tau={cfg.threshold})", rows)
-    print(f"forward extremal {rep.forward_extremal:.6g}; "
-          f"agreement={rep.agreement}")
+    notes = (f"forward extremal {rep.forward_extremal:.6g}; "
+             f"agreement={rep.agreement}",)
     if rep.diagnostic:
-        print(f"DIAGNOSTIC: {rep.diagnostic}")
-    report = {"command": "equivalence", "version": __version__,
-              "config": _config_dict(cfg),
-              "conditions": {t: {"trend": _jsonable(c.trend),
-                                 "arg_extremal": _jsonable(c.arg_extremal),
-                                 "verdict": c.verdict}
-                             for t, c in rep.conditions.items()},
-              "forward_extremal": rep.forward_extremal,
-              "agreement": rep.agreement, "diagnostic": rep.diagnostic}
-    _emit(report, cfg.out)
-    return EXIT_OK if rep.agreement else EXIT_DIAGNOSTIC
+        notes += (f"DIAGNOSTIC: {rep.diagnostic}",)
+    return Outcome(
+        f"equivalence harness (d={cfg.dim}, p={cfg.p}, tau={cfg.threshold})",
+        rows,
+        {"conditions": {t: {"trend": _jsonable(c.trend),
+                            "arg_extremal": _jsonable(c.arg_extremal),
+                            "verdict": c.verdict}
+                        for t, c in rep.conditions.items()},
+         "forward_extremal": rep.forward_extremal,
+         "agreement": rep.agreement, "diagnostic": rep.diagnostic},
+        notes=notes, code=EXIT_OK if rep.agreement else EXIT_DIAGNOSTIC)
 
 
-def cmd_pack(args) -> int:
+def cmd_pack(args, cfg) -> Outcome:
     if args.grid_points <= 0:
         raise ValueError("--grid-points must be positive")
-    cfg = _load_config(args)
-    e1 = np.zeros(cfg.dim, dtype=complex)
-    e1[0] = 1.0
+    e1 = np.eye(cfg.dim, dtype=complex)[0]
     Q = NonisotropicBall(SpherePoint(e1), args.delta)
     try:
         balls, cert = greedy_packing(Q, args.h, seed=cfg.seed,
@@ -308,29 +324,18 @@ def cmd_pack(args) -> int:
             ("balls", len(balls)),
             ("pairwise_disjoint", cert.disjoint),
             ("doubled_cover_fraction", f"{cert.covered_fraction:.4f}")]
-    _print_table(f"greedy packing (d={cfg.dim}, delta={args.delta}, "
-                 f"h={args.h})", rows)
-    report = {"command": "pack", "version": __version__,
-              "config": _config_dict(cfg), "delta": args.delta, "h": args.h,
-              "n_balls": len(balls),
-              "centers": [_jsonable(tuple(b.center.coords)) for b in balls],
-              "disjoint": cert.disjoint,
-              "doubled_cover_fraction": cert.covered_fraction,
-              "certificate_grid": cert.grid_size}
-    _emit(report, cfg.out)
-    return EXIT_OK if cert.disjoint else EXIT_VERDICT
+    return Outcome(
+        f"greedy packing (d={cfg.dim}, delta={args.delta}, h={args.h})", rows,
+        {"delta": args.delta, "h": args.h, "n_balls": len(balls),
+         "centers": [_jsonable(tuple(b.center.coords)) for b in balls],
+         "disjoint": cert.disjoint,
+         "doubled_cover_fraction": cert.covered_fraction,
+         "certificate_grid": cert.grid_size},
+        code=EXIT_OK if cert.disjoint else EXIT_VERDICT)
 
 
-def _load_symbol(args, cfg):
-    b = load_symbol(args.symbol)
-    if b.d != cfg.dim:
-        raise ValueError("symbol dimension does not match --dim")
-    return b
-
-
-def cmd_dbr_check(args) -> int:
-    cfg = _load_config(args)
-    b = _load_symbol(args, cfg)
+def cmd_dbr_check(args, cfg) -> Outcome:
+    b = _of_dim(load_symbol(args.symbol), "symbol", cfg)
     grid, rad, sg = cfg.sphere(), cfg.radial(), cfg.search()
     mu = _load_mu(args, cfg)
     inner_frac = is_inner_estimate(b, grid, cfg.eps_inner)
@@ -344,18 +349,16 @@ def cmd_dbr_check(args) -> int:
              else f"{nc.value:.6g}"),
             ("integrability", integ.verdict),
             ("kernel_test_min", f"{kt.extremal:.6g}")]
-    _print_table(f"H(b) checks (d={cfg.dim})", rows)
-    report = {"command": "dbr-check", "version": __version__,
-              "config": _config_dict(cfg), "inner_fraction": inner_frac,
-              "necessary_constant": nc.value,
-              "violating_nodes": _jsonable(nc.violating_nodes),
-              "exempt_fraction": nc.exempt_fraction,
-              "one_minus_b": {"estimates": _jsonable(integ.estimates),
-                              "verdict": integ.verdict},
-              "kernel_test": {"extremal": kt.extremal,
-                              "values": _jsonable(kt.values)}}
-    _emit(report, cfg.out, {"kernel_test": _profile_rows(kt)})
-    return EXIT_OK
+    return Outcome(
+        f"H(b) checks (d={cfg.dim})", rows,
+        {"inner_fraction": inner_frac, "necessary_constant": nc.value,
+         "violating_nodes": _jsonable(nc.violating_nodes),
+         "exempt_fraction": nc.exempt_fraction,
+         "one_minus_b": {"estimates": _jsonable(integ.estimates),
+                         "verdict": integ.verdict},
+         "kernel_test": {"extremal": kt.extremal,
+                         "values": _jsonable(kt.values)}},
+        curves={"kernel_test": _profile_rows(kt)})
 
 
 def _load_points(path) -> list:
@@ -376,9 +379,8 @@ def _load_points(path) -> list:
     return points
 
 
-def cmd_refute_sampling(args) -> int:
-    cfg = _load_config(args)
-    b = _load_symbol(args, cfg)
+def cmd_refute_sampling(args, cfg) -> Outcome:
+    b = _of_dim(load_symbol(args.symbol), "symbol", cfg)
     ref = refute_sampling(b, _load_points(args.points), cfg.search(),
                           cfg.sphere(), cfg.radial(),
                           refinements=cfg.refinements, eps_inner=cfg.eps_inner,
@@ -388,21 +390,20 @@ def cmd_refute_sampling(args) -> int:
             ("inner_fraction", f"{ref.inner_fraction:.6f}"),
             ("kernel_test_trend", "[" + ", ".join(
                 f"{v:.4g}" for v in ref.kernel_test_trend) + "]")]
-    _print_table(f"sampling refutation (d={cfg.dim})", rows)
-    print(ref.detail)
-    report = {"command": "refute-sampling", "version": __version__,
-              "config": _config_dict(cfg), "verdict": ref.verdict,
-              "inner_fraction": ref.inner_fraction,
-              "boundary_density_zero": ref.boundary_density_zero,
-              "kernel_test_trend": _jsonable(ref.kernel_test_trend),
-              "detail": ref.detail}
-    _emit(report, cfg.out)
-    return EXIT_OK
+    return Outcome(
+        f"sampling refutation (d={cfg.dim})", rows,
+        {"verdict": ref.verdict, "inner_fraction": ref.inner_fraction,
+         "boundary_density_zero": ref.boundary_density_zero,
+         "kernel_test_trend": _jsonable(ref.kernel_test_trend),
+         "detail": ref.detail},
+        notes=(ref.detail,))
 
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _subcommand(subs, name, func, help):
+    """A subparser with the flags every subcommand takes, run by func."""
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--config", help="YAML experiment config")
     sub.add_argument("--dim", type=int)
     sub.add_argument("--p", type=float)
@@ -411,6 +412,8 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--threshold", type=float)
     sub.add_argument("--out")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,42 +423,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "packings, and H(b) necessary tests")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("verify-kernels",
-                        help="exact vs quadrature kernel norms")
-    _add_common(s)
+    s = _subcommand(subs, "verify-kernels", cmd_verify_kernels,
+                    "exact vs quadrature kernel norms")
     s.add_argument("--tol", type=float, default=1e-6)
-    s.set_defaults(func=cmd_verify_kernels)
 
-    s = subs.add_parser("criteria", help="single-level criterion profiles")
-    _add_common(s)
+    s = _subcommand(subs, "criteria", cmd_criteria,
+                    "single-level criterion profiles")
     s.add_argument("--measure", help="YAML measure file (default: sigma)")
-    s.set_defaults(func=cmd_criteria)
 
-    s = subs.add_parser("equivalence",
-                        help="equivalence harness across grid refinements")
-    _add_common(s)
+    s = _subcommand(subs, "equivalence", cmd_equivalence,
+                    "equivalence harness across grid refinements")
     s.add_argument("--measure")
-    s.set_defaults(func=cmd_equivalence)
 
-    s = subs.add_parser("pack", help="greedy maximal packing of a ball")
-    _add_common(s)
+    s = _subcommand(subs, "pack", cmd_pack,
+                    "greedy maximal packing of a ball")
     s.add_argument("--delta", type=float, required=True)
     s.add_argument("--h", type=float, required=True)
     s.add_argument("--grid-points", type=int, default=10000)
-    s.set_defaults(func=cmd_pack)
 
-    s = subs.add_parser("dbr-check", help="H(b) necessary-condition checks")
-    _add_common(s)
+    s = _subcommand(subs, "dbr-check", cmd_dbr_check,
+                    "H(b) necessary-condition checks")
     s.add_argument("--symbol", required=True)
     s.add_argument("--measure")
-    s.set_defaults(func=cmd_dbr_check)
 
-    s = subs.add_parser("refute-sampling",
-                        help="refute a sampling-sequence candidate")
-    _add_common(s)
+    s = _subcommand(subs, "refute-sampling", cmd_refute_sampling,
+                    "refute a sampling-sequence candidate")
     s.add_argument("--symbol", required=True)
     s.add_argument("--points", required=True)
-    s.set_defaults(func=cmd_refute_sampling)
     return parser
 
 
@@ -469,7 +463,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

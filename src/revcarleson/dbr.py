@@ -10,6 +10,7 @@ necessary, not sufficient).
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from .criteria import _levels, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at)
-from .measures import BallMeasure, _NodeTable, _field, _load_yaml
+from .measures import (BallMeasure, _NodeTable, _dimension, _field,
+                       _load_yaml)
 from .quadrature import RadialRule, SphereGrid, _blocks
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
@@ -30,6 +32,13 @@ __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
            "load_symbol", "EPS_INNER"]
 
 EPS_INNER = 1e-6
+
+
+def _check_finite(value, where: str) -> None:
+    """Reject a nan or infinite number: Symbol's range checks are
+    comparisons, and a nan fails each of them without being caught."""
+    if not cmath.isfinite(complex(value)):
+        raise ValueError(f"{where} must be finite, got {complex(value)}")
 
 
 @dataclass(frozen=True)
@@ -48,18 +57,24 @@ class Symbol:
 
     def __post_init__(self):
         if self.kind == "constant":
+            _check_finite(self.data, "constant symbol field 'value'")
             if abs(complex(self.data)) >= 1:
                 raise ValueError("constant symbol must satisfy |c| < 1")
         elif self.kind == "blaschke":
             if self.d != 1:
                 raise ValueError("Blaschke symbols are d = 1 only")
             zeros, phase = self.data
+            for i, a in enumerate(zeros):
+                _check_finite(a, f"blaschke symbol field 'zeros' entry {i}")
+            _check_finite(phase, "blaschke symbol field 'phase'")
             if any(abs(a) >= 1 for a in zeros):
                 raise ValueError("Blaschke zeros must be interior")
             if abs(abs(complex(phase)) - 1.0) > 1e-10:
                 raise ValueError("Blaschke phase must be unimodular")
         elif self.kind == "polynomial":
-            for i, (_, alpha) in enumerate(self.data):
+            for i, (coeff, alpha) in enumerate(self.data):
+                _check_finite(coeff, "polynomial symbol field 'coeff' of "
+                              f"term {i}")
                 if len(alpha) != self.d or not all(
                         isinstance(a, numbers.Integral) and a >= 0
                         for a in alpha):
@@ -346,11 +361,7 @@ def symbol_from_dict(doc: dict) -> Symbol:
     kind = _field(doc, "kind", "symbol")
     if not isinstance(kind, str) or kind not in _SYMBOL_DATA:
         raise ValueError(f"unknown symbol kind {kind!r}")
-    try:
-        d = int(doc.get("dimension", 1))
-    except (TypeError, ValueError):
-        raise ValueError("symbol field 'dimension' must be an integer, "
-                         f"got {doc['dimension']!r}") from None
+    d = _dimension(doc.get("dimension", 1), "symbol")
     data = _field(doc, "data", "symbol")
     try:
         if kind == "constant":

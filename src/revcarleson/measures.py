@@ -491,6 +491,21 @@ def _field(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _dimension(dim, kind: str) -> int:
+    """dim, the dimension field of a kind ("measure", "symbol") file, as an
+    int.  A bool, a string that is no integer, or a number that is not
+    integral or not finite is an input error."""
+    if not isinstance(dim, bool) and (
+            isinstance(dim, (numbers.Integral, str))
+            or isinstance(dim, float) and dim.is_integer()):
+        try:
+            return int(dim)
+        except ValueError:
+            pass
+    raise ValueError(f"{kind} field 'dimension' must be an integer, "
+                     f"got {dim!r}")
+
+
 def _check_mass(key: str, i: int, mass) -> None:
     if not 0.0 < mass < math.inf:       # nan fails both comparisons
         raise ValueError(f"measure field {key!r} entry {i} has mass {mass}; "
@@ -528,14 +543,9 @@ def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
 def measure_from_dict(doc: dict) -> BallMeasure:
     if not isinstance(doc, dict):
         raise ValueError("measure file must hold a mapping of fields")
-    dim = _field(doc, "dimension", "measure")
-    try:
-        d = int(dim)
-    except (TypeError, ValueError):
-        raise ValueError("measure field 'dimension' must be an integer, "
-                         f"got {dim!r}") from None
     return BallMeasure(
-        d, _atoms_from_dict(doc, "interior_atoms", BallPoint),
+        _dimension(_field(doc, "dimension", "measure"), "measure"),
+        _atoms_from_dict(doc, "interior_atoms", BallPoint),
         parse_density(doc.get("interior_density")),
         parse_density(doc.get("boundary_density")),
         _atoms_from_dict(doc, "boundary_atoms", SpherePoint))

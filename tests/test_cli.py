@@ -482,12 +482,41 @@ def test_one_parser_serves_every_call(tmp_path):
      "--refinements", "2"],
     ["pack", "--dim", "1", "--delta", "0.5", "--h", "0.1",
      "--grid-points", "1000"],
+    ["dbr-check", "--dim", "1", "--resolution", "512", "--symbol", "b.yaml"],
+    ["refute-sampling", "--dim", "1", "--resolution", "512",
+     "--refinements", "2", "--symbol", "b.yaml", "--points", "w.yaml"],
 ])
 def test_reports_byte_identical_across_runs(argv, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(argv + ["--out", str(a)]) == 0
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # reports and CSV curves, under the header every subcommand shares
+    (tmp_path / "b.yaml").write_text(CONST_SYMBOL)
+    (tmp_path / "w.yaml").write_text(POINTS)
+    argv = [str(tmp_path / a) if a.endswith(".yaml") else a for a in argv]
+    written = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert run(argv + ["--out", str(tmp_path / name / "r.json")]) == 0
+        written.append({f.name: f.read_bytes()
+                        for f in (tmp_path / name).iterdir()})
+    assert written[0] == written[1]
+    doc = json.loads(written[0]["r.json"])
+    assert doc["command"] == argv[0]
+    assert doc["version"] == cli.__version__
+    assert set(doc["config"]) == set(
+        cli.ExperimentConfig.__dataclass_fields__) - {"out"}
+
+
+def test_curves_are_named_after_the_report_without_its_extension(
+        tmp_path, monkeypatch):
+    # a dot in a directory name is no extension: the curves go beside the
+    # report, not into the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.d").mkdir()
+    assert run(["criteria", "--dim", "1", "--resolution", "64",
+                "--out", "runs.d/report"]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["runs.d"]
+    assert sorted(f.name for f in (tmp_path / "runs.d").iterdir()) == [
+        "report", "report.forward.csv", "report.ii.csv", "report.iii.csv",
+        "report.window.csv"]
 
 
 @pytest.mark.parametrize("text,message", [
@@ -525,6 +554,12 @@ def test_reports_byte_identical_across_runs(argv, tmp_path):
      "- {point: [[0.5, 0.0]], mass: .inf}\n",
      "measure field 'interior_atoms' entry 1 has mass inf; atom masses must "
      "be finite and positive"),
+    ("dimension: .inf\n", "measure field 'dimension' must be an integer, "
+     "got inf"),
+    ("dimension: 1.5\n", "measure field 'dimension' must be an integer, "
+     "got 1.5"),
+    ("dimension: true\n", "measure field 'dimension' must be an integer, "
+     "got True"),
 ])
 def test_malformed_measure_is_input_error(tmp_path, capsys, text, message):
     mu = tmp_path / "mu.yaml"
@@ -549,6 +584,22 @@ def test_malformed_measure_is_input_error(tmp_path, capsys, text, message):
     ("dimension: 1\ndata: {value: [0.5, 0]}\n", "symbol field 'kind' is missing"),
     ("kind: constant\ndimension: 1\n", "symbol field 'data' is missing"),
     ("5\n", "symbol file must hold a mapping"),
+    ("kind: constant\ndimension: .inf\ndata: {value: [0.5, 0]}\n",
+     "symbol field 'dimension' must be an integer, got inf"),
+    ("kind: constant\ndimension: 1.5\ndata: {value: [0.5, 0]}\n",
+     "symbol field 'dimension' must be an integer, got 1.5"),
+    ("kind: constant\ndimension: true\ndata: {value: [0.5, 0]}\n",
+     "symbol field 'dimension' must be an integer, got True"),
+    ("kind: constant\ndimension: 1\ndata: {value: [.nan, 0.0]}\n",
+     "constant symbol field 'value' must be finite, got (nan+0j)"),
+    ("kind: polynomial\ndimension: 1\ndata: {terms: [{coeff: [.nan, 0.0], "
+     "exponents: [1]}]}\n",
+     "polynomial symbol field 'coeff' of term 0 must be finite, got (nan+0j)"),
+    ("kind: blaschke\ndimension: 1\ndata: {zeros: [[.nan, 0.0]]}\n",
+     "blaschke symbol field 'zeros' entry 0 must be finite, got (nan+0j)"),
+    ("kind: blaschke\ndimension: 1\ndata: {zeros: [[0.5, 0.0]], "
+     "phase: [.nan, 0.0]}\n",
+     "blaschke symbol field 'phase' must be finite, got (nan+0j)"),
 ])
 def test_malformed_symbol_is_input_error(tmp_path, capsys, command, text,
                                          message):

@@ -87,6 +87,29 @@ def test_polynomial_symbol_checks_each_multi_index(exponents):
                                  (0.25 + 0j, tuple(exponents))))
 
 
+NAN = complex(math.nan, 0.0)
+
+
+@pytest.mark.parametrize("kind,d,data,message", [
+    ("constant", 1, NAN, "constant symbol field 'value' must be finite"),
+    ("constant", 1, complex(0.0, math.inf),
+     "constant symbol field 'value' must be finite"),
+    ("polynomial", 1, ((0.25 + 0j, (0,)), (NAN, (1,))),
+     "polynomial symbol field 'coeff' of term 1 must be finite"),
+    # named as not finite, not as a sup above 1
+    ("polynomial", 1, ((complex(math.inf, 0.0), (0,)),),
+     "polynomial symbol field 'coeff' of term 0 must be finite"),
+    ("blaschke", 1, ((0.5 + 0j, NAN), 1.0 + 0j),
+     "blaschke symbol field 'zeros' entry 1 must be finite"),
+    ("blaschke", 1, ((0.5 + 0j,), NAN),
+     "blaschke symbol field 'phase' must be finite"),
+])
+def test_symbol_rejects_non_finite_data(kind, d, data, message):
+    # each range check is a comparison, which a nan fails silently
+    with pytest.raises(ValueError, match=message):
+        Symbol(kind, d, data)
+
+
 def test_blaschke_is_inner(grid):
     b = _blaschke([0.5, -0.3j, 0.0])
     mod = b.boundary_modulus(grid.nodes)
