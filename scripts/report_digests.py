@@ -14,12 +14,26 @@ With ``--against OLD.json`` (a table written so by another checkout) it
 prints every op key whose digest differs from OLD's, or that only one of
 the two tables holds, and exits 1 if there is any; ``--out`` is then
 optional.
+
+``--reports DIR`` keeps each op's report in ``DIR/<op key>.json``: its exit
+code, its JSON report and its CSV curves as text.  ``--against-reports
+OLD_DIR`` (reports kept so by another checkout) prints, for each op key
+whose report differs, whether the exit codes match, the largest relative
+change over every number (numbers inside strings, such as an
+``arg_extremal`` label or a CSV curve, included) and the path of every
+other field that differs; it exits 1 when an exit code or such a
+non-numeric field differs, or an op key is on one side only:
+
+    python3 scripts/report_digests.py --workload verdicts --seeds 0:32 \\
+        --reports reports-new --against-reports reports-old
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -29,6 +43,84 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 import run  # noqa: E402  (bench/run.py; it imports no numpy)
 import workloads  # noqa: E402
+
+# a number as reports print it, alone or inside a string
+NUMBER = re.compile(
+    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def kept_report(outdir: Path, i: int, code) -> dict:
+    """Op i's exit code, JSON report (None when it wrote none) and CSV
+    curves, from the output directory of a pass."""
+    report = outdir / f"op{i:02d}.json"
+    return {"exit": code,
+            "report": json.loads(report.read_text())
+            if report.is_file() else None,
+            "curves": {f.name.split(".", 1)[1]: f.read_text()
+                       for f in sorted(outdir.glob(f"op{i:02d}.*.csv"))}}
+
+
+def _rel(new: float, old: float) -> float:
+    if new == old or (math.isnan(new) and math.isnan(old)):
+        return 0.0
+    return abs(new - old) / abs(old) if old and math.isfinite(old) \
+        else math.inf
+
+
+def compare(new, old, path=""):
+    """Yield (relative change, None) for each number of new against its
+    place in old, and (None, path) for each other field that differs; two
+    strings are compared as the numbers in them and the text around them."""
+    number = (int, float)
+    if isinstance(new, number) and isinstance(old, number) \
+            and not isinstance(new, bool) and not isinstance(old, bool):
+        yield _rel(float(new), float(old)), None
+    elif isinstance(new, str) and isinstance(old, str):
+        if NUMBER.split(new) != NUMBER.split(old):
+            yield None, path
+        for a, b in zip(NUMBER.findall(new), NUMBER.findall(old)):
+            yield _rel(float(a), float(b)), None
+    elif isinstance(new, dict) and isinstance(old, dict) \
+            and new.keys() == old.keys():
+        for key in new:
+            yield from compare(new[key], old[key], f"{path}.{key}")
+    elif isinstance(new, list) and isinstance(old, list) \
+            and len(new) == len(old):
+        for k, (a, b) in enumerate(zip(new, old)):
+            yield from compare(a, b, f"{path}[{k}]")
+    elif new != old or type(new) is not type(old):
+        yield None, path
+
+
+def against_reports(reports: dict, old_dir: Path) -> int:
+    """Print how each op's report differs from the one kept in old_dir;
+    1 when an exit code or a non-numeric field differs anywhere."""
+    old = {f.stem: json.loads(f.read_text())
+           for f in sorted(old_dir.glob("*.json"))}
+    keys, differ, fail = sorted(reports.keys() | old.keys()), 0, False
+    for key in keys:
+        if key not in reports or key not in old:
+            print(f"{key}: only in {'old' if key in old else 'new'} reports")
+            differ, fail = differ + 1, True
+            continue
+        new_rep, old_rep = reports[key], old[key]
+        if new_rep == old_rep:
+            continue
+        same_exit = new_rep["exit"] == old_rep["exit"]
+        found = list(compare({**new_rep, "exit": None},
+                             {**old_rep, "exit": None}))
+        change = max((rel for rel, _ in found if rel is not None),
+                     default=0.0)
+        fields = [path for _, path in found if path is not None]
+        print(f"{key}: exit codes "
+              + (f"match ({new_rep['exit']})" if same_exit else
+                 f"differ ({old_rep['exit']} -> {new_rep['exit']})")
+              + f"; largest relative change {change:.3g}"
+              + (f"; other fields differ: {', '.join(fields)}"
+                 if fields else ""))
+        differ, fail = differ + 1, fail or not same_exit or bool(fields)
+    print(f"{differ} of {len(keys)} op reports differ from {old_dir}")
+    return 1 if fail else 0
 
 
 def main() -> int:
@@ -40,15 +132,22 @@ def main() -> int:
     ap.add_argument("--out", type=Path)
     ap.add_argument("--against", type=Path, metavar="OLD.json",
                     help="compare with this table; exit 1 on any difference")
+    ap.add_argument("--reports", type=Path, metavar="DIR",
+                    help="keep each op's report as DIR/<op key>.json")
+    ap.add_argument("--against-reports", type=Path, metavar="OLD_DIR",
+                    help="compare the reports with those kept in OLD_DIR; "
+                         "exit 1 when an exit code or a non-numeric field "
+                         "differs")
     args = ap.parse_args()
-    if args.out is None and args.against is None:
-        ap.error("give --out, --against or both")
+    if not (args.out or args.against or args.reports
+            or args.against_reports):
+        ap.error("give --out, --against, --reports or --against-reports")
     start, stop = (int(x) for x in args.seeds.split(":"))
     for var in run.BLAS_ENV:
         os.environ[var] = str(run.BLAS_THREADS)
     from revcarleson.cli import main as cli_main
 
-    table = {}
+    table, reports = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         for seed in range(start, stop):
             wl = workloads.generate(args.workload, seed)
@@ -57,9 +156,12 @@ def main() -> int:
             for fname, text in wl.files.items():
                 (indir / fname).write_text(text)
             r = run.run_pass(cli_main, wl, indir, Path(scratch) / f"o{seed}")
+            keys = [op.key(wl.files) for op in wl.ops]
+            for i, (key, code) in enumerate(zip(keys, r["codes"])):
+                reports[key] = kept_report(r["outdir"], i, code)
             run.inspect_pass(wl, r)     # digests report and CSVs
-            for op, digest, code in zip(wl.ops, r["digests"], r["codes"]):
-                table[op.key(wl.files)] = hashlib.sha256(
+            for key, digest, code in zip(keys, r["digests"], r["codes"]):
+                table[key] = hashlib.sha256(
                     f"{digest}\0exit={code}".encode()).hexdigest()
             print(f"{args.workload} seed {seed}: {len(wl.ops)} ops, exit "
                   f"codes {sorted(set(map(str, r['codes'])))}", flush=True)
@@ -67,8 +169,17 @@ def main() -> int:
         args.out.write_text(json.dumps(table, indent=0, sort_keys=True)
                             + "\n")
         print(f"{len(table)} digests written to {args.out}")
+    if args.reports is not None:
+        args.reports.mkdir(parents=True, exist_ok=True)
+        for key, rep in reports.items():
+            (args.reports / f"{key}.json").write_text(
+                json.dumps(rep, sort_keys=True) + "\n")
+        print(f"{len(reports)} reports written to {args.reports}")
+    code = 0
+    if args.against_reports is not None:
+        code = against_reports(reports, args.against_reports)
     if args.against is None:
-        return 0
+        return code
     old = json.loads(args.against.read_text())
     differ = sorted(k for k in table.keys() | old.keys()
                     if table.get(k) != old.get(k))
@@ -76,7 +187,7 @@ def main() -> int:
         print(f"differs: {key}")
     print(f"{len(differ)} of {len(table.keys() | old.keys())} op keys differ "
           f"from {args.against}")
-    return 1 if differ else 0
+    return 1 if differ else code
 
 
 if __name__ == "__main__":

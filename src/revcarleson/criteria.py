@@ -136,37 +136,45 @@ def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,
     return _view("iii", _cell_keys(sgrid), iii, reverse=True)
 
 
+def _rays(sgrid: SearchGrid):
+    """Each search centre c of sgrid with its w-points w = rho c, as
+    (c, [(rho, w), ...]); w = 0 leads, as rho = 0 on the first centre's
+    ray.  In order they are the w-points of _w_points."""
+    for i, c in enumerate(sgrid.centers()):
+        lead = [(0.0, np.zeros(sgrid.d, dtype=complex))] if i == 0 else []
+        yield c, lead + [(r, r * c) for r in sgrid.radii()]
+
+
 def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
-    out = [np.zeros(sgrid.d, dtype=complex)]
-    for c in sgrid.centers():
-        for r in sgrid.radii():
-            out.append(r * c)
-    return out
+    return [w for _, ws in _rays(sgrid) for _, w in ws]
 
 
-def _kernel_pass(table: _NodeTable, exponents: Exponents,
-                 w: np.ndarray) -> tuple[float, float, TestFunction]:
-    """(condition (ii)'s integral, the witness ratio of K_w, K_w) for the
-    Cauchy kernel k_w, from the table's kernel pass: I, the integral of
-    |k_w|^p against mu, and G, its integral against sigma (one dot product
-    of the pass's sphere row with sigma's weights, taken again by
-    sphere_sum to name the node at fault when not finite).  Condition (ii)
-    is I / ||k_w||_p^p and the witness ratio is I / G; ||k_w||_p is the
-    closed form at p = 2, where it is exact, and G^(1/p) otherwise.
+def _kernel_passes(table: _NodeTable, exponents: Exponents,
+                   sgrid: SearchGrid) -> dict:
+    """tuple(w) -> (condition (ii)'s integral, the witness ratio of K_w,
+    K_w) for each w-point of sgrid, in order, from the table's kernel pass
+    on one ray per search centre: I, the integral of |k_w|^p against mu,
+    and G, its integral against sigma (the sphere row's dot product with
+    sigma's weights, taken again by sphere_sum to name the node at fault
+    when not finite).  Condition (ii) is I / ||k_w||_p^p and the witness
+    ratio I / G, ||k_w||_p the closed form at p = 2 and G^(1/p) otherwise.
     """
-    p = exponents.p
-    # the closed form also rejects |w| >= 1 before any node is evaluated
-    nrm = kernel_norm(w, exponents)
-    I, on_grid = table.kernel_pass(w, p)
-    G = float(np.dot(table.grid.weights, on_grid))
-    if not math.isfinite(G):
-        sphere_sum(table.grid, on_grid)
-    if G <= 0:
-        raise ValueError("zero-norm test function in the family")
-    if abs(p - 2) >= 1e-12:
-        nrm = G ** (1.0 / p)
-    return (I / nrm ** p, I / G,
-            TestFunction(exponents.d, kernel_terms=((1.0 / nrm, w),)))
+    p, out = exponents.p, {}
+    for c, ws in _rays(sgrid):
+        ray = table.ray(c)
+        for rho, w in ws:
+            nrm = kernel_norm(w, exponents)     # rejects |w| >= 1
+            I, on_grid = table.kernel_pass(ray, rho, p)
+            G = float(np.dot(table.grid.weights, on_grid))
+            if not math.isfinite(G):
+                sphere_sum(table.grid, on_grid)
+            if G <= 0:
+                raise ValueError("zero-norm test function in the family")
+            if abs(p - 2) >= 1e-12:
+                nrm = G ** (1.0 / p)
+            out[tuple(w)] = (I / nrm ** p, I / G, TestFunction(
+                exponents.d, kernel_terms=((1.0 / nrm, w),)))
+    return out
 
 
 def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
@@ -178,10 +186,8 @@ def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
 
 def _condition_ii(table: _NodeTable, exponents: Exponents,
                   sgrid: SearchGrid) -> CriterionProfile:
-    ws = _w_points(sgrid)
-    values = [_kernel_pass(table, exponents, w)[0] for w in ws]
-    return CriterionProfile.from_values("ii", [tuple(w) for w in ws], values,
-                                        reverse=True)
+    passes = _kernel_passes(table, exponents, sgrid)
+    return _view("ii", passes, {w: v[0] for w, v in passes.items()}, True)
 
 
 def criteria_profiles(mu: BallMeasure, exponents: Exponents,
@@ -316,8 +322,7 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
     # kernels first (w = 0 names a node where the density is not finite),
     # and each monomial witness once for every level
     table = _NodeTable.build(mu, grid, radial)
-    passes = {tuple(w): _kernel_pass(table, exponents, w)
-              for w in _w_points(finest)}
+    passes = _kernel_passes(table, exponents, finest)
     iii, window = _cell_walk(table, finest, radial)
     monomials = _monomials(exponents.d)
     mono_ratios = [_function_ratio(table, exponents.p, f) for f in monomials]

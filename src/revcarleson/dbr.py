@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _levels, _verdict, _view, _w_points
+from .criteria import _levels, _rays, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
                       cauchy_kernel_at)
@@ -81,7 +81,11 @@ class Symbol:
                     raise ValueError(
                         f"polynomial symbol term {i} has exponents "
                         f"{list(alpha)!r}, not {self.d} integers >= 0")
-            sup = self.sup_modulus_estimate()
+            with np.errstate(over="ignore", invalid="ignore"):
+                sup = self.sup_modulus_estimate()
+            if not math.isfinite(sup):
+                raise ValueError("polynomial symbol overflows: its sup |b| "
+                                 f"estimate is {sup}")
             if sup > 1 + 1e-10:
                 raise ValueError(f"polynomial symbol has sup |b| ~ {sup} > 1")
         else:
@@ -170,18 +174,19 @@ def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     """The kernel test on a node table: tuple(w) -> its value for each w of
     the search grid (None where K^b(w, w) <= 0).  The integral of
     |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 is the table's kernel pass at
-    p = 2 with that multiplier.  b is taken once on each of the table's
-    node sets and once at each w."""
+    p = 2 with that multiplier, one ray (with no row) per search centre.
+    b is taken once on each of the table's node sets and once at each w."""
     bz = [None if pts is None else b(pts) for pts in table.sets]
     values = {}
-    for w in _w_points(sgrid):
-        wc = _pole(w)
-        bw = eval_symbol(b, wc)
-        diag = _kernel_diag(wc, bw)
-        m = [None if z is None else np.abs(1.0 - z * np.conj(bw)) ** 2
-             for z in bz]
-        values[tuple(w)] = None if diag <= 0 else \
-            table.kernel_pass(wc, 2.0, m, row=False)[0] / diag
+    for c, ws in _rays(sgrid):
+        ray = table.ray(c, row=False)
+        for rho, w in ws:
+            bw = eval_symbol(b, w)
+            diag = _kernel_diag(w, bw)
+            m = [None if z is None else np.abs(1.0 - z * np.conj(bw)) ** 2
+                 for z in bz]
+            values[tuple(w)] = None if diag <= 0 else \
+                table.kernel_pass(ray, rho, 2.0, m)[0] / diag
     return values
 
 

@@ -70,9 +70,19 @@ def cauchy_kernel(w, z) -> complex:
 
 
 def cauchy_kernel_at(w: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized k_w over an (n, d) stack of points."""
-    d = np.asarray(w).size
-    return (1.0 - pts @ np.conj(w)) ** (-d)
+    """Vectorized k_w over an (n, d) stack of points, by _inverse_power."""
+    x = 1.0 - pts @ np.conj(w)
+    return _inverse_power(x, np.asarray(w).size, x)
+
+
+def _inverse_power(x: np.ndarray, k: int, inv=None, out=None) -> np.ndarray:
+    """x^(-k), k >= 1 an integer, as a reciprocal (into inv) and k - 1
+    multiplies (into out): within a few ulps of np.power, and faster."""
+    inv = np.reciprocal(x, out=inv)
+    out = inv if k == 1 else np.multiply(inv, inv, out=out)
+    for _ in range(k - 2):
+        np.multiply(out, inv, out=out)
+    return out
 
 
 def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0,
@@ -86,8 +96,8 @@ def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0,
     (r Im t)^2, not as 1 - 2 r Re t + r^2 |t|^2, whose terms cancel near
     the pole.  t is copied across the shape before r multiplies it, which
     numpy does faster than it broadcasts t against r.  When pd/2 is an
-    integer k the power is a reciprocal and k - 1 multiplies, within a few
-    ulps of np.power, which takes every other power.
+    integer k the power is _inverse_power's, and np.power takes every
+    other power.
     """
     if work is None:
         work = np.empty((2,) + np.broadcast(t, r).shape)
@@ -103,13 +113,7 @@ def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0,
     e = 0.5 * p * d
     if not e.is_integer():
         return np.power(s, -e, out=s)
-    inv = np.reciprocal(s, out=y)
-    if e == 1:
-        return inv
-    np.multiply(inv, inv, out=s)
-    for _ in range(int(e) - 2):
-        np.multiply(s, inv, out=s)
-    return s
+    return _inverse_power(s, int(e), y, s)
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ def _norm_factor(a2: float, exponents: Exponents) -> float:
 def _lp_norm(vals, p: float, grid: SphereGrid) -> float:
     """(integral of |f|^p against sigma)^(1/p) from vals = |f|^p on the
     grid's nodes, by sphere_sum: the norms of kernel_norm, hp_norm and the
-    witness functions.  criteria._kernel_pass takes its G = integral of
+    witness functions.  criteria._kernel_passes takes G = integral of
     |k_w|^p by np.dot with the weights instead, whose last bits differ."""
     return float(np.real(sphere_sum(grid, vals))) ** (1.0 / p)
 

@@ -9,6 +9,7 @@ infinite; infinity is produced deliberately (math.inf), never by overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ def _compile(spec, d=None):
         c = _finite(arg, spec, form)
         return lambda pts: np.full(len(pts), c)
     if op == "abs_z":
-        return lambda pts: np.linalg.norm(pts, axis=1)
+        return _row_norms
     if op in ("re", "im"):
         k = int(arg)
         if d is not None and not 0 <= k < d:
@@ -154,13 +155,21 @@ def _compile(spec, d=None):
         return lambda pts: np.abs(pts @ conj)
 
     def indicator(pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = _row_norms(pts)
         out = np.zeros(len(pts))
         ok = r > 0
         proj = pts[ok] / r[ok, None]
         out[ok] = (np.abs(1.0 - proj @ conj) <= bound)
         return out
     return indicator
+
+
+def _row_norms(pts: np.ndarray) -> np.ndarray:
+    """|z| of each row of pts with the bits of np.linalg.norm(pts, axis=1):
+    up to d = 3 the columns of |z_k|^2 are added left to right, faster."""
+    if pts.shape[1] > 3:
+        return np.linalg.norm(pts, axis=1)
+    return np.sqrt(functools.reduce(np.add, (pts.conj() * pts).real.T))
 
 
 def parse_density(spec) -> DensityExpr | None:
@@ -305,10 +314,9 @@ class _NodeTable:
     set.  An integral against the table is one dot product with wint and
     one with wg, plus the atoms.
 
-    radii holds the radius of each node of kernel_pass, one row per radius
-    over the grid's nodes: row 0 the sphere (radius 1), row j the interior
-    radius r_j.  kernel_pass overwrites work, two float arrays of that
-    shape, so a table serves one pass at a time (it is not reentrant).
+    radii is the column of kernel_pass's row radii (1, the sphere, then
+    each r_j), and kernel_pass overwrites work, two float arrays of a row
+    per radius by a column per grid node: a table is not reentrant.
     """
 
     mu: BallMeasure
@@ -340,9 +348,8 @@ class _NodeTable:
                 None if wg is None else grid.nodes,
                 *(np.array([pt.coords for pt, _ in atoms]) if atoms else None
                   for atoms in (mu.interior_atoms, mu.boundary_atoms)))
-        radii = np.repeat(radii[:, None], len(grid), axis=1)
-        return cls(mu, grid, sets, wg, interior, wint, radii,
-                   np.empty((2,) + radii.shape))
+        return cls(mu, grid, sets, wg, interior, wint, radii[:, None],
+                   np.empty((2, len(radii), len(grid))))
 
     def cells(self, centers, deltas):
         """The cell pass, the one place the node-indicator rule lives.
@@ -398,18 +405,11 @@ class _NodeTable:
             raise ValueError("an integral against a measure with an interior "
                              "density needs a table built with a radial rule")
         interior, boundary, inner_atoms, outer_atoms = vals
-        inner = outer = None
+        total = 0.0
         if interior is not None:
             inner = float(np.real(np.dot(interior, self.wint)))
             if not math.isfinite(inner):
                 window_sum(self.interior, interior * self.wint)
-        if boundary is not None:
-            boundary = np.real(boundary)
-            if np.any(boundary < -1e-10):
-                raise ValueError("integrand must be nonnegative")
-            outer = float(np.dot(self.wg, boundary))
-        total = 0.0
-        if inner is not None:
             total += inner
         if inner_atoms is not None:
             for (_, mass), v in zip(self.mu.interior_atoms,
@@ -417,8 +417,11 @@ class _NodeTable:
                 if v < -1e-10:
                     raise ValueError("integrand must be nonnegative")
                 total += mass * v
-        if outer is not None:
-            total += outer
+        if boundary is not None:
+            boundary = np.real(boundary)
+            if np.any(boundary < -1e-10):
+                raise ValueError("integrand must be nonnegative")
+            total += float(np.dot(self.wg, boundary))
         if outer_atoms is not None:
             for (_, mass), v in zip(self.mu.boundary_atoms,
                                     np.real(outer_atoms).tolist()):
@@ -427,28 +430,31 @@ class _NodeTable:
                 total += mass * v
         return total
 
-    def kernel_pass(self, w: np.ndarray, p: float, m=None, row=True):
-        """(I, v): I the integral of m |k_w|^p against mu, v the row of
-        |k_w|^p on the grid's nodes; the one place a Cauchy kernel is
-        integrated against a table (condition (ii), the H(b) kernel test).
+    def ray(self, c: np.ndarray, row: bool = True) -> tuple:
+        """(c, t, atoms), kernel_pass's ray toward c: t = <zeta_i, c> on the
+        sphere nodes (None when not row and no node set reads them), atoms
+        <a, c> on each atom set (None where there is none)."""
+        read = row or self.sets[0] is not None or self.sets[1] is not None
+        return c, self.grid.nodes @ np.conj(c) if read else None, [
+            None if pts is None else pts @ np.conj(c) for pts in self.sets[2:]]
 
-        The sphere nodes' inner products t_i = <zeta_i, w> are taken once;
-        the interior node r_j zeta_i has r_j t_i, an atom its own.  One
-        cauchy_modulus_p call writes the sphere and interior moduli into
-        work (v is a view, valid until the next pass), one more takes each
-        kind of atom, and integrate_values sums each node set.  m is None
-        (m = 1) or m's values on each node set of sets, None where the set
-        is None.  Without row, a table that reads no grid node skips the
-        grid; v is None.
+    def kernel_pass(self, ray: tuple, rho: float, p: float, m=None):
+        """(I, v) at w = rho c on a ray toward c: I the integral of
+        m |k_w|^p against mu, v the row of |k_w|^p on the grid's nodes (None
+        when the ray has no t); the one place a Cauchy kernel is integrated
+        against a table.  As <r zeta, w> = (rho r) <zeta, c> and <a, w> =
+        rho <a, c>, one cauchy_modulus_p call at the radii rho * radii
+        writes the sphere and interior moduli into work (v is a view, valid
+        until the next pass) and one takes each kind of atom; m is None
+        (m = 1) or m's values on each node set, None where the set is None.
         """
-        d, v, vals = w.size, None, [None] * 4
-        if row or self.sets[0] is not None or self.sets[1] is not None:
-            v = cauchy_modulus_p(self.grid.nodes @ np.conj(w), d, p,
-                                 self.radii, self.work)
+        c, t, atoms = ray
+        d, v = c.size, None
+        vals = [None, None] + [None if a is None else cauchy_modulus_p(
+            a, d, p, rho) for a in atoms]
+        if t is not None:
+            v = cauchy_modulus_p(t, d, p, rho * self.radii, self.work)
             vals[:2] = v[1:].ravel(), v[0]
-        for k in (2, 3):
-            if self.sets[k] is not None:
-                vals[k] = cauchy_modulus_p(self.sets[k] @ np.conj(w), d, p)
         vals = [None if pts is None else u if m is None else u * m[k]
                 for k, (pts, u) in enumerate(zip(self.sets, vals))]
         return self.integrate_values(vals), None if v is None else v[0]

@@ -637,6 +637,27 @@ def test_malformed_polynomial_exponents_are_input_error(
             "integers >= 0") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["dbr-check", "refute-sampling"])
+def test_overflowing_polynomial_symbol_is_input_error(tmp_path, capsys,
+                                                      command):
+    # z^(10^23) overflows at the sampled boundary points, so the sup |b|
+    # estimate is nan, which no range check catches; it is an input error
+    sym = tmp_path / "b.yaml"
+    sym.write_text("kind: polynomial\ndimension: 1\ndata: {terms: "
+                   "[{coeff: [0.5, 0.0], "
+                   "exponents: [100000000000000000000000]}]}\n")
+    pts = tmp_path / "w.yaml"
+    pts.write_text(POINTS)
+    argv = [command, "--dim", "1", "--symbol", str(sym),
+            "--resolution", "64", "--out", str(tmp_path / "r.json")]
+    if command == "refute-sampling":
+        argv += ["--points", str(pts)]
+    assert run(argv) == 2
+    assert "polynomial symbol overflows: its sup |b| estimate is nan" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 D2_SYMBOL = ("kind: polynomial\ndimension: 2\n"
              "data: {terms: [{coeff: [0.25, 0.0], exponents: [0, 1]}]}\n")
 

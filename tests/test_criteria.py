@@ -334,8 +334,10 @@ def test_kernel_pass_values_match_public_functions(d, p):
     assert ratios.tolist() == \
         [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
     table = criteria._NodeTable.build(mu, grid, radial)
+    passes = criteria._kernel_passes(table, ex, sg)
+    assert list(passes) == [tuple(w) for w in ws]
     for w, f, ratio, ii in zip(ws, fam, ratios, reference_ii):
-        kernel_ii, kernel_ratio, kernel = criteria._kernel_pass(table, ex, w)
+        kernel_ii, kernel_ratio, kernel = passes[tuple(w)]
         _close([kernel_ii, kernel_ratio], [ii, ratio])
         (c, pole), = kernel.kernel_terms
         (c_ref, pole_ref), = f.kernel_terms
@@ -385,9 +387,9 @@ def test_equivalence_report_matches_level_by_level_loop(d, p, measure):
     # its coefficient 1 / ||k_w||_p, whose last bits the pass may move
     fam, ratios = last["i"]
     table = criteria._NodeTable.build(mu, grid, radial)
-    ws = _w_points(sg.refine().refine())
-    labels = ([repr(criteria._kernel_pass(table, ex, w)[2])[:120] for w in ws]
-              + [repr(f)[:120] for f in fam[len(ws):]])
+    passes = criteria._kernel_passes(table, ex, sg.refine().refine())
+    labels = ([repr(kernel)[:120] for _, _, kernel in passes.values()]
+              + [repr(f)[:120] for f in fam[len(passes):]])
     candidates = {"iii": last["iii"], "ii": last["ii"], "i": (labels, ratios)}
     for tag, c in rep.conditions.items():
         r = ref.conditions[tag]
@@ -475,21 +477,23 @@ def test_equivalence_computes_each_cell_once(monkeypatch, d):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
-    # one product grid.nodes @ conj(w) per distinct w per run; the interior
-    # and sphere moduli are read from it, so no single kernel is evaluated
-    # through cauchy_kernel_at on a node set (only the two-kernel witness
-    # combinations are)
+    # one product grid.nodes @ conj(c) per distinct search centre c per
+    # run for the kernels (the cell pass takes its gaps from one of its
+    # own); the interior and sphere moduli of every w on its ray are read
+    # from it, so no single kernel is evaluated through cauchy_kernel_at on
+    # a node set (only the two-kernel witness combinations are)
     d = 2
     grid, radial = _small_grids(d)
     products, calls = Counter(), Counter()
 
     class CountingNodes(np.ndarray):
-        """Sphere nodes that count each product nodes @ v, keyed by
-        conj(v)."""
+        """Sphere nodes that count each product nodes @ v outside the
+        cell pass's gaps, keyed by conj(v)."""
 
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             plain = [np.asarray(x) for x in inputs]
-            if ufunc is np.matmul and inputs[0] is self:
+            if ufunc is np.matmul and inputs[0] is self and \
+                    sys._getframe(1).f_code.co_name != "niso_gap":
                 products[tuple(np.conj(plain[1]))] += 1
             return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -511,12 +515,14 @@ def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
     sg = SearchGrid(d, 2, 2)
     equivalence_report(_four_part(d), Exponents(p, d), sg, grid, radial,
                        refinements=3)
-    ws = set()
+    centers, ws = set(), set()
     for _ in range(3):
+        centers |= {tuple(c) for c in sg.centers()}
         ws |= {tuple(w) for w in _w_points(sg)}
         sg = sg.refine()
-    assert {w: n for w, n in products.items() if w in ws} == \
-        dict.fromkeys(ws, 1)
+    # the other sphere products are the combinations' poles, all w-points
+    assert {c: n for c, n in products.items() if c not in ws} == \
+        dict.fromkeys(centers, 1)
     assert calls == Counter()
 
 

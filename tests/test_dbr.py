@@ -341,14 +341,17 @@ def test_kernel_values_take_b_once_per_node(monkeypatch):
     sg = SearchGrid(d, 3, 3)
     ws = _w_points(sg)
     want = {}
-    for w in ws:
-        # the interior node r_j zeta_i has the inner product r_j <zeta_i, w>
-        t = (rad.nodes[:, None] * (grid.nodes @ np.conj(w))).ravel()
-        inner = _kernel_sq(b, w, table.interior.points, t)
-        want[tuple(w)] = table.integrate_values(
-            [inner, _kernel_sq(b, w, grid.nodes),
-             _kernel_sq(b, w, table.sets[2]),
-             _kernel_sq(b, w, table.sets[3])]) / dbr_kernel_diag(b, w)
+    for c, ray in criteria._rays(sg):
+        # the node r zeta has the inner product (rho r) <zeta, c> with
+        # w = rho c, an atom a its rho <a, c>
+        t = grid.nodes @ np.conj(c)
+        for rho, w in ray:
+            inner = ((rho * rad.nodes)[:, None] * t).ravel()
+            want[tuple(w)] = table.integrate_values(
+                [_kernel_sq(b, w, table.interior.points, inner),
+                 _kernel_sq(b, w, grid.nodes, rho * t),
+                 *(_kernel_sq(b, w, pts, rho * (pts @ np.conj(c)))
+                   for pts in table.sets[2:])]) / dbr_kernel_diag(b, w)
     seen = []
     call = Symbol.__call__
     monkeypatch.setattr(Symbol, "__call__", lambda self, pts: seen.append(
@@ -443,17 +446,19 @@ def test_refute_sampling_trend_matches_level_by_level_loop(b, d):
 @pytest.mark.parametrize("b,d", _SAMPLING_CASES)
 def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
     # the atoms of the candidate measure are one node set: every distinct
-    # w of the three levels meets all of them in one modulus call, its
-    # only one (an atom set's call takes no radii and no work buffer)
+    # w = rho c of the three levels meets all of them in one modulus call,
+    # its only one (an atom set's call takes rho, and no radii column and
+    # no work buffer)
     grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
     pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
     calls, passes, current = Counter(), Counter(), []
     real_pass, real_modulus = _NodeTable.kernel_pass, measures.cauchy_modulus_p
 
-    def counting_pass(self, w, *args, **kwargs):
-        passes[tuple(w)] += 1
-        current[:] = [tuple(w)]
-        return real_pass(self, w, *args, **kwargs)
+    def counting_pass(self, ray, rho, *args, **kwargs):
+        w = tuple(rho * ray[0])
+        passes[w] += 1
+        current[:] = [w]
+        return real_pass(self, ray, rho, *args, **kwargs)
 
     def counting_modulus(t, d, p, *rest):
         calls[current[0], len(t), len(rest)] += 1
@@ -467,7 +472,7 @@ def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
     for _ in range(3):
         ws |= {tuple(w) for w in _w_points(sg)}
         sg = sg.refine()
-    assert calls == Counter({(w, len(pts), 0): 1 for w in ws})
+    assert calls == Counter({(w, len(pts), 1): 1 for w in ws})
     assert passes == Counter(dict.fromkeys(ws, 1))
 
 

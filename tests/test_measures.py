@@ -3,6 +3,7 @@ serialization."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,7 +157,7 @@ def test_integrate_values_needs_the_interior_nodes(circle_grid):
     with pytest.raises(ValueError, match="radial rule"):
         table.integrate_values([None] * 4)
     with pytest.raises(ValueError, match="radial rule"):
-        table.kernel_pass(np.array([0.5 + 0j]), 2.0)
+        table.kernel_pass(table.ray(np.array([1.0 + 0j])), 0.5, 2.0)
 
 
 def test_integrate_measure_mixed_parts(circle_grid, radial24):
@@ -221,11 +222,85 @@ def test_node_table_evaluates_densities_once(circle_grid, radial24):
                      boundary_density=Counted(2.0))
     table = _NodeTable.build(mu, circle_grid, radial24)
     for a in (0.0, 0.3, 0.6):
-        table.kernel_pass(np.array([a + 0j]), 2.0)
+        table.kernel_pass(table.ray(np.array([1.0 + 0j])), a, 2.0)
         Q = NonisotropicBall(E1, a + 0.1)
         table.ball_mass(Q, Q.contains_coords(circle_grid.nodes))
     # the boundary density first, so that it is checked first
     assert calls == [2048, 24 * 2048]
+
+
+def _mp_modulus(z, c, rho, p):
+    """|1 - rho <z, c>|^(-pd) at 50 digits, z and c taken exactly."""
+    with mpmath.workdps(50):
+        t = sum(mpmath.mpc(complex(zk)) * mpmath.conj(mpmath.mpc(complex(ck)))
+                for zk, ck in zip(z, c))
+        return abs(1 - mpmath.mpf(float(rho)) * t) ** (-p * len(c))
+
+
+@pytest.mark.parametrize("kind", ["sphere", "volume"])
+@pytest.mark.parametrize("p", [2.0, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_pass_along_a_ray_matches_mpmath(monkeypatch, d, p, kind):
+    # w = (1 - 2^-k) c on the ray toward a grid node c, so the sphere nodes
+    # come within 2^-8 of the pole; every node's modulus and the integral
+    # lie within 1e-12 of mpmath's
+    grid = sphere_grid(d, {1: 48, 2: 4, 3: 40}[d], seed=3)
+    radial = radial_rule(d, 4)
+    c = grid.nodes[0]
+    if kind == "sphere":
+        mu = BallMeasure(
+            d, interior_atoms=((BallPoint(0.7 * grid.nodes[1]), 0.4),),
+            boundary_density=DensityExpr({"sum": [1.0, {"re": 0}]}),
+            boundary_atoms=((SpherePoint(grid.nodes[2]), 0.3),))
+    else:
+        mu = BallMeasure(d, interior_density=DensityExpr(
+            {"sum": [0.5, {"abs_z": None}]}))
+    table = _NodeTable.build(mu, grid, radial)
+    # each node as (radius, sphere point) and its weight or mass, in the
+    # order of the node sets
+    nodes = []
+    if table.sets[0] is not None:
+        nodes += [(r, z) for r in radial.nodes for z in grid.nodes]
+    if table.sets[1] is not None:
+        nodes += [(1.0, z) for z in grid.nodes]
+    for k in (2, 3):
+        if table.sets[k] is not None:
+            nodes += [(1.0, a) for a in table.sets[k]]
+    weights = [w for w in (table.wint, table.wg) if w is not None]
+    weights = [*np.concatenate(weights),
+               *(m for _, m in mu.interior_atoms + mu.boundary_atoms)]
+    seen = []
+    real = _NodeTable.integrate_values
+    monkeypatch.setattr(_NodeTable, "integrate_values", lambda self, vals:
+                        seen.append(np.concatenate(
+                            [v for v in vals if v is not None]))
+                        or real(self, vals))
+    ray = table.ray(c)
+    for k in range(1, 9):
+        rho = 1.0 - 2.0 ** -k
+        integral, _ = table.kernel_pass(ray, rho, p)
+        ref = [_mp_modulus(r * np.asarray(z), c, rho, p) for r, z in nodes]
+        got = seen.pop()
+        assert len(got) == len(ref)
+        for g, m in zip(got, ref):
+            assert abs(g - m) <= 1e-12 * m
+        with mpmath.workdps(50):
+            want = mpmath.fsum(mpmath.mpf(float(w)) * m
+                               for w, m in zip(weights, ref))
+        assert abs(integral - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_abs_z_has_the_bits_of_the_row_norm(d):
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((10 ** 5, d)) + 1j * rng.standard_normal(
+        (10 ** 5, d))
+    pts[:10] = 0.0
+    pts[10:20] /= np.linalg.norm(pts[10:20], axis=1)[:, None]
+    pts[20:30] = np.eye(d)[np.arange(10) % d] * np.exp(1j * np.arange(10))[
+        :, None]
+    got = DensityExpr({"abs_z": None})(pts)
+    assert got.tobytes() == np.linalg.norm(pts, axis=1).tobytes()
 
 
 def test_radon_nikodym_constant_density(circle_grid):

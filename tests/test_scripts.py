@@ -1,6 +1,7 @@
 """Smoke runs of every script under scripts/, at their smallest arguments,
 so that the scripts stay in step with the library."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -53,3 +54,53 @@ def test_report_digests_writes_one_digest_per_op(tmp_path):
     assert run.returncode == 1
     assert f"differs: {key}" in run.stdout
 
+
+
+def test_report_digests_compares_kept_reports(tmp_path, monkeypatch,
+                                               capsys):
+    # --reports keeps each op's report under its op key; --against-reports
+    # names a number's change without failing, and fails on an exit code
+    # or on any other field that differs
+    script = ROOT / "scripts" / "report_digests.py"
+    argv = [sys.executable, str(script), "--workload", "packing",
+            "--seeds", "0:1"]
+    old = tmp_path / "old"
+    run = subprocess.run(argv + ["--reports", str(old)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    kept = sorted(old.glob("*.json"))
+    assert len(kept) == 12
+    run = subprocess.run(argv + ["--against-reports", str(old)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "0 of 12 op reports differ" in run.stdout
+    # the comparison itself, in process, against edited copies
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("report_digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    reports = {f.stem: json.loads(f.read_text()) for f in kept}
+    doc = json.loads(kept[0].read_text())
+    assert doc["exit"] == 0 and doc["report"]["command"] == "pack"
+
+    def against(**edit):
+        for path, value in edit.items():
+            *where, key = path.split("__")
+            node = doc
+            for k in where:
+                node = node[k]
+            node[key] = value
+        kept[0].write_text(json.dumps(doc))
+        code = digests.against_reports(reports, old)
+        return code, capsys.readouterr().out
+
+    code, out = against(report__h=doc["report"]["h"] * (1 + 2.0 ** -40))
+    assert code == 0
+    assert (f"{kept[0].stem}: exit codes match (0); largest relative "
+            "change 9.09e-13\n") in out
+    code, out = against(report__disjoint="no")
+    assert code == 1
+    assert "other fields differ: .report.disjoint" in out
+    code, out = against(report__disjoint=True, exit=1)
+    assert code == 1
+    assert "exit codes differ (1 -> 0)" in out
