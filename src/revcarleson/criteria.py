@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
-from .kernels import Exponents, TestFunction, _lp_norm, kernel_norm
+from .kernels import (Exponents, TestFunction, _closed_norm, _lp_norm,
+                      _pole_modulus)
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, sphere_sum
 
@@ -163,17 +164,17 @@ def _kernel_passes(table: _NodeTable, exponents: Exponents,
     for c, ws in _rays(sgrid):
         ray = table.ray(c)
         for rho, w in ws:
-            nrm = kernel_norm(w, exponents)     # rejects |w| >= 1
+            _, a = _pole_modulus(w)             # rejects |w| >= 1
             I, on_grid = table.kernel_pass(ray, rho, p)
             G = float(np.dot(table.grid.weights, on_grid))
             if not math.isfinite(G):
                 sphere_sum(table.grid, on_grid)
             if G <= 0:
                 raise ValueError("zero-norm test function in the family")
-            if abs(p - 2) >= 1e-12:
-                nrm = G ** (1.0 / p)
+            nrm = _closed_norm(a, exponents) if abs(p - 2) < 1e-12 \
+                else G ** (1.0 / p)
             out[tuple(w)] = (I / nrm ** p, I / G, TestFunction(
-                exponents.d, kernel_terms=((1.0 / nrm, w),)))
+                exponents.d, kernel_terms=((1.0 / nrm, w),), _checked=True))
     return out
 
 

@@ -238,12 +238,13 @@ def one_minus_b_integral(b: Symbol, grid: SphereGrid,
 
     Divergent when estimates grow by a factor >= 1.5 per refinement; finite
     when the last two agree within 5%; inconclusive otherwise.  A refined
-    level is read block by block (see quadrature._blocks) and keeps only
-    its terms over {|b| < 1}.
+    level is read block by block (see quadrature._blocks), so no level is
+    held whole: in d = 2 one u-slab of the torus rule at a time, in d >= 3
+    a fixed number of Monte Carlo nodes at a time.
     """
-    ests = [_one_minus_b_sum(b, len(grid), ((grid.nodes, grid.weights),))]
+    ests = [_one_minus_b_sum(b, ((grid.nodes, grid.weights),))]
     for level in range(1, refinements + 1):
-        ests.append(_one_minus_b_sum(b, *_blocks(
+        ests.append(_one_minus_b_sum(b, _blocks(
             grid.d, grid.resolution << level,
             grid.seed if grid.seed is not None else 0)))
     growing = all(b_ >= 1.5 * a_ for a_, b_ in zip(ests, ests[1:]) if a_ > 0)
@@ -254,20 +255,17 @@ def one_minus_b_integral(b: Symbol, grid: SphereGrid,
     return IntegrabilityVerdict(tuple(ests), "inconclusive")
 
 
-def _one_minus_b_sum(b: Symbol, size: int, blocks) -> float:
-    """The sum of w / (1 - |b|) over the nodes with |b| < 1 of a grid of
-    size nodes, given as (nodes, weights) blocks in node order: the terms
-    are packed into one buffer, block by block, and summed by one np.sum,
-    so the sum has the bits of one over the whole grid."""
-    terms = np.empty(size)
-    k = 0
+def _one_minus_b_sum(b: Symbol, blocks) -> float:
+    """The sum of w / (1 - |b|) over the nodes with |b| < 1 of a grid given
+    as (nodes, weights) blocks in node order: each block's terms are summed
+    by one np.sum, and the block sums are added in block order, so a grid
+    of one block has the bits of one np.sum over it."""
+    total = 0.0
     for nodes, weights in blocks:
         mod = b.boundary_modulus(nodes)
         mask = mod < 1.0
-        m = k + int(np.count_nonzero(mask))
-        np.divide(weights[mask], 1.0 - mod[mask], out=terms[k:m])
-        k = m
-    return float(np.sum(terms[:k]))
+        total += float(np.sum(weights[mask] / (1.0 - mod[mask])))
+    return total
 
 
 def is_inner_estimate(b: Symbol, grid: SphereGrid,

@@ -209,17 +209,19 @@ def sample_cap(Q: NonisotropicBall, n: int,
         half = 2.0 * math.asin(delta / 2.0)
         return (c[0] * np.exp(1j * rng.uniform(-half, half, n)))[:, None]
     m = 1.0 - max(0.0, 1.0 - delta) ** 2
-    t, w = np.empty(0, dtype=complex), np.empty(0)
-    while len(t) < n:
-        r, a, u = rng.random((3, 2 * (n - len(t)) + 16))
+    t, w, k = np.empty(n, dtype=complex), np.empty(n), 0
+    while k < n:
+        r, a, u = rng.random((3, 2 * (n - k) + 16))
         prop = 1.0 - delta * np.sqrt(r) * np.exp(2j * math.pi * a)
         wp = 1.0 - (prop.real ** 2 + prop.imag ** 2)
-        keep = (wp >= 0.0) & (u * m ** (d - 2) <= wp ** (d - 2))
-        t, w = np.append(t, prop[keep]), np.append(w, wp[keep])
+        keep = np.flatnonzero(
+            (wp >= 0.0) & (u * m ** (d - 2) <= wp ** (d - 2)))[:n - k]
+        t[k:k + len(keep)], w[k:k + len(keep)] = prop[keep], wp[keep]
+        k += len(keep)
     # the columns of a unitary with first column parallel to c, c excluded
     perp = np.linalg.qr(c[:, None], mode="complete")[0][:, 1:]
-    fibre = np.sqrt(w[:n, None]) * sample_sphere(d - 1, n, rng)
-    return t[:n, None] * c[None, :] + fibre @ perp.T
+    fibre = np.sqrt(w[:, None]) * sample_sphere(d - 1, n, rng)
+    return t[:, None] * c[None, :] + fibre @ perp.T
 
 
 def _caps_overlap(beta: np.ndarray, h: float, one_line=False) -> np.ndarray:

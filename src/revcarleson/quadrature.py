@@ -99,15 +99,45 @@ def _torus_slabs(n: int):
         yield nodes.reshape(n * n, 2), np.full(n * n, wu[a] / (n * n))
 
 
+# nodes per block of a Monte Carlo rule (d >= 3): 768 KiB of nodes in d = 3
+_MC_BLOCK = 1 << 14
+
+
+def _gaussian_blocks(d: int, n: int, seed: int, block: int = _MC_BLOCK):
+    """The seeded Monte Carlo rule of n nodes, block nodes at a time.
+
+    Node i is row i of z = X + iY scaled to the unit sphere, X and Y the
+    (n, d) arrays of the first and the next n*d standard normals of
+    default_rng(seed).  With more than one block, a second generator is
+    first moved past X, a block at a time, and then reads Y in step with
+    the first reading X, so the blocks in order are the rule's nodes and no
+    more than a block of them need be held at once; one block is read
+    from one generator.
+    """
+    re = im = np.random.default_rng(seed)
+    if n > block:
+        im = np.random.default_rng(seed)
+        skip = np.empty((block, d))
+        for k in range(0, n, block):
+            im.standard_normal(out=skip[:min(block, n - k)])
+    for k in range(0, n, block):
+        m = min(block, n - k)
+        z = re.standard_normal((m, d)) + 1j * im.standard_normal((m, d))
+        yield (z / np.linalg.norm(z, axis=1, keepdims=True),
+               np.full(m, 1.0 / n))
+
+
 def _blocks(d: int, resolution: int, seed: int = 0):
-    """sphere_grid(d, resolution, seed) as (size, blocks): its node count
-    and an iterator over its (nodes, weights) in node order, so that a sum
-    over the grid need not hold it whole.  In d = 2 a block is one u-slab
-    of the torus rule; otherwise the grid is built and is one block."""
+    """sphere_grid(d, resolution, seed) as an iterator over its (nodes,
+    weights) blocks in node order, so that a sum over the grid need not
+    hold it whole.  In d = 1 the grid is one block, in d = 2 a block is one
+    u-slab of the torus rule, and in d >= 3 it is _MC_BLOCK nodes of the
+    Monte Carlo rule (the last block may be shorter)."""
+    if d == 1:
+        return iter((_uniform_circle(resolution),))
     if d == 2:
-        return resolution ** 3, _torus_slabs(resolution)
-    g = sphere_grid(d, resolution, seed)
-    return len(g), iter(((g.nodes, g.weights),))
+        return _torus_slabs(resolution)
+    return _gaussian_blocks(d, resolution, seed)
 
 
 def sphere_grid(d: int, resolution: int, seed: int = 0) -> SphereGrid:
@@ -126,10 +156,7 @@ def sphere_grid(d: int, resolution: int, seed: int = 0) -> SphereGrid:
     if d == 2:
         nodes, weights = map(np.concatenate, zip(*_torus_slabs(resolution)))
         return SphereGrid(d, nodes, weights, "torus", resolution)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((resolution, d)) + 1j * rng.standard_normal((resolution, d))
-    nodes = z / np.linalg.norm(z, axis=1, keepdims=True)
-    weights = np.full(resolution, 1.0 / resolution)
+    nodes, weights = next(_gaussian_blocks(d, resolution, seed, resolution))
     return SphereGrid(d, nodes, weights, "monte-carlo", resolution, seed)
 
 

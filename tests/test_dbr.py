@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revcarleson import criteria, dbr, measures
+from revcarleson import criteria, dbr, measures, quadrature
 from revcarleson.criteria import SearchGrid, _w_points, condition_ii_profile
 from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              is_inner_estimate, kernel_test, load_symbol,
@@ -200,26 +200,32 @@ def test_one_minus_b_finite_constant(grid):
 def test_one_minus_b_refines_only_between_estimates(monkeypatch, refinements):
     # b = c (z_1^2 + ... + z_d^2) with |c| = 1 reaches |b| = 1 up to
     # rounding where the phases agree, so in d = 1, 2 each level keeps some
-    # terms and drops the rest; the estimates have the bits of one np.sum
-    # over each materialised level (in d = 2 each level is read one u-slab
-    # at a time, and b's complex products round like those on the whole
-    # level), and each refined level is opened once, none after the last
+    # terms and drops the rest; each estimate has the bits of one np.sum
+    # per block of its level, the block sums added in block order (level 0
+    # and d = 1 are one block, a d = 2 block is one u-slab of n^2 nodes, a
+    # d >= 3 block _MC_BLOCK nodes, and b's complex products round like
+    # those on the whole level), and each refined level is opened once,
+    # none after the last
     opened = []
     real = dbr._blocks
     monkeypatch.setattr(dbr, "_blocks",
                         lambda d, res, seed: opened.append(res)
                         or real(d, res, seed))
-    for d, res in ((1, 1024), (2, 8), (3, 300)):
+    for d, res in ((1, 1024), (2, 8), (3, 300), (3, 4100)):
         b = Symbol("polynomial", d, tuple(
             (0.6 + 0.8j, tuple(2 * (k == j) for k in range(d)))
             for j in range(d)))
         grid = sphere_grid(d, res, seed=5)
         expected, g = [], grid
-        for _ in range(refinements + 1):
+        for level in range(refinements + 1):
             mod = b.boundary_modulus(g.nodes)
-            mask = mod < 1.0
-            expected.append(
-                float(np.sum(g.weights[mask] / (1.0 - mod[mask]))))
+            size = (len(g) if level == 0 or d == 1 else
+                    g.resolution ** 2 if d == 2 else quadrature._MC_BLOCK)
+            total = 0.0
+            for k in range(0, len(g), size):
+                m, w = mod[k:k + size], g.weights[k:k + size]
+                total += float(np.sum(w[m < 1.0] / (1.0 - m[m < 1.0])))
+            expected.append(total)
             g = refine(g)
         opened.clear()
         verdict = one_minus_b_integral(b, grid, refinements)
@@ -239,6 +245,23 @@ def test_one_minus_b_streams_the_torus_levels():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("d,res,bound_mib", [(2, 13, 2), (3, 20000, 6)])
+def test_one_minus_b_holds_one_block_at_a_time(d, res, bound_mib):
+    # no refined level is held whole, nor its terms: a term buffer of the
+    # d = 2 level of 104^3 nodes is 9 MiB, and the d = 3 level of 160 000
+    # Monte Carlo nodes traced 17 MiB when built whole
+    b = Symbol("polynomial", d, ((0.5 + 0j, (1,) + (0,) * (d - 1)),
+                                 (0.25j, (0, 2) + (0,) * (d - 2))))
+    grid = sphere_grid(d, res)
+    tracemalloc.start()
+    try:
+        one_minus_b_integral(b, grid, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 def _kernel_sq(b, w, pts, t=None):
@@ -264,7 +287,7 @@ def test_kernel_test_at_b_zero_is_condition_ii_integral(monkeypatch, d):
     table = _NodeTable.build(mu, grid, radial_rule(d, 5))
     sg = SearchGrid(d, 3, 3)
     monkeypatch.setattr(dbr, "_kernel_diag", lambda wc, bw: 1.0)
-    monkeypatch.setattr(criteria, "kernel_norm", lambda w, ex: 1.0)
+    monkeypatch.setattr(criteria, "_closed_norm", lambda a, ex: 1.0)
     ii = criteria._condition_ii(table, Exponents(2.0, d), sg).values
     kt = dbr._kernel_values(_const(0.0, d), table, sg)
     assert ii.tobytes() == np.array(

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from revcarleson.geometry import CarlesonWindow, NonisotropicBall, SpherePoint
-from revcarleson.quadrature import (RadialRule, SphereGrid, _blocks,
-                                    _torus_slabs, integrate_sphere,
+from revcarleson.quadrature import (_MC_BLOCK, RadialRule, SphereGrid,
+                                    _blocks, _torus_slabs, integrate_sphere,
                                     integrate_window, radial_rule, refine,
                                     sphere_grid)
 from revcarleson.kernels import cauchy_kernel_at
@@ -69,9 +69,7 @@ def test_torus_grid_is_its_slabs(n):
 def test_torus_blocks_cover_the_grid(n):
     # the blocks are the u-slabs of the torus rule, in order
     g = sphere_grid(2, n)
-    size, blocks = _blocks(2, n)
-    blocks = list(blocks)
-    assert size == len(g)
+    blocks = list(_blocks(2, n))
     for (z, w), (z_ref, w_ref) in zip(blocks, _torus_slabs(n), strict=True):
         assert z.tobytes() == z_ref.tobytes()
         assert w.tobytes() == w_ref.tobytes()
@@ -79,6 +77,33 @@ def test_torus_blocks_cover_the_grid(n):
         g.nodes.tobytes()
     assert np.concatenate([w for _, w in blocks]).tobytes() == \
         g.weights.tobytes()
+
+
+def _monte_carlo_whole(d, n, seed):
+    """The Monte Carlo rule drawn whole, as a reference: the rows of
+    X + iY scaled to the sphere, X then Y drawn by one generator."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True), np.full(n, 1.0 / n)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2 * _MC_BLOCK + 1), (4, 50000),
+                                 (3, 4096)])
+def test_monte_carlo_blocks_cover_the_grid(d, n):
+    # the blocks are _MC_BLOCK nodes each but the last, and in order they
+    # are sphere_grid's nodes and weights, with the bits of the rule drawn
+    # whole, for a node count that is not a multiple of the block
+    g = sphere_grid(d, n, seed=7)
+    blocks = list(_blocks(d, n, 7))
+    assert [len(w) for _, w in blocks[:-1]] == \
+        [_MC_BLOCK] * (len(blocks) - 1)
+    nodes = np.concatenate([z for z, _ in blocks])
+    weights = np.concatenate([w for _, w in blocks])
+    ref_nodes, ref_weights = _monte_carlo_whole(d, n, 7)
+    assert len(nodes) == len(weights) == len(g) == n
+    for z, w in ((nodes, weights), (g.nodes, g.weights)):
+        assert z.tobytes() == ref_nodes.tobytes()
+        assert w.tobytes() == ref_weights.tobytes()
 
 
 def test_holomorphic_mean_value(torus_grid):

@@ -19,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
     (["kernel_norm_table.py"], "rel err"),
     (["packing_coverage_sweep.py", "--instances", "2", "--grid-points",
       "500"], "worst coverage"),
+    (["op_peaks.py", "--workload", "verdicts", "--seed", "0", "--ops", "3"],
+     "verdicts seed 0: 3 ops, peak"),
 ])
 def test_script_runs(argv, expect):
     env = dict(os.environ)
