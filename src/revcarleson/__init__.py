@@ -9,9 +9,8 @@ from .quadrature import (RadialRule, SphereGrid, integrate_sphere,
 from .measures import (BallMeasure, DensityExpr, integrate_measure,
                        load_measure, measure_of_ball, measure_of_window,
                        radon_nikodym_profile, sigma_measure)
-from .kernels import (Exponents, TestFunction, boundary_radial_limit,
-                      cauchy_kernel, hp_norm, kernel_norm, normalized_kernel,
-                      phi_h)
+from .kernels import (Exponents, TestFunction, cauchy_kernel, hp_norm,
+                      kernel_norm, normalized_kernel, phi_h)
 from .criteria import (CriterionProfile, SearchGrid, condition_ii_profile,
                        condition_iii_profile, equivalence_report,
                        forward_profile, reverse_inequality_witness,

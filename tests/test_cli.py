@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -224,6 +225,24 @@ def test_dbr_check(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["necessary_constant"] == pytest.approx(4.0 / 3.0)
     assert doc["inner_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("zero", [0.99999, 0.999999])
+def test_dbr_check_reads_symbol_at_boundary_atom(tmp_path, capsys, zero):
+    # a Blaschke product extends continuously to the closed disc (b(1) = -1
+    # here), so a boundary atom at 1 next to a zero near it is no input error
+    sym = tmp_path / "b.yaml"
+    sym.write_text(f"kind: blaschke\ndimension: 1\n"
+                   f"data: {{zeros: [[{zero}, 0.0]]}}\n")
+    mu = tmp_path / "mu.yaml"
+    mu.write_text("dimension: 1\nboundary_density: 1.0\n"
+                  "boundary_atoms:\n- {point: [[1.0, 0.0]], mass: 0.5}\n")
+    out = tmp_path / "d.json"
+    code = run(["dbr-check", "--dim", "1", "--resolution", "256", "--symbol",
+                str(sym), "--measure", str(mu), "--out", str(out)])
+    assert code == 0
+    assert "kernel_test_min" in capsys.readouterr().out
+    assert math.isfinite(json.loads(out.read_text())["kernel_test"]["extremal"])
 
 
 def test_refute_sampling(tmp_path):

@@ -84,10 +84,26 @@ def test_sigma_profiles_are_unital(grid, rad, sg):
 
 
 def test_scaled_measure_scales_profiles(grid, rad, sg):
-    mu, c = sigma_measure(1), 2.5
-    base = condition_iii_profile(mu, sg, grid)
-    scaled = condition_iii_profile(mu.scaled(c), sg, grid)
+    # scaling mu by c scales every ratio by c; the scaled measures are
+    # written out by hand
+    c = 2.5
+    base = condition_iii_profile(sigma_measure(1), sg, grid)
+    scaled = condition_iii_profile(
+        BallMeasure(1, boundary_density=DensityExpr(c)), sg, grid)
     assert np.allclose(scaled.values, c * base.values, equal_nan=True)
+    spec, pt = {"sum": [1.0, {"re": 0}]}, SpherePoint(np.array([1j]))
+    mu = BallMeasure(1, boundary_density=DensityExpr(spec),
+                     boundary_atoms=((pt, 0.3),))
+    mu_c = BallMeasure(1, boundary_density=DensityExpr({"prod": [c, spec]}),
+                       boundary_atoms=((pt, c * 0.3),))
+    for base, scaled in (
+            (condition_ii_profile(mu, EX1, sg, grid, rad),
+             condition_ii_profile(mu_c, EX1, sg, grid, rad)),
+            (window_profile(mu, sg, grid, rad),
+             window_profile(mu_c, sg, grid, rad))):
+        assert scaled.params == base.params
+        np.testing.assert_allclose(scaled.values, c * base.values,
+                                   rtol=1e-12)
 
 
 def test_reverse_extremals_monotone_under_refinement(grid, rad):
@@ -524,6 +540,25 @@ def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
     assert {c: n for c, n in products.items() if c not in ws} == \
         dict.fromkeys(centers, 1)
     assert calls == Counter()
+
+
+def test_equivalence_witnesses_check_no_pole_again(monkeypatch, grid, rad,
+                                                   sg):
+    # every witness pole is a w-point that _kernel_passes checked with
+    # _pole_modulus, so building the witnesses checks none again
+    calls = Counter()
+    real = kernels._pole
+
+    def counting(w):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(w)
+
+    monkeypatch.setattr(kernels, "_pole", counting)
+    TestFunction(1, kernel_terms=((1.0, np.array([0.5 + 0j])),))
+    assert calls["__post_init__"] == 1          # the count sees a check
+    calls.clear()
+    equivalence_report(_four_part(1), EX1, sg, grid, rad, refinements=2)
+    assert calls["__post_init__"] == 0
 
 
 def test_equivalence_walks_each_cell_once(monkeypatch, grid, rad):

@@ -1,4 +1,4 @@
-"""Cauchy/Poisson kernels, norms, balayage, boundary limits.
+"""Cauchy/Poisson kernels, norms, balayage.
 
 The p=2 norm identity is checked against the closed form; for p != 2 the
 quadrature norm is checked against an independent hypergeometric series
@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from revcarleson.geometry import NonisotropicBall, SpherePoint
-from revcarleson.kernels import (Exponents, TestFunction,
-                                 boundary_radial_limit, cauchy_kernel,
+from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel,
                                  cauchy_kernel_at, cauchy_modulus_p, hp_norm,
                                  kernel_norm, normalized_kernel, phi_h,
                                  poisson_kernel_at)
@@ -216,17 +215,3 @@ def test_phi_h_decays_off_cap(circle_grid):
     small = phi_h(z_far, Q, 2.0 ** -7, ex, circle_grid)
     assert small < 0.05 * big
 
-
-# ---------------------------------------------------------------------------
-# radial limits
-
-def test_radial_limit_of_continuous_function():
-    lim = boundary_radial_limit(lambda z: 1.0 / (2.0 - z[0]), E1)
-    assert not lim.diverged
-    assert lim.value == pytest.approx(1.0, abs=1e-6)
-
-
-def test_radial_limit_detects_divergence():
-    lim = boundary_radial_limit(lambda z: 1.0 / (1.0 - z[0]), E1)
-    assert lim.diverged
-    assert lim.value is None
