@@ -118,15 +118,24 @@ def _cell_walk(table: _NodeTable, sgrid: SearchGrid,
     cell (tuple(c), delta) whose sigma estimate s is positive to
     mu(Q)/s and, given a radial rule, to mu(S_Q)/s, with S_Q the
     outer-closed window of depth min(s, 1) (window is empty without one).
-    mu(Q) and the node mask are taken once per cell and serve both."""
-    centers, iii, window = sgrid.centers(), {}, {}
+    mu(Q) and the node mask are taken once per cell and serve both; the
+    table takes every window's mass in one call after the walk (a mask
+    is kept for it only when mu has an interior density to sum over the
+    cap)."""
+    centers, iii, keys, windows = sgrid.centers(), {}, [], []
+    keep = table.mu.interior_density is not None
     for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
         key, m = (tuple(centers[i]), Q.delta), table.ball_mass(Q, mask)
         iii[key] = m / s
         if radial is not None:
-            S = CarlesonWindow(Q, min(s, 1.0))
-            window[key] = table.window_mass(S, radial, m, mask) / s
-    return iii, window
+            keys.append(key)
+            windows.append((CarlesonWindow(Q, min(s, 1.0)), m,
+                            mask if keep else None, s))
+    if not windows:
+        return iii, {}
+    masses = table.window_masses(radial, windows)
+    return iii, {key: mass / s
+                 for key, (*_, s), mass in zip(keys, windows, masses)}
 
 
 def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,

@@ -20,8 +20,8 @@ import yaml
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                        SpherePoint, TOL, niso_gap)
 from .kernels import cauchy_modulus_p
-from .quadrature import (RadialRule, SphereGrid, WindowNodes, radial_rule,
-                         window_nodes, window_sum)
+from .quadrature import (RadialRule, SphereGrid, WindowNodes, _radial_rows,
+                         radial_rule, window_nodes, window_sum)
 
 __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
            "measure_of_ball", "measure_of_window", "integrate_measure",
@@ -53,12 +53,14 @@ class DensityExpr:
                                            (radial projection)
       {"sum": [...]}, {"prod": [...]}, {"pow": [expr, exponent]}
 
-    The spec is compiled once, by _compile, into its evaluator.
+    The spec is compiled once, by _compile, into its evaluator.  radial
+    is True when every leaf of the spec is a number or abs_z, so that the
+    density depends on |z| alone.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        self._fn = _compile(spec)
+        self._fn, self.radial = _compile(spec)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self._fn(np.atleast_2d(np.asarray(pts, dtype=complex)))
@@ -80,11 +82,12 @@ def _finite(x, spec, form: ValueError) -> float:
 
 
 def _compile(spec, d=None):
-    """The evaluator of a density spec, an (n, d) complex array of points
-    to n values, from one walk over the spec that raises ValueError naming
-    the first malformed node; given d, also a point without d coordinates
-    or an index outside [0, d).  Points and numbers are parsed here, once,
-    so an evaluation walks no dict."""
+    """(evaluator, radial) of a density spec: the evaluator maps an
+    (n, d) complex array of points to n values, and radial tells whether
+    every leaf is a number or abs_z.  One walk over the spec raises
+    ValueError naming the first malformed node; given d, also a point
+    without d coordinates or an index outside [0, d).  Points and numbers
+    are parsed here, once, so an evaluation walks no dict."""
     if isinstance(spec, (int, float)):
         op, arg = "const", spec
     elif not isinstance(spec, dict) or len(spec) != 1:
@@ -104,28 +107,30 @@ def _compile(spec, d=None):
         raise form
     if op == "const":
         c = _finite(arg, spec, form)
-        return lambda pts: np.full(len(pts), c)
+        return lambda pts: np.full(len(pts), c), True
     if op == "abs_z":
-        return _row_norms
+        return _row_norms, True
     if op in ("re", "im"):
         k = int(arg)
         if d is not None and not 0 <= k < d:
             raise ValueError(f"density node {spec!r} reads coordinate {k}, "
                              f"but the measure has dimension {d}")
         if op == "re":
-            return lambda pts: pts[:, k].real
-        return lambda pts: pts[:, k].imag
+            return lambda pts: pts[:, k].real, False
+        return lambda pts: pts[:, k].imag, False
     if op in ("sum", "prod"):
         if not arg:
             raise ValueError(f"density node {spec!r} must take at least "
                              "one node")
-        fns, reduce = [_compile(a, d) for a in arg], getattr(np, op)
-        return lambda pts: reduce([fn(pts) for fn in fns], axis=0)
+        fns, radial = zip(*(_compile(a, d) for a in arg))
+        reduce = getattr(np, op)
+        return (lambda pts: reduce([fn(pts) for fn in fns], axis=0),
+                all(radial))
     if op == "pow":
         e = _finite(arg[1], spec, form)
-        base = _compile(arg[0], d)
+        base, radial = _compile(arg[0], d)
         if e.is_integer():
-            return lambda pts: base(pts) ** e
+            return lambda pts: base(pts) ** e, radial
 
         def power(pts):
             vals = base(pts)
@@ -138,7 +143,7 @@ def _compile(spec, d=None):
                     f"{e}")
             # within TOL of zero a negative base counts as zero
             return np.maximum(vals, 0.0) ** e
-        return power
+        return power, radial
     if op == "indicator":      # its delta is checked before its point
         delta = _finite(arg["delta"], spec, form)
         if not 0.0 < delta <= 2.0:
@@ -152,7 +157,7 @@ def _compile(spec, d=None):
                          f"dimension {d}")
     conj = np.conj(point)
     if op == "abs_inner":
-        return lambda pts: np.abs(pts @ conj)
+        return lambda pts: np.abs(pts @ conj), False
 
     def indicator(pts):
         r = _row_norms(pts)
@@ -161,7 +166,7 @@ def _compile(spec, d=None):
         proj = pts[ok] / r[ok, None]
         out[ok] = (np.abs(1.0 - proj @ conj) <= bound)
         return out
-    return indicator
+    return indicator, False
 
 
 def _row_norms(pts: np.ndarray) -> np.ndarray:
@@ -254,7 +259,9 @@ def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
     parts over its cap (windows are outer-closed)."""
     mask = S.ball.contains_coords(grid.nodes)
     table = _NodeTable.build(mu, grid)
-    return table.window_mass(S, radial, table.ball_mass(S.ball, mask), mask)
+    s = float(grid.weights[mask].sum())
+    return table.window_masses(
+        radial, [(S, table.ball_mass(S.ball, mask), mask, s)])[0]
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
@@ -284,7 +291,10 @@ class _NodeTable:
     A loop that integrates many functions against one measure (every w of
     a kernel profile, every cell of a window profile) builds the table once
     and passes it on, so no density is evaluated twice on the same nodes;
-    the cap and window profiles walk their cells through its cell pass.
+    the cap and window profiles walk their cells through its cell pass and
+    take all their windows' masses in one window_masses call, where a
+    radial interior density g(|z|) needs one radial sum per window and no
+    angular nodes.
 
     sets holds mu's node sets, each an (n, d) array, in the order every
     integral reads them: the full-ball tensor nodes of the radial rule
@@ -361,21 +371,78 @@ class _NodeTable:
                 total += mass
         return total
 
-    def window_mass(self, S: CarlesonWindow, radial: RadialRule,
-                    cap_mass: float, mask: np.ndarray) -> float:
-        """mu(S), see measure_of_window; mask marks the grid nodes in the cap
-        of S and cap_mass is its mu (ball_mass)."""
+    def window_masses(self, radial: RadialRule, windows) -> list[float]:
+        """mu(S) of each window S, see measure_of_window, in order.
+
+        windows holds one (S, cap_mass, mask, s) per window: mask marks the
+        grid nodes in the cap of S (it may be None when mu has no interior
+        density), s is their weight and cap_mass their mu (ball_mass).  The
+        interior density is integrated over S by the radial rule of depth
+        S.depth: window by window on the tensor nodes of the cap when it has
+        an angular factor, and for all windows at once when it is radial
+        (see _radial_sums).  Either way the first window at fault raises.
+        """
         mu = self.mu
-        total = 0.0
-        if mu.interior_density is not None and mask.any():
-            nodes = window_nodes(self.grid, mask,
-                                 _match_depth(radial, mu.d, S.depth))
-            total += float(np.real(window_sum(
-                nodes, mu.interior_density_values(nodes.points))))
-        for pt, mass in mu.interior_atoms:
-            if S.contains_coords(pt.coords[None, :])[0]:
-                total += mass
-        return total + cap_mass
+        dens = mu.interior_density
+        if dens is None:
+            inner = [0.0] * len(windows)
+        elif dens.radial:
+            inner = self._radial_sums(radial, windows)
+        else:
+            inner = [self._tensor_sum(radial, S, mask)
+                     for S, _, mask, _ in windows]
+        out = []
+        for (S, cap_mass, _, _), total in zip(windows, inner):
+            for pt, mass in mu.interior_atoms:
+                if S.contains_coords(pt.coords[None, :])[0]:
+                    total += mass
+            out.append(total + cap_mass)
+        return out
+
+    def _tensor_sum(self, radial: RadialRule, S: CarlesonWindow,
+                    mask: np.ndarray) -> float:
+        """The interior density's integral over S: window_sum over the
+        tensor nodes of the cap's grid nodes (mask) and the radial rule of
+        depth S.depth."""
+        if not mask.any():
+            return 0.0
+        nodes = window_nodes(self.grid, mask,
+                             _match_depth(radial, self.mu.d, S.depth))
+        return float(np.real(window_sum(
+            nodes, self.mu.interior_density_values(nodes.points))))
+
+    def _radial_sums(self, radial: RadialRule, windows) -> list[float]:
+        """The radial interior density g integrated over each window, as
+        s * sum_j wr_j g(r_j): over the cap's grid nodes g(r_j zeta_i) is
+        g(r_j), and their weights add to s.  The rules of every depth are
+        built at once (_radial_rows; the given rule serves a depth within
+        1e-12 of its own, as in _match_depth) and g is evaluated once, on
+        the points (r_j, 0, ..., 0) of every window whose cap holds a node:
+        a negative value raises interior_density_values' error, and the
+        first of those windows where g is not finite raises window_sum's,
+        naming the radius and the cap's first node."""
+        d = self.mu.d
+        s = np.array([w[3] for w in windows], dtype=float)
+        live = np.flatnonzero(s > 0.0)
+        depths = np.array([windows[k][0].depth for k in live], dtype=float)
+        r, wr = _radial_rows(d, radial.resolution, depths)
+        if radial.d == d:
+            same = np.abs(radial.depth - depths) < 1e-12
+            r[same], wr[same] = radial.nodes, radial.weights
+        pts = np.zeros((r.size, d), dtype=complex)
+        pts[:, 0] = r.ravel()
+        g = self.mu.interior_density_values(pts).reshape(r.shape)
+        bad = ~np.isfinite(g).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            mask = windows[live[i]][2]
+            rule = RadialRule(d, r[i], wr[i], depths[i], radial.resolution)
+            window_sum(WindowNodes(self.grid.nodes[mask][:1],
+                                   self.grid.weights[mask][:1], rule, None),
+                       g[i])
+        out = np.zeros(len(windows))
+        out[live] = s[live] * np.sum(wr * g, axis=1)
+        return out.tolist()
 
     def integrate_values(self, vals) -> float:
         """The integral against mu of an integrand given by its values on

@@ -164,11 +164,20 @@ def radial_rule(d: int, resolution: int, depth: float = 1.0) -> RadialRule:
     """Gauss-Legendre rule on [1-depth, 1) with the polar Jacobian folded in."""
     if not 0.0 < depth <= 1.0:
         raise ValueError("depth must lie in (0, 1]")
+    r, wr = _radial_rows(d, resolution, depth)
+    return RadialRule(d, r, wr, depth, resolution)
+
+
+def _radial_rows(d: int, resolution: int, depths) -> tuple:
+    """(r, wr), the nodes and weights of radial_rule(d, resolution, h) for
+    each depth h of depths, one row per depth (one row, 1-D, for a scalar
+    depth): the Gauss-Legendre rule mapped onto [1-h, 1-1e-14) with the
+    polar Jacobian folded in.  Depths are not checked."""
     x, w = _gauss_legendre(resolution)
-    lo, hi = 1.0 - depth, 1.0 - 1e-14
+    lo, hi = 1.0 - np.asarray(depths, dtype=float)[..., None], 1.0 - 1e-14
     r = 0.5 * (hi - lo) * (x + 1.0) + lo
     wr = 0.5 * (hi - lo) * w * 2.0 * d * r ** (2 * d - 1)
-    return RadialRule(d, r, wr, depth, resolution)
+    return r, wr
 
 
 def integrate_sphere(f, grid: SphereGrid) -> complex:

@@ -73,6 +73,111 @@ def test_volume_measure_window_mass(circle_grid, radial24):
         pytest.approx(1 - 0.75 ** 2, rel=1e-8)
 
 
+@pytest.mark.parametrize("spec,radial", [
+    (1.0, True), ({"abs_z": None}, True),
+    ({"sum": [0.5, {"pow": [{"abs_z": None}, 2.5]}]}, True),
+    ({"prod": [2.0, {"pow": [{"sum": [1.0, {"abs_z": None}]}, -1]}]}, True),
+    ({"re": 0}, False), ({"im": 0}, False),
+    ({"abs_inner": {"w": [[0.5, 0.0]]}}, False),
+    ({"pow": [{"re": 0}, 2]}, False),
+    ({"prod": [{"abs_z": None}, {"indicator": {"center": [[1.0, 0.0]],
+                                               "delta": 2.0}}]}, False)])
+def test_density_is_radial_when_every_leaf_is_a_number_or_abs_z(spec, radial):
+    assert DensityExpr(spec).radial is radial
+
+
+def _off_node_center(d):
+    return SpherePoint(np.exp(0.1234j) * np.ones(d) / math.sqrt(d))
+
+
+def _grid(d):
+    return sphere_grid(d, {1: 512, 2: 8}.get(d, 1000), seed=3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_radial_window_mass_is_exact_for_integer_powers_of_abs_z(d, k):
+    # for g = |z|^k the mass over S is s * 2d/(2d+k) r^(2d+k) between
+    # 1 - h and 1 - 1e-14, s the cap's grid weight: the radial rule is
+    # exact for the polynomial, in one window or many at once
+    grid, radial = _grid(d), radial_rule(d, 24)
+    mu = BallMeasure(d, interior_density=DensityExpr(
+        {"pow": [{"abs_z": None}, k]}))
+    n = 2 * d + k
+    windows, want = [], []
+    for delta, h in ((2.0, 1.0), (0.9, 0.4), (0.5, 0.05), (0.6, 1e-3)):
+        S = CarlesonWindow(NonisotropicBall(_off_node_center(d), delta), h)
+        mask = S.ball.contains_coords(grid.nodes)
+        s = float(grid.weights[mask].sum())
+        assert s > 0
+        windows.append((S, 0.0, mask, s))
+        want.append(s * 2 * d / n * ((1 - 1e-14) ** n - (1 - h) ** n))
+        assert measure_of_window(mu, S, grid, radial) == pytest.approx(
+            want[-1], rel=1e-13, abs=0)
+    got = _NodeTable.build(mu, grid).window_masses(radial, windows)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _angular(mu):
+    """mu with its interior density times the indicator of delta 2, which
+    is 1 off the origin: the same measure, read as angular."""
+    cover = {"indicator": {"center": [[1.0, 0.0]] + [[0.0, 0.0]] * (mu.d - 1),
+                           "delta": 2.0}}
+    return BallMeasure(mu.d, interior_density=DensityExpr(
+        {"prod": [mu.interior_density.spec, cover]}))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_density_not_finite_names_the_radius_and_the_caps_node(d):
+    # |z|^-400 overflows below r = 0.17: a window of depth 0.3 is finite,
+    # so is one of depth 1 whose cap holds no grid node, and the first
+    # window of depth 1 with one names its first such radius and the first
+    # grid node of its cap, as window_sum names them
+    grid, radial = _grid(d), radial_rule(d, 24)
+    mu = BallMeasure(d, interior_density=DensityExpr(
+        {"pow": [{"abs_z": None}, -400]}))
+    assert not _angular(mu).interior_density.radial
+    c = _off_node_center(d)
+    windows = []
+    for delta, h in ((1e-9, 1.0), (0.9, 0.3), (0.5, 1.0), (2.0, 1.0)):
+        S = CarlesonWindow(NonisotropicBall(c, delta), h)
+        mask = S.ball.contains_coords(grid.nodes)
+        windows.append((S, 0.0, mask, float(grid.weights[mask].sum())))
+    with np.errstate(over="ignore"):
+        j = int(np.argmax(~np.isfinite(radial.nodes ** -400.0)))
+    want = (f"integrand not finite at radius {radial.nodes[j]}, "
+            f"node {grid.nodes[windows[2][2]][0]}")
+    assert windows[0][3] == 0.0
+    with np.errstate(over="ignore"):
+        for m in (mu, _angular(mu)):
+            table = _NodeTable.build(m, grid)
+            empty, shallow = table.window_masses(radial, windows[:2])
+            assert empty == 0.0 and math.isfinite(shallow)
+            with pytest.raises(ArithmeticError) as err:
+                table.window_masses(radial, windows)
+            assert str(err.value) == want
+            with pytest.raises(ArithmeticError) as err:
+                measure_of_window(m, windows[2][0], grid, radial)
+            assert str(err.value) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_negative_radial_density_is_an_error(d):
+    # |z| - 0.9 is negative below r = 0.9: not in a window of depth 0.05,
+    # an error in one of depth 0.5, on the radial path as on the tensor one
+    grid, radial = _grid(d), radial_rule(d, 24)
+    mu = BallMeasure(d, interior_density=DensityExpr(
+        {"sum": [{"abs_z": None}, -0.9]}))
+    for m in (mu, _angular(mu)):
+        Q = NonisotropicBall(_off_node_center(d), 0.9)
+        assert measure_of_window(m, CarlesonWindow(Q, 0.05), grid,
+                                 radial) > 0
+        with pytest.raises(ValueError,
+                           match="interior density is negative at a ball "
+                                 "node"):
+            measure_of_window(m, CarlesonWindow(Q, 0.5), grid, radial)
+
+
 def test_atom_masses_must_be_positive():
     with pytest.raises(ValueError):
         BallMeasure(1, boundary_atoms=((E1, -1.0),))
@@ -202,8 +307,10 @@ def test_node_table_reuse_matches_one_shot(d, res):
         S = CarlesonWindow(NonisotropicBall(mu.boundary_atoms[0][0], delta),
                            depth)
         mask = S.ball.contains_coords(grid.nodes)
-        assert table.window_mass(S, rad, table.ball_mass(S.ball, mask),
-                                 mask) == measure_of_window(mu, S, grid, rad)
+        s = float(grid.weights[mask].sum())
+        assert table.window_masses(
+            rad, [(S, table.ball_mass(S.ball, mask), mask, s)]) == \
+            [measure_of_window(mu, S, grid, rad)]
         assert table.ball_mass(S.ball, mask) == \
             measure_of_ball(mu, S.ball, grid)
 

@@ -210,6 +210,21 @@ def test_radial_rule_matches_fresh_gauss_legendre():
     assert not x.flags.writeable and not w.flags.writeable
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_radial_rows_are_the_rules_of_each_depth(d, n):
+    # one row per depth, each with the bits of radial_rule at that depth
+    from revcarleson.quadrature import _radial_rows
+    depths = np.concatenate((np.random.default_rng(d * n).uniform(
+        1e-6, 1.0, 50), [1.0, 0.5, 2.0 ** -20]))
+    r, wr = _radial_rows(d, n, depths)
+    assert r.shape == wr.shape == (len(depths), n)
+    for h, r_row, wr_row in zip(depths, r, wr):
+        rule = radial_rule(d, n, float(h))
+        assert r_row.tobytes() == rule.nodes.tobytes()
+        assert wr_row.tobytes() == rule.weights.tobytes()
+
+
 def _integrate_window_per_radius(f, S, grid, radial):
     """Oracle: integrate_window as one integrand call per radius."""
     mask = S.ball.contains_coords(grid.nodes)

@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
       "500"], "worst coverage"),
     (["op_peaks.py", "--workload", "verdicts", "--seed", "0", "--ops", "3"],
      "verdicts seed 0: 3 ops, peak"),
+    (["op_times.py", "--workload", "verdicts", "--seed", "0", "--passes",
+      "1"], "volume path"),
 ])
 def test_script_runs(argv, expect):
     env = dict(os.environ)
