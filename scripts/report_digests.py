@@ -26,6 +26,11 @@ non-numeric field differs, or an op key is on one side only:
 
     python3 scripts/report_digests.py --workload verdicts --seeds 0:32 \\
         --reports reports-new --against-reports reports-old
+
+It ends with a tally by subcommand and dimension d: how many reports
+differ, how many of them only in an ``arg_extremal`` label, each exit-code
+transition and each change of a verdict field (``verdict``,
+``agreement``, ``passed``, ``disjoint``), old value to new.
 """
 
 import argparse
@@ -36,6 +41,7 @@ import os
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +53,10 @@ import workloads  # noqa: E402
 # a number as reports print it, alone or inside a string
 NUMBER = re.compile(
     r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+# the report fields that hold a verdict, by their last key
+VERDICT_KEYS = ("verdict", "agreement", "passed", "disjoint")
+# a label field: a change only here moves an extremum's argument
+LABEL = "arg_extremal"
 
 
 def kept_report(outdir: Path, i: int, code) -> dict:
@@ -68,18 +78,18 @@ def _rel(new: float, old: float) -> float:
 
 
 def compare(new, old, path=""):
-    """Yield (relative change, None) for each number of new against its
+    """Yield (relative change, path) for each number of new against its
     place in old, and (None, path) for each other field that differs; two
     strings are compared as the numbers in them and the text around them."""
     number = (int, float)
     if isinstance(new, number) and isinstance(old, number) \
             and not isinstance(new, bool) and not isinstance(old, bool):
-        yield _rel(float(new), float(old)), None
+        yield _rel(float(new), float(old)), path
     elif isinstance(new, str) and isinstance(old, str):
         if NUMBER.split(new) != NUMBER.split(old):
             yield None, path
         for a, b in zip(NUMBER.findall(new), NUMBER.findall(old)):
-            yield _rel(float(a), float(b)), None
+            yield _rel(float(a), float(b)), path
     elif isinstance(new, dict) and isinstance(old, dict) \
             and new.keys() == old.keys():
         for key in new:
@@ -92,12 +102,29 @@ def compare(new, old, path=""):
         yield None, path
 
 
+def _field(doc, path: str):
+    """The value at a path as compare() names it (.key and [index] steps)."""
+    for step in re.findall(r"\.([^.[]+)|\[(\d+)\]", path):
+        doc = doc[step[0]] if step[0] else doc[int(step[1])]
+    return doc
+
+
+def _group(new_rep: dict, old_rep: dict) -> str:
+    """'<subcommand> d=<dim>' of an op, read from whichever of its two
+    kept reports holds a JSON report."""
+    doc = new_rep.get("report") or old_rep.get("report") or {}
+    dim = doc.get("config", {}).get("dim", "?")
+    return f"{doc.get('command', '?')} d={dim}"
+
+
 def against_reports(reports: dict, old_dir: Path) -> int:
-    """Print how each op's report differs from the one kept in old_dir;
-    1 when an exit code or a non-numeric field differs anywhere."""
+    """Print how each op's report differs from the one kept in old_dir,
+    then the tally by subcommand and d (see the module docstring); 1 when
+    an exit code or a non-numeric field differs anywhere."""
     old = {f.stem: json.loads(f.read_text())
            for f in sorted(old_dir.glob("*.json"))}
     keys, differ, fail = sorted(reports.keys() | old.keys()), 0, False
+    tally = {}
     for key in keys:
         if key not in reports or key not in old:
             print(f"{key}: only in {'old' if key in old else 'new'} reports")
@@ -111,7 +138,7 @@ def against_reports(reports: dict, old_dir: Path) -> int:
                              {**old_rep, "exit": None}))
         change = max((rel for rel, _ in found if rel is not None),
                      default=0.0)
-        fields = [path for _, path in found if path is not None]
+        fields = [path for rel, path in found if rel is None]
         print(f"{key}: exit codes "
               + (f"match ({new_rep['exit']})" if same_exit else
                  f"differ ({old_rep['exit']} -> {new_rep['exit']})")
@@ -119,7 +146,33 @@ def against_reports(reports: dict, old_dir: Path) -> int:
               + (f"; other fields differ: {', '.join(fields)}"
                  if fields else ""))
         differ, fail = differ + 1, fail or not same_exit or bool(fields)
+        counts = tally.setdefault(_group(new_rep, old_rep), Counter())
+        counts["differ"] += 1
+        moved = [path for rel, path in found if rel is None or rel > 0]
+        if same_exit and all(LABEL in path for path in moved):
+            counts["label-only"] += 1
+        if not same_exit:
+            counts[f"exit {old_rep['exit']} -> {new_rep['exit']}"] += 1
+        for path in fields:
+            if path.rsplit(".", 1)[-1] in VERDICT_KEYS:
+                counts[f"{path} {_field(old_rep, path)} -> "
+                       f"{_field(new_rep, path)}"] += 1
     print(f"{differ} of {len(keys)} op reports differ from {old_dir}")
+    if tally:
+        print("by subcommand and d:")
+    exits = Counter()
+    for group, counts in sorted(tally.items()):
+        rest = [f"{name}: {n}" for name, n in sorted(counts.items())
+                if name not in ("differ", "label-only")]
+        print(f"  {group}: {counts['differ']} differ, "
+              f"{counts['label-only']} label-only"
+              + "".join(f"; {r}" for r in rest))
+        for name, n in counts.items():
+            if name.startswith("exit "):
+                exits[f"{group.split()[0]} {name[5:]}"] += n
+    if exits:
+        print("exit-code transitions: " + ", ".join(
+            f"{name}: {n}" for name, n in sorted(exits.items())))
     return 1 if fail else 0
 
 

@@ -170,8 +170,12 @@ def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     the search grid (None where K^b(w, w) <= 0).  The integral of
     |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 is the table's kernel pass at
     p = 2 with that multiplier, one ray (with no row) per search centre.
-    b is taken once on each of the table's node sets and once at each w."""
-    bz = [None if pts is None else b(pts) for pts in table.sets]
+    b is taken once on each of the table's node sets and once at each w;
+    a constant b is its one value on the interior nodes, so the multiplier
+    there is one number and the pass takes a radial density's slices."""
+    const = b.kind == "constant"
+    bz = [None if pts is None else complex(b.data) if const and k == 0
+          else b(pts) for k, pts in enumerate(table.sets)]
     values = {}
     for c, ws in _rays(sgrid):
         ray = table.ray(c, row=False)

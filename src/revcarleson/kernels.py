@@ -183,16 +183,26 @@ def _closed_norm(a, exponents: Exponents) -> float:
     return float((1.0 - a * a) ** (-exponents.d / exponents.q))
 
 
-def _norm_factor(a2: float, exponents: Exponents) -> float:
-    """F = 2F1(d - pd/2, d - pd/2; d; |w|^2) at a2 = |w|^2: the exact
-    ||k_w||_p is the closed form times F^(1/p) (module docstring).  F is
-    1 when d - pd/2 = 0 (p = 2), and scipy is imported only otherwise."""
+def _norm_factor(a2, exponents: Exponents):
+    """F = 2F1(d - pd/2, d - pd/2; d; |w|^2) at a2 = |w|^2, a float, or
+    an array of them for an array a2: the exact ||k_w||_p is the closed
+    form times F^(1/p) (module docstring).  F is 1 when d - pd/2 = 0
+    (p = 2), and scipy is imported only otherwise."""
     d = exponents.d
     e = d - exponents.p * d / 2
     if e == 0:
         return 1.0
     from scipy.special import hyp2f1
-    return float(hyp2f1(e, e, d, a2))
+    F = hyp2f1(e, e, d, a2)
+    return F if np.ndim(F) else float(F)
+
+
+def _norms_p(a2: np.ndarray, exponents: Exponents) -> np.ndarray:
+    """The exact ||k_w||_p^p at each |w|^2 of the array a2: the p-th power
+    (1-|w|^2)^(-d(p-1)) of _closed_norm's closed form times _norm_factor's
+    F, elementwise."""
+    d, p = exponents.d, exponents.p
+    return (1.0 - a2) ** (-d * (p - 1.0)) * _norm_factor(a2, exponents)
 
 
 def _lp_norm(vals, p: float, grid: SphereGrid) -> float:

@@ -19,7 +19,7 @@ import yaml
 
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
                        SpherePoint, TOL, niso_gap)
-from .kernels import cauchy_modulus_p
+from .kernels import Exponents, _norms_p, cauchy_modulus_p
 from .quadrature import (RadialRule, SphereGrid, WindowNodes, _radial_rows,
                          radial_rule, window_nodes, window_sum)
 
@@ -307,6 +307,12 @@ class _NodeTable:
     set.  An integral against the table is one dot product with wint and
     one with wg, plus the atoms.
 
+    A radial interior density g(|z|) is read once, on the points (r_j, 0,
+    ..., 0), and slices holds wr_j * g(r_j), one per radius (None for a
+    density with an angular factor); wint is then wr_j * w_ang_i * g(r_j).
+    On a slice the kernel pass needs no angular nodes: the sphere integral
+    of |k_w(r_j .)|^p is ||k_{r_j w}||_p^p in closed form.
+
     radii is the column of kernel_pass's row radii (1, the sphere, then
     each r_j), and kernel_pass overwrites work, two float arrays of a row
     per radius by a column per grid node: a table is not reentrant.
@@ -318,6 +324,7 @@ class _NodeTable:
     wg: np.ndarray | None
     interior: WindowNodes | None
     wint: np.ndarray | None
+    slices: np.ndarray | None
     radii: np.ndarray
     work: np.ndarray
 
@@ -326,23 +333,31 @@ class _NodeTable:
               radial: RadialRule | None = None) -> "_NodeTable":
         """The table of mu on grid (and on the full-ball tensor nodes of
         radial); the boundary density is checked before the interior one."""
-        wg = interior = wint = None
+        wg = interior = wint = slices = None
         radii = np.ones(1)
         if mu.boundary_density is not None:
             wg = grid.weights * mu.boundary_density_values(grid)
-        if radial is not None and mu.interior_density is not None:
+        dens = mu.interior_density
+        if radial is not None and dens is not None:
             interior = window_nodes(grid, None, _match_depth(radial, mu.d, 1))
-            density = mu.interior_density_values(interior.points)
             r = interior.radial
-            wint = (r.weights[:, None] * interior.w_ang
-                    * density.reshape(len(r.nodes), -1)).ravel()
+            if dens.radial:
+                pts = np.zeros((len(r.nodes), mu.d), dtype=complex)
+                pts[:, 0] = r.nodes
+                density = mu.interior_density_values(pts)
+                slices = r.weights * density
+                density = density[:, None]
+            else:
+                density = mu.interior_density_values(
+                    interior.points).reshape(len(r.nodes), -1)
+            wint = (r.weights[:, None] * interior.w_ang * density).ravel()
             radii = np.concatenate((radii, r.nodes))
         sets = (None if interior is None else interior.points,
                 None if wg is None else grid.nodes,
                 *(np.array([pt.coords for pt, _ in atoms]) if atoms else None
                   for atoms in (mu.interior_atoms, mu.boundary_atoms)))
-        return cls(mu, grid, sets, wg, interior, wint, radii[:, None],
-                   np.empty((2, len(radii), len(grid))))
+        return cls(mu, grid, sets, wg, interior, wint, slices,
+                   radii[:, None], np.empty((2, len(radii), len(grid))))
 
     def cells(self, centers, deltas):
         """The cell pass, the one place the node-indicator rule lives.
@@ -381,6 +396,9 @@ class _NodeTable:
         S.depth: window by window on the tensor nodes of the cap when it has
         an angular factor, and for all windows at once when it is radial
         (see _radial_sums).  Either way the first window at fault raises.
+
+        An interior atom is in S as S.contains_coords decides, with its
+        norm and radial projection taken once per call, not per window.
         """
         mu = self.mu
         dens = mu.interior_density
@@ -391,10 +409,19 @@ class _NodeTable:
         else:
             inner = [self._tensor_sum(radial, S, mask)
                      for S, _, mask, _ in windows]
+        atoms = []
+        for pt, mass in mu.interior_atoms:
+            z = pt.coords[None, :]
+            r = np.linalg.norm(z, axis=1)
+            atoms.append((float(r[0]), z / r[:, None] if r[0] > 0 else None,
+                          mass))
         out = []
         for (S, cap_mass, _, _), total in zip(windows, inner):
-            for pt, mass in mu.interior_atoms:
-                if S.contains_coords(pt.coords[None, :])[0]:
+            for r, proj, mass in atoms:
+                # the origin lies only in the full-depth window
+                if 1 - S.depth - TOL <= r <= 1 + TOL and (
+                        S.depth >= 1 - TOL if proj is None
+                        else S.ball.contains_coords(proj)[0]):
                     total += mass
             out.append(total + cap_mass)
         return out
@@ -444,13 +471,15 @@ class _NodeTable:
         out[live] = s[live] * np.sum(wr * g, axis=1)
         return out.tolist()
 
-    def integrate_values(self, vals) -> float:
+    def integrate_values(self, vals, inner: float | None = None) -> float:
         """The integral against mu of an integrand given by its values on
         each node set of sets, None where the set is None: one dot product
         with wint and one with wg, and the atoms' masses times their values
         in atom order.  A boundary atom's value may be inf, and then so is
         the integral.  An interior sum that is not finite is taken again by
-        window_sum, which names the node at fault."""
+        window_sum, which names the node at fault.  inner, when given, is
+        the interior part already integrated (kernel_pass's slices), and
+        the interior values are then None."""
         if self.mu.interior_density is not None and self.sets[0] is None:
             raise ValueError("an integral against a measure with an interior "
                              "density needs a table built with a radial rule")
@@ -460,6 +489,7 @@ class _NodeTable:
             inner = float(np.real(np.dot(interior, self.wint)))
             if not math.isfinite(inner):
                 window_sum(self.interior, interior * self.wint)
+        if inner is not None:
             total += inner
         if inner_atoms is not None:
             for (_, mass), v in zip(self.mu.interior_atoms,
@@ -492,22 +522,52 @@ class _NodeTable:
         """(I, v) at w = rho c on a ray toward c: I the integral of
         m |k_w|^p against mu, v the row of |k_w|^p on the grid's nodes (None
         when the ray has no t); the one place a Cauchy kernel is integrated
-        against a table.  As <r zeta, w> = (rho r) <zeta, c> and <a, w> =
-        rho <a, c>, one cauchy_modulus_p call at the radii rho * radii
-        writes the sphere and interior moduli into work (v is a view, valid
-        until the next pass) and one takes each kind of atom; m is None
-        (m = 1) or m's values on each node set, None where the set is None.
+        against a table.  m is None (m = 1) or m's values on each node set,
+        None where the set is None; on the interior nodes it may be one
+        number, the same at every node.
+
+        As <r zeta, w> = (rho r) <zeta, c> and <a, w> = rho <a, c>, one
+        cauchy_modulus_p call at the radii rho * radii writes the sphere
+        and interior moduli into work (v is a view, valid until the next
+        pass) and one takes each kind of atom.  When the table has slices
+        (a radial density) and m is one number inside, the interior is
+        instead m sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p, exact in angle
+        (_slice_integral), and only the sphere row is formed.
         """
         c, t, atoms = ray
-        d, v = c.size, None
+        d, v, inner = c.size, None, None
+        sliced = self.slices is not None and (m is None or np.ndim(m[0]) == 0)
         vals = [None, None] + [None if a is None else cauchy_modulus_p(
             a, d, p, rho) for a in atoms]
         if t is not None:
-            v = cauchy_modulus_p(t, d, p, rho * self.radii, self.work)
-            vals[:2] = v[1:].ravel(), v[0]
-        vals = [None if pts is None else u if m is None else u * m[k]
+            rows = 1 if sliced else len(self.radii)
+            v = cauchy_modulus_p(t, d, p, rho * self.radii[:rows],
+                                 self.work[:, :rows])
+            vals[:2] = None if sliced else v[1:].ravel(), v[0]
+        if sliced:
+            inner = self._slice_integral(rho, d, p)
+            if m is not None:
+                inner *= float(m[0])
+        vals = [None if pts is None or u is None else u if m is None
+                else u * m[k]
                 for k, (pts, u) in enumerate(zip(self.sets, vals))]
-        return self.integrate_values(vals), None if v is None else v[0]
+        return (self.integrate_values(vals, inner),
+                None if v is None else v[0])
+
+    def _slice_integral(self, rho: float, d: int, p: float) -> float:
+        """sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p, the integral of |k_w|^p
+        (w = rho c, |c| = 1) against the radial interior density g: on the
+        sphere of radius r_j, |k_w(r_j zeta)| = |k_{r_j w}(zeta)|.  A sum
+        that is not finite is taken again by window_sum, which names the
+        first radius at fault and the grid's first node."""
+        r = self.interior.radial
+        terms = self.slices * _norms_p(np.square(rho * r.nodes),
+                                       Exponents(p, d))
+        inner = float(np.sum(terms))
+        if not math.isfinite(inner):
+            window_sum(WindowNodes(self.grid.nodes[:1], self.grid.weights[:1],
+                                   r, None), terms)
+        return inner
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Reverse-embedding criteria, search grids, and the equivalence harness."""
 
+import dataclasses
 import math
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -190,23 +192,59 @@ def test_equivalence_trend_lengths(grid, rad):
 # ---------------------------------------------------------------------------
 # one kernel pass per w-point
 
-def _four_part(d):
+def _four_part(d, angular=False):
     """A measure with every part: interior atom, interior density, boundary
-    density, boundary atom."""
+    density, boundary atom.  The interior density is 0.5 + |z|^2, radial,
+    so that the kernel pass takes it on its slices; angular adds
+    0.25 Re z_1, so that the pass takes it on the interior nodes."""
     e1 = np.zeros(d, dtype=complex)
     e1[0] = 1.0
     ed = np.zeros(d, dtype=complex)
     ed[-1] = 1j
+    dens = [0.5, {"pow": [{"abs_z": None}, 2.0]}]
+    if angular:
+        dens.append({"prod": [0.25, {"re": 0}]})
     return BallMeasure(
         d, interior_atoms=((BallPoint(0.3 * e1), 0.5),),
-        interior_density=DensityExpr({"sum": [0.5, {"pow": [{"abs_z": None},
-                                                            2.0]}]}),
+        interior_density=DensityExpr({"sum": dens}),
         boundary_density=DensityExpr({"sum": [1.0, {"re": 0}]}),
         boundary_atoms=((SpherePoint(ed), 0.25),))
 
 
+def _measure(d, name):
+    """The measures of the kernel-pass tests by name: sigma, the four-part
+    measure with an angular interior density ("four-part") and with a
+    radial one ("radial four-part")."""
+    if name == "sigma":
+        return sigma_measure(d)
+    return _four_part(d, angular=name == "four-part")
+
+
 def _small_grids(d):
     return sphere_grid(d, {1: 96, 2: 6}.get(d, 300)), radial_rule(d, 5)
+
+
+def _reference_integral(mu, p, w, grid, radial):
+    """The integral of |k_w|^p against mu, the kernel evaluated afresh
+    through the public functions; a radial interior density g on its
+    slices, as sum_j wr_j g(r_j) ||k_{r_j w}||_p^p with mpmath's 2F1 in
+    the exact norm, and the rest of mu through integrate_measure."""
+    def f(pts):
+        return np.abs(cauchy_kernel_at(w, pts)) ** p
+
+    dens = mu.interior_density
+    if dens is None or not dens.radial:
+        return integrate_measure(mu, f, grid, radial)
+    d, a = mu.d, float(np.linalg.norm(w))
+    e = d - p * d / 2
+    inner = 0.0
+    for r, wr in zip(radial.nodes, radial.weights):
+        a2 = (a * r) ** 2
+        g = dens(np.array([[r] + [0.0] * (d - 1)]))[0]
+        inner += wr * g * (1.0 - a2) ** (-d * (p - 1)) * float(
+            mpmath.hyp2f1(e, e, d, a2))
+    rest = dataclasses.replace(mu, interior_density=None)
+    return inner + integrate_measure(rest, f, grid, radial)
 
 
 def _reference_ii(mu, ex, w, grid, radial):
@@ -214,9 +252,14 @@ def _reference_ii(mu, ex, w, grid, radial):
     afresh through the public functions."""
     p = ex.p
     nrm = kernel_norm(w, ex, None if abs(p - 2) < 1e-12 else grid)
-    return integrate_measure(
-        mu, lambda pts: (np.abs(cauchy_kernel_at(w, pts)) / nrm) ** p,
-        grid, radial)
+    return _reference_integral(mu, p, w, grid, radial) / nrm ** p
+
+
+def _reference_kernel_ratio(mu, ex, w, grid, radial):
+    """The witness ratio of the normalized kernel K_w: the integral of
+    |k_w|^p against mu over its integral against sigma on the grid."""
+    return (_reference_integral(mu, ex.p, w, grid, radial)
+            / _reference_integral(sigma_measure(ex.d), ex.p, w, grid, radial))
 
 
 def _reference_ratio(mu, ex, f, grid, radial):
@@ -296,7 +339,10 @@ def _reference_report(mu, ex, sgrid, grid, radial, refinements=3, tau=1e-3,
             alpha = tuple(1 if i == k else 0 for i in range(ex.d))
             fam.append(TestFunction(ex.d, poly_terms=((1.0, alpha),)))
         best, best_f = math.inf, None
-        ratios = [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
+        ratios = [_reference_kernel_ratio(mu, ex, w, grid, radial)
+                  for w in ws]
+        ratios += [_reference_ratio(mu, ex, f, grid, radial)
+                   for f in fam[len(ws):]]
         for f, ratio in zip(fam, ratios):
             if ratio < best:
                 best, best_f = ratio, f
@@ -332,15 +378,19 @@ def _close(values, reference, rel=1e-12):
         assert abs(v - r) <= rel * abs(r), (v, r)
 
 
+@pytest.mark.parametrize("measure", ["four-part", "radial four-part"])
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_kernel_pass_values_match_public_functions(d, p):
+def test_kernel_pass_values_match_public_functions(d, p, measure):
     # every value the report may not show: each w's condition (ii) integral
     # and each normalized kernel's witness ratio and coefficient; the pass
     # takes |k_w|^p in real arithmetic from one inner-product pass, so it
-    # agrees with the public functions to rounding, not bit for bit
+    # agrees with the public functions to rounding, not bit for bit.  A
+    # radial interior density is checked against its slice sum
+    # sum_j wr_j g(r_j) ||k_{r_j w}||_p^p (_reference_integral); the other
+    # witnesses are integrated on the interior nodes either way
     grid, radial = _small_grids(d)
-    mu, ex, sg = _four_part(d), Exponents(p, d), SearchGrid(d, 2, 2)
+    mu, ex, sg = _measure(d, measure), Exponents(p, d), SearchGrid(d, 2, 2)
     ws = _w_points(sg)
     reference_ii = [_reference_ii(mu, ex, w, grid, radial) for w in ws]
     _close(condition_ii_profile(mu, ex, sg, grid, radial).values,
@@ -352,9 +402,10 @@ def test_kernel_pass_values_match_public_functions(d, p):
     table = criteria._NodeTable.build(mu, grid, radial)
     passes = criteria._kernel_passes(table, ex, sg)
     assert list(passes) == [tuple(w) for w in ws]
-    for w, f, ratio, ii in zip(ws, fam, ratios, reference_ii):
+    for w, f, ii in zip(ws, fam, reference_ii):
         kernel_ii, kernel_ratio, kernel = passes[tuple(w)]
-        _close([kernel_ii, kernel_ratio], [ii, ratio])
+        _close([kernel_ii, kernel_ratio],
+               [ii, _reference_kernel_ratio(mu, ex, w, grid, radial)])
         (c, pole), = kernel.kernel_terms
         (c_ref, pole_ref), = f.kernel_terms
         assert np.array_equal(pole, pole_ref)
@@ -365,33 +416,40 @@ def test_kernel_pass_values_match_public_functions(d, p):
 def test_kernel_pass_names_the_node_where_the_density_overflows():
     # |z|^-400 overflows at the innermost radius, so the pass's interior sum
     # is not finite; the error names the node as window_sum does when it
-    # checks every value of the integrand
+    # checks every value of the integrand: on the interior nodes of the
+    # density with an angular factor, and on the slices of the radial one,
+    # which name the same radius and the grid's first node
     grid, radial = sphere_grid(1, 64), radial_rule(1, 8)
-    mu = BallMeasure(1, interior_density=DensityExpr(
-        {"pow": [{"abs_z": None}, -400]}))
-    table = criteria._NodeTable.build(mu, grid, radial)
-    w = _w_points(SearchGrid(1, 2, 2))[0]
-    vals = cauchy_modulus_p(table.interior.points @ np.conj(w), 1, 2.0)
-    with pytest.raises(ArithmeticError) as direct:
-        window_sum(table.interior,
-                   vals * mu.interior_density(table.interior.points))
-    message = str(direct.value)
-    assert message == (f"integrand not finite at radius {radial.nodes[0]}, "
-                       f"node {grid.nodes[0]}")
-    with pytest.raises(ArithmeticError) as exc:
-        condition_ii_profile(mu, EX1, SearchGrid(1, 2, 2), grid, radial)
-    assert str(exc.value) == message
+    radial_spec = {"pow": [{"abs_z": None}, -400]}
+    angular_spec = {"prod": [radial_spec, {"sum": [1.5, {"re": 0}]}]}
+    want = (f"integrand not finite at radius {radial.nodes[0]}, "
+            f"node {grid.nodes[0]}")
+    for spec in (angular_spec, radial_spec):
+        mu = BallMeasure(1, interior_density=DensityExpr(spec))
+        table = criteria._NodeTable.build(mu, grid, radial)
+        assert (table.slices is None) == (spec is angular_spec)
+        w = _w_points(SearchGrid(1, 2, 2))[0]
+        vals = cauchy_modulus_p(table.interior.points @ np.conj(w), 1, 2.0)
+        with pytest.raises(ArithmeticError) as direct:
+            window_sum(table.interior,
+                       vals * mu.interior_density(table.interior.points))
+        assert str(direct.value) == want
+        with pytest.raises(ArithmeticError) as exc:
+            condition_ii_profile(mu, EX1, SearchGrid(1, 2, 2), grid, radial)
+        assert str(exc.value) == want
 
 
-@pytest.mark.parametrize("measure", ["sigma", "four-part"])
+@pytest.mark.parametrize("measure", ["sigma", "four-part",
+                                     "radial four-part"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_equivalence_report_matches_level_by_level_loop(d, p, measure):
     # values to rounding; verdicts, trend lengths and the diagnostic
     # exactly; an extremal's argument may move only to a candidate whose
-    # reference value ties the reference extremal to rounding
+    # reference value ties the reference extremal to rounding.  The kernels
+    # of a radial interior density are checked against its slice sum
     grid, radial = _small_grids(d)
-    mu = sigma_measure(d) if measure == "sigma" else _four_part(d)
+    mu = _measure(d, measure)
     ex = Exponents(p, d)
     sg = SearchGrid(d, 2, 2)
     rep = equivalence_report(mu, ex, sg, grid, radial, refinements=3)

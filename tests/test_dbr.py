@@ -321,23 +321,27 @@ def test_kernel_integrand_matches_dbr_kernel(monkeypatch, b):
     # the integrand the kernel test integrates, |1 - b conj(b(w))|^2 times
     # the real modulus |k_w|^2, against |K^b_w|^2 from the complex kernel,
     # on sphere and interior nodes; the search centre is a grid node, so at
-    # |w| = 1 - 2^-9 the sphere nodes come within 2^-9 of the pole
+    # |w| = 1 - 2^-9 the sphere nodes come within 2^-9 of the pole.  The
+    # interior density has an angular factor, so that a constant b too is
+    # integrated on the interior nodes (on a radial density it takes the
+    # slices, see test_constant_symbol_takes_the_slices)
     d = b.d
     sg = SearchGrid(d, 1, 9)
     base = sphere_grid(d, {1: 256, 2: 8}[d])
     nodes = np.concatenate((sg.centers(), base.nodes))
     grid = SphereGrid(d, nodes, np.full(len(nodes), 1.0 / len(nodes)),
                       base.scheme, base.resolution)
-    one = DensityExpr({"const": 1.0})
+    angular = DensityExpr({"sum": [1.0, {"prod": [0.5, {"re": 0}]}]})
     table = _NodeTable.build(
-        BallMeasure(d, interior_density=one, boundary_density=one), grid,
+        BallMeasure(d, interior_density=angular,
+                    boundary_density=DensityExpr({"const": 1.0})), grid,
         radial_rule(d, 24))
     seen = []
     real = _NodeTable.integrate_values
     monkeypatch.setattr(_NodeTable, "integrate_values",
-                        lambda self, vals: seen.append(
+                        lambda self, vals, inner=None: seen.append(
                             (vals[0].copy(), vals[1].copy()))
-                        or real(self, vals))
+                        or real(self, vals, inner))
     dbr._kernel_values(b, table, sg)
     ws = _w_points(sg)
     assert len(seen) == len(ws)
@@ -345,6 +349,34 @@ def test_kernel_integrand_matches_dbr_kernel(monkeypatch, b):
         for got, pts in zip(vals, (table.interior.points, grid.nodes)):
             ref = np.abs(dbr.dbr_kernel_at(b, w, pts)) ** 2
             assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_symbol_takes_the_slices(monkeypatch, d):
+    # with b = c the multiplier |1 - c conj(c)|^2 is one number, so on a
+    # radial density the kernel test is
+    # (1 - |c|^2)^2 sum_j wr_j g(r_j) ||k_{r_j w}||_2^2 / K^b(w, w)
+    # = (1 - |c|^2) (1 - |w|^2)^d sum_j wr_j g(r_j) (1 - r_j^2 |w|^2)^(-d),
+    # and b is never taken on the interior nodes
+    c = 0.3 + 0.4j
+    grid, rad = sphere_grid(d, {1: 64, 2: 6}.get(d, 200)), radial_rule(d, 8)
+    mu = BallMeasure(d, interior_density=DensityExpr(
+        {"sum": [0.5, {"abs_z": None}]}))
+    table = _NodeTable.build(mu, grid, rad)
+    sg = SearchGrid(d, 2, 4)
+    seen = []
+    call = Symbol.__call__
+    monkeypatch.setattr(Symbol, "__call__", lambda self, pts: seen.append(
+        len(np.atleast_2d(pts))) or call(self, pts))
+    got = dbr._kernel_values(_const(c, d), table, sg)
+    ws = _w_points(sg)
+    assert seen == [1] * len(ws)
+    for w in ws:
+        a2 = float(np.linalg.norm(w)) ** 2
+        want = (1 - abs(c) ** 2) * (1 - a2) ** d * sum(
+            wr * (0.5 + r) * (1 - r * r * a2) ** -d
+            for r, wr in zip(rad.nodes, rad.weights))
+        assert abs(got[tuple(w)] - want) <= 1e-12 * want
 
 
 def test_kernel_values_take_b_once_per_node(monkeypatch):

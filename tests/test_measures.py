@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from revcarleson import measures
 from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
-                                  NonisotropicBall, SpherePoint, sigma_of_ball)
+                                  NonisotropicBall, SpherePoint, niso_gap,
+                                  sigma_of_ball)
 from revcarleson.kernels import cauchy_kernel_at
 from revcarleson.measures import (BallMeasure, DensityExpr, _NodeTable,
                                   _parse_point, integrate_measure,
@@ -315,6 +316,53 @@ def test_node_table_reuse_matches_one_shot(d, res):
             measure_of_ball(mu, S.ball, grid)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_masses_place_atoms_as_contains_coords(d):
+    # each interior atom's norm and radial projection are taken once per
+    # call, and every window still counts it as S.contains_coords does,
+    # with the bits of adding its mass window by window: an atom at 0
+    # (only in windows of depth 1), one at radius 1 - depth - TOL on the
+    # centre's ray, and one whose projection has the gap delta + TOL, each
+    # probed a few ulps either side of its edge
+    grid = _grid(d)
+    c = _off_node_center(d)
+    depth, delta = 0.3, 0.5
+    zeta = np.zeros(d, dtype=complex)
+    zeta[0] = np.exp(0.7j)
+    zeta = (zeta + c.coords) / np.linalg.norm(zeta + c.coords)
+    gap = float(niso_gap(c.coords, zeta[None, :])[0])
+    mu = BallMeasure(d, interior_atoms=(
+        (BallPoint(np.zeros(d, dtype=complex)), 0.5),
+        (BallPoint((1 - depth - TOL) * c.coords), 0.25),
+        (BallPoint(0.8 * zeta), 0.125)))
+
+    def ulps(x, n=3):
+        out = [x]
+        for _ in range(n):
+            out = [np.nextafter(out[0], -1.0), *out,
+                   np.nextafter(out[-1], 3.0)]
+        return [float(v) for v in out]
+
+    shapes = [(2.0, h) for h in [1.0, *ulps(1.0 - TOL)[:4]]]
+    shapes += [(delta, h) for h in ulps(depth)]
+    shapes += [(b, 0.25) for b in ulps(gap - TOL)]
+    windows = [(CarlesonWindow(NonisotropicBall(c, b), h), 0.0, None, 0.0)
+               for b, h in shapes]
+    got = _NodeTable.build(mu, grid).window_masses(None, windows)
+    want, seen = [], set()
+    for S, *_ in windows:
+        total = 0.0
+        for k, (pt, mass) in enumerate(mu.interior_atoms):
+            inside = bool(S.contains_coords(pt.coords[None, :])[0])
+            seen.add((k, inside))
+            if inside:
+                total += mass
+        want.append(total)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # each atom is inside some window and outside another
+    assert seen == {(k, inside) for k in range(3) for inside in (0, 1)}
+
+
 def test_node_table_evaluates_densities_once(circle_grid, radial24):
     calls = []
 
@@ -330,8 +378,9 @@ def test_node_table_evaluates_densities_once(circle_grid, radial24):
         table.kernel_pass(table.ray(np.array([1.0 + 0j])), a, 2.0)
         Q = NonisotropicBall(E1, a + 0.1)
         table.ball_mass(Q, Q.contains_coords(circle_grid.nodes))
-    # the boundary density first, so that it is checked first
-    assert calls == [2048, 24 * 2048]
+    # the boundary density first, so that it is checked first; the radial
+    # interior density once per radius, on the points (r_j, 0, ..., 0)
+    assert calls == [2048, 24]
 
 
 def _mp_modulus(z, c, rho, p):
@@ -342,13 +391,32 @@ def _mp_modulus(z, c, rho, p):
         return abs(1 - mpmath.mpf(float(rho)) * t) ** (-p * len(c))
 
 
-@pytest.mark.parametrize("kind", ["sphere", "volume"])
+def _mp_slices(g, radial, rho, p, d):
+    """sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p at 50 digits (|c| = 1),
+    ||k_a||_p^p = (1 - |a|^2)^(-d(p-1)) 2F1(d - pd/2, d - pd/2; d; |a|^2),
+    the rule's radii and weights taken exactly; g maps an mpf radius to
+    the density there."""
+    with mpmath.workdps(50):
+        e, total = d - mpmath.mpf(p) * d / 2, 0
+        for r, wr in zip(radial.nodes, radial.weights):
+            a2 = (mpmath.mpf(float(rho)) * mpmath.mpf(float(r))) ** 2
+            norm = (1 - a2) ** (-d * (mpmath.mpf(p) - 1)) \
+                * mpmath.hyp2f1(e, e, d, a2)
+            total += mpmath.mpf(float(wr)) * g(mpmath.mpf(float(r))) * norm
+        return total
+
+
+@pytest.mark.parametrize("kind", ["sphere", "volume", "angular volume"])
 @pytest.mark.parametrize("p", [2.0, 2.5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kernel_pass_along_a_ray_matches_mpmath(monkeypatch, d, p, kind):
     # w = (1 - 2^-k) c on the ray toward a grid node c, so the sphere nodes
     # come within 2^-8 of the pole; every node's modulus and the integral
-    # lie within 1e-12 of mpmath's
+    # lie within 1e-12 of mpmath's.  A radial interior density is taken on
+    # its slices, with no interior nodes: its integral is within 1e-12 of
+    # mpmath's sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p ("volume"); a density
+    # with an angular factor keeps the check of every interior node's
+    # modulus ("angular volume")
     grid = sphere_grid(d, {1: 48, 2: 4, 3: 40}[d], seed=3)
     radial = radial_rule(d, 4)
     c = grid.nodes[0]
@@ -357,29 +425,34 @@ def test_kernel_pass_along_a_ray_matches_mpmath(monkeypatch, d, p, kind):
             d, interior_atoms=((BallPoint(0.7 * grid.nodes[1]), 0.4),),
             boundary_density=DensityExpr({"sum": [1.0, {"re": 0}]}),
             boundary_atoms=((SpherePoint(grid.nodes[2]), 0.3),))
-    else:
+    elif kind == "volume":
         mu = BallMeasure(d, interior_density=DensityExpr(
             {"sum": [0.5, {"abs_z": None}]}))
+    else:
+        mu = BallMeasure(d, interior_density=DensityExpr(
+            {"sum": [1.5, {"re": 0}]}))
     table = _NodeTable.build(mu, grid, radial)
+    assert (table.slices is not None) == (kind == "volume")
     # each node as (radius, sphere point) and its weight or mass, in the
     # order of the node sets
     nodes = []
-    if table.sets[0] is not None:
+    if table.sets[0] is not None and kind != "volume":
         nodes += [(r, z) for r in radial.nodes for z in grid.nodes]
     if table.sets[1] is not None:
         nodes += [(1.0, z) for z in grid.nodes]
     for k in (2, 3):
         if table.sets[k] is not None:
             nodes += [(1.0, a) for a in table.sets[k]]
-    weights = [w for w in (table.wint, table.wg) if w is not None]
-    weights = [*np.concatenate(weights),
+    weights = [w for w in (None if kind == "volume" else table.wint,
+                           table.wg) if w is not None]
+    weights = [*(np.concatenate(weights) if weights else ()),
                *(m for _, m in mu.interior_atoms + mu.boundary_atoms)]
     seen = []
     real = _NodeTable.integrate_values
-    monkeypatch.setattr(_NodeTable, "integrate_values", lambda self, vals:
-                        seen.append(np.concatenate(
-                            [v for v in vals if v is not None]))
-                        or real(self, vals))
+    monkeypatch.setattr(
+        _NodeTable, "integrate_values", lambda self, vals, inner=None:
+        seen.append(np.concatenate([np.zeros(0)] + [
+            v for v in vals if v is not None])) or real(self, vals, inner))
     ray = table.ray(c)
     for k in range(1, 9):
         rho = 1.0 - 2.0 ** -k
@@ -392,6 +465,8 @@ def test_kernel_pass_along_a_ray_matches_mpmath(monkeypatch, d, p, kind):
         with mpmath.workdps(50):
             want = mpmath.fsum(mpmath.mpf(float(w)) * m
                                for w, m in zip(weights, ref))
+            if kind == "volume":
+                want += _mp_slices(lambda r: 0.5 + r, radial, rho, p, d)
         assert abs(integral - want) <= 1e-12 * want
 
 

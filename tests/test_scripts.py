@@ -108,3 +108,46 @@ def test_report_digests_compares_kept_reports(tmp_path, monkeypatch,
     code, out = against(report__disjoint=True, exit=1)
     assert code == 1
     assert "exit codes differ (1 -> 0)" in out
+
+
+def test_report_digests_tallies_changes_by_subcommand_and_d(
+        tmp_path, monkeypatch, capsys):
+    # --against-reports ends with a tally by subcommand and d: reports that
+    # differ, those that differ only in an arg_extremal label, exit-code
+    # transitions and verdict fields, old value to new
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = ROOT / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+
+    def kept(command, dim, code, verdict="positive", arg=(0.5, 0.0),
+             value=0.25):
+        return {"exit": code, "curves": {}, "report": {
+            "command": command, "config": {"dim": dim},
+            "conditions": {"i": {"verdict": verdict, "arg_extremal": list(arg),
+                                 "trend": [value]}}}}
+
+    old = {"a": kept("equivalence", 2, 3, value=0.3),
+           "b": kept("equivalence", 2, 3, value=0.4),
+           "c": kept("criteria", 3, 0),
+           "d": kept("criteria", 1, 0)}
+    new = {"a": kept("equivalence", 2, 0, "degenerate", value=0.1),
+           "b": kept("equivalence", 2, 0, "degenerate", value=0.2),
+           "c": kept("criteria", 3, 0, arg=(0.0, 0.5)),
+           "d": kept("criteria", 1, 0)}
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    for key, rep in old.items():
+        (old_dir / f"{key}.json").write_text(json.dumps(rep))
+    code = digests.against_reports(new, old_dir)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "3 of 4 op reports differ" in out
+    assert out.endswith(
+        "by subcommand and d:\n"
+        "  criteria d=3: 1 differ, 1 label-only\n"
+        "  equivalence d=2: 2 differ, 0 label-only; "
+        ".report.conditions.i.verdict positive -> degenerate: 2; "
+        "exit 3 -> 0: 2\n"
+        "exit-code transitions: equivalence 3 -> 0: 2\n")
