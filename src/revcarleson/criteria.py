@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
 from .kernels import (Exponents, TestFunction, _closed_norm, _lp_norm,
-                      _pole_modulus)
+                      _pole_modulus, _slice_norms2)
 from .measures import BallMeasure, _NodeTable
 from .quadrature import RadialRule, SphereGrid, sphere_sum
 
@@ -167,9 +167,11 @@ def _kernel_passes(table: _NodeTable, exponents: Exponents,
     and G, its integral against sigma (the sphere row's dot product with
     sigma's weights, taken again by sphere_sum to name the node at fault
     when not finite).  Condition (ii) is I / ||k_w||_p^p and the witness
-    ratio I / G, ||k_w||_p the closed form at p = 2 and G^(1/p) otherwise.
+    ratio I / G, ||k_w||_p the closed form at p = 2 and G^(1/p) otherwise;
+    where _exact_norms holds the witness ratio is condition (ii)'s value.
     """
     p, out = exponents.p, {}
+    exact = _exact_norms(table, p)
     for c, ws in _rays(sgrid):
         ray = table.ray(c)
         for rho, w in ws:
@@ -182,9 +184,22 @@ def _kernel_passes(table: _NodeTable, exponents: Exponents,
                 raise ValueError("zero-norm test function in the family")
             nrm = _closed_norm(a, exponents) if abs(p - 2) < 1e-12 \
                 else G ** (1.0 / p)
-            out[tuple(w)] = (I / nrm ** p, I / G, TestFunction(
+            ii = I / nrm ** p
+            out[tuple(w)] = (ii, ii if exact else I / G, TestFunction(
                 exponents.d, kernel_terms=((1.0 / nrm, w),), _checked=True))
     return out
+
+
+def _exact_norms(table: _NodeTable, p: float) -> bool:
+    """Whether condition (i)'s witnesses divide by their exact H^2 norm
+    rather than by the sphere rule's sum: at p = 2 on a radial interior
+    density (a table with slices) and no boundary density, every part of
+    the integral against mu (the slices, the atoms) is exact in angle, so
+    the rule's norm would only bring its own error in.  A boundary
+    density's integral is the rule's sum, and the rule's norm shares its
+    error."""
+    return abs(p - 2) < 1e-12 and table.slices is not None \
+        and table.sets[1] is None
 
 
 def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
@@ -258,17 +273,30 @@ def _monomials(d: int) -> list[TestFunction]:
 
 def _function_ratio(table: _NodeTable, p: float, f) -> float:
     """The witness ratio integral |f|^p dmu / ||f||_{H^p}^p of a test
-    function f, f evaluated once per node set of the table (and once on
-    the sphere nodes for the norm when the table has no such set)."""
+    function f (a two-kernel combination or a monomial), f evaluated once
+    per node set of the table (and once on the sphere nodes for the norm
+    when the table has no such set).  At p = 2 on a table with slices (a
+    radial interior density) the interior is instead sum_j slices_j
+    ||f(r_j .)||^2_{H^2} from the Gram form (kernels._slice_norms2), and f
+    is evaluated on no interior node; where _exact_norms holds, the norm
+    is the exact ||f||^2_{H^2}, the same form at r = 1, and f is evaluated
+    on no sphere node either."""
     def g(pts):
         return np.abs(f(pts)) ** p
 
-    vals = [None if pts is None else g(pts) for pts in table.sets]
-    nrm = _lp_norm(g(table.grid.nodes) if vals[1] is None else vals[1], p,
-                   table.grid)
-    if nrm <= 0:
+    sets, inner = table.sets, None
+    if table.slices is not None and abs(p - 2) < 1e-12:
+        sets = (None, *sets[1:])
+        inner = table.slice_sum(_slice_norms2(f, table.interior.radial.nodes))
+    vals = [None if pts is None else g(pts) for pts in sets]
+    if _exact_norms(table, p):
+        norm_p = float(_slice_norms2(f, np.ones(1))[0])
+    else:
+        norm_p = _lp_norm(g(table.grid.nodes) if vals[1] is None
+                          else vals[1], p, table.grid) ** p
+    if norm_p <= 0:
         raise ValueError("zero-norm test function in the family")
-    return table.integrate_values(vals) / nrm ** p
+    return table.integrate_values(vals, inner) / norm_p
 
 
 def reverse_inequality_witness(mu: BallMeasure, exponents: Exponents,

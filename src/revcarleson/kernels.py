@@ -165,6 +165,33 @@ def _add_poly(out: np.ndarray, terms, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _slice_norms2(f: TestFunction, r: np.ndarray) -> np.ndarray:
+    """||f(r .)||^2_{H^2}, the integral of |f(r zeta)|^2 against sigma, at
+    each radius of the array r, from the H^2 Gram form of f's terms: as
+    k_w(r zeta) = k_{rw}(zeta) and (r zeta)^alpha = r^|alpha| zeta^alpha,
+    <k_{ra}, k_{rb}> = (1 - r^2 <b, a>)^(-d) (the reproducing property),
+    <k_{ra}, zeta^alpha> = conj((ra)^alpha), and the monomials are
+    orthogonal with ||zeta^alpha||^2 = (d-1)! alpha! / (d-1+|alpha|)!
+    (Rudin, Prop. 1.4.9)."""
+    d, r2 = f.d, np.square(r)
+    total = np.zeros(np.shape(r), dtype=complex)
+    for cm, wm in f.kernel_terms:
+        for cn, wn in f.kernel_terms:
+            total += cm * np.conj(cn) * _inverse_power(
+                1.0 - r2 * np.vdot(wm, wn), d)
+        for b, alpha in f.poly_terms:
+            wa = np.prod(np.asarray(wm) ** np.asarray(alpha))
+            total += 2.0 * np.real(cm * np.conj(b * wa)) * r2 ** sum(alpha)
+    for b, alpha in f.poly_terms:
+        n = sum(alpha)
+        size = math.factorial(d - 1) * math.prod(
+            map(math.factorial, alpha)) / math.factorial(d - 1 + n)
+        for b2, alpha2 in f.poly_terms:
+            if tuple(alpha2) == tuple(alpha):
+                total += b * np.conj(b2) * size * r2 ** n
+    return np.real(total)
+
+
 def kernel_norm(w, exponents: Exponents, grid: SphereGrid | None = None) -> float:
     """H^p norm of the Cauchy kernel k_w.
 

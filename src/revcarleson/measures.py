@@ -311,7 +311,10 @@ class _NodeTable:
     ..., 0), and slices holds wr_j * g(r_j), one per radius (None for a
     density with an angular factor); wint is then wr_j * w_ang_i * g(r_j).
     On a slice the kernel pass needs no angular nodes: the sphere integral
-    of |k_w(r_j .)|^p is ||k_{r_j w}||_p^p in closed form.
+    of |k_w(r_j .)|^p is ||k_{r_j w}||_p^p in closed form.  Nor does
+    condition (i)'s combination or monomial witness f at p = 2
+    (criteria._function_ratio): its sphere integral there is
+    ||f(r_j .)||^2_{H^2} in Gram form.  slice_sum sums both.
 
     radii is the column of kernel_pass's row radii (1, the sphere, then
     each r_j), and kernel_pass overwrites work, two float arrays of a row
@@ -532,7 +535,8 @@ class _NodeTable:
         pass) and one takes each kind of atom.  When the table has slices
         (a radial density) and m is one number inside, the interior is
         instead m sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p, exact in angle
-        (_slice_integral), and only the sphere row is formed.
+        (slice_sum; on the sphere of radius r_j, |k_w(r_j zeta)| =
+        |k_{r_j w}(zeta)|), and only the sphere row is formed.
         """
         c, t, atoms = ray
         d, v, inner = c.size, None, None
@@ -545,7 +549,8 @@ class _NodeTable:
                                  self.work[:, :rows])
             vals[:2] = None if sliced else v[1:].ravel(), v[0]
         if sliced:
-            inner = self._slice_integral(rho, d, p)
+            inner = self.slice_sum(_norms_p(np.square(
+                rho * self.interior.radial.nodes), Exponents(p, d)))
             if m is not None:
                 inner *= float(m[0])
         vals = [None if pts is None or u is None else u if m is None
@@ -554,19 +559,16 @@ class _NodeTable:
         return (self.integrate_values(vals, inner),
                 None if v is None else v[0])
 
-    def _slice_integral(self, rho: float, d: int, p: float) -> float:
-        """sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p, the integral of |k_w|^p
-        (w = rho c, |c| = 1) against the radial interior density g: on the
-        sphere of radius r_j, |k_w(r_j zeta)| = |k_{r_j w}(zeta)|.  A sum
-        that is not finite is taken again by window_sum, which names the
-        first radius at fault and the grid's first node."""
-        r = self.interior.radial
-        terms = self.slices * _norms_p(np.square(rho * r.nodes),
-                                       Exponents(p, d))
+    def slice_sum(self, sphere: np.ndarray) -> float:
+        """sum_j slices_j sphere_j, the integral against the radial interior
+        density of an integrand whose sphere integral at radius r_j is
+        sphere_j.  A sum that is not finite is taken again by window_sum,
+        which names the first radius at fault and the grid's first node."""
+        terms = self.slices * sphere
         inner = float(np.sum(terms))
         if not math.isfinite(inner):
             window_sum(WindowNodes(self.grid.nodes[:1], self.grid.weights[:1],
-                                   r, None), terms)
+                                   self.interior.radial, None), terms)
         return inner
 
 

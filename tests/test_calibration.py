@@ -11,6 +11,11 @@ which tends to 0 as |w| -> 1 (in d = 1 it is
 density on its slices, exact in angle, so what is left is the radial rule:
 24 Gauss-Legendre nodes on [0, 1), which resolve the integrand to 1e-7 up
 to |w| = 1 - 2^-4 and to 2e-3 at the default grid's last radius 1 - 2^-6.
+
+Condition (i)'s monomial witnesses 1, z_1, ..., z_d take nu on the same
+slices at p = 2, and their moments int 1 dnu = 1 and int |z_k|^2 dnu =
+1/(d + 1) are polynomials in r that the radial rule integrates exactly;
+the ratio divides them by the exact H^2 norms.
 """
 
 import mpmath
@@ -18,7 +23,8 @@ import numpy as np
 import pytest
 
 from revcarleson.cli import ExperimentConfig
-from revcarleson.criteria import _rays, condition_ii_profile
+from revcarleson.criteria import (_function_ratio, _monomials, _rays,
+                                  condition_ii_profile)
 from revcarleson.kernels import Exponents
 from revcarleson.measures import BallMeasure, DensityExpr, _NodeTable
 
@@ -75,3 +81,18 @@ def test_volume_slices_at_p_2_5_match_mpmath(d):
                 want += mpmath.mpf(float(wr)) * (1 - a2) ** (
                     -d * (mpmath.mpf(p) - 1)) * mpmath.hyp2f1(e, e, d, a2)
         assert abs(got - want) <= 1e-12 * want, (rho, got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_volume_monomials_take_their_exact_moments(d):
+    # condition (i)'s monomial witnesses at p = 2 take nu's density on its
+    # slices, so their interior integral is the radial rule's sum of
+    # r^(2|alpha|) ||zeta^alpha||^2, a polynomial it integrates exactly:
+    # int 1 dnu = 1 and int |z_k|^2 dnu = 1 / (d + 1).  The ratio divides
+    # it by the exact ||1||^2 = 1 and ||z_k||^2 = 1 / d (Rudin 1.4.9)
+    cfg = ExperimentConfig(dim=d)
+    table = _NodeTable.build(_nu(d), cfg.sphere(), cfg.radial())
+    assert table.slices is not None
+    for f, want in zip(_monomials(d), [1.0] + [d / (d + 1)] * d):
+        got = _function_ratio(table, 2.0, f)
+        assert abs(got - want) <= 1e-13 * want, (f, got, want)

@@ -25,7 +25,7 @@ from revcarleson.measures import (BallMeasure, DensityExpr, integrate_measure,
                                   measure_of_ball, measure_of_window,
                                   sigma_measure)
 from revcarleson.quadrature import (SphereGrid, radial_rule, sphere_grid,
-                                    window_nodes, window_sum)
+                                    sphere_sum, window_nodes, window_sum)
 
 EX1 = Exponents(2.0, 1)
 
@@ -213,10 +213,13 @@ def _four_part(d, angular=False):
 
 def _measure(d, name):
     """The measures of the kernel-pass tests by name: sigma, the four-part
-    measure with an angular interior density ("four-part") and with a
-    radial one ("radial four-part")."""
+    measure with an angular interior density ("four-part"), with a radial
+    one ("radial four-part"), and the radial one without its boundary
+    density ("radial three-part")."""
     if name == "sigma":
         return sigma_measure(d)
+    if name == "radial three-part":
+        return dataclasses.replace(_four_part(d), boundary_density=None)
     return _four_part(d, angular=name == "four-part")
 
 
@@ -224,11 +227,24 @@ def _small_grids(d):
     return sphere_grid(d, {1: 96, 2: 6}.get(d, 300)), radial_rule(d, 5)
 
 
+def _sliced_integral(mu, h, sphere, grid, radial):
+    """The integral of h against mu whose interior density g is radial:
+    the interior on its slices, as sum_j wr_j g(r_j) sphere(r_j), with
+    sphere(r) the integral of h(r .) against sigma, and the rest of mu
+    through integrate_measure."""
+    d, dens = mu.d, mu.interior_density
+    inner = 0.0
+    for r, wr in zip(radial.nodes, radial.weights):
+        g = dens(np.array([[r] + [0.0] * (d - 1)]))[0]
+        inner += wr * g * sphere(r)
+    rest = dataclasses.replace(mu, interior_density=None)
+    return inner + integrate_measure(rest, h, grid, radial)
+
+
 def _reference_integral(mu, p, w, grid, radial):
     """The integral of |k_w|^p against mu, the kernel evaluated afresh
-    through the public functions; a radial interior density g on its
-    slices, as sum_j wr_j g(r_j) ||k_{r_j w}||_p^p with mpmath's 2F1 in
-    the exact norm, and the rest of mu through integrate_measure."""
+    through the public functions; a radial interior density on its
+    slices, ||k_{r_j w}||_p^p with mpmath's 2F1 in the exact norm."""
     def f(pts):
         return np.abs(cauchy_kernel_at(w, pts)) ** p
 
@@ -237,14 +253,42 @@ def _reference_integral(mu, p, w, grid, radial):
         return integrate_measure(mu, f, grid, radial)
     d, a = mu.d, float(np.linalg.norm(w))
     e = d - p * d / 2
-    inner = 0.0
-    for r, wr in zip(radial.nodes, radial.weights):
-        a2 = (a * r) ** 2
-        g = dens(np.array([[r] + [0.0] * (d - 1)]))[0]
-        inner += wr * g * (1.0 - a2) ** (-d * (p - 1)) * float(
-            mpmath.hyp2f1(e, e, d, a2))
-    rest = dataclasses.replace(mu, interior_density=None)
-    return inner + integrate_measure(rest, f, grid, radial)
+    return _sliced_integral(mu, f, lambda r: (1.0 - (a * r) ** 2) ** (
+        -d * (p - 1)) * float(mpmath.hyp2f1(e, e, d, (a * r) ** 2)),
+        grid, radial)
+
+
+def _slice_norm2(f, r):
+    """||f(r .)||^2_{H^2} of a test function f in mpmath, from the Gram
+    form of its terms: <k_a, k_b> = (1 - <b, a>)^(-d) for a = r w_m and
+    b = r w_n, <k_a, zeta^alpha> = conj(a^alpha) for the kernel and
+    monomial (r zeta)^alpha = r^|alpha| zeta^alpha, and orthogonal
+    monomials of norm^2 (d-1)! alpha! / (d-1+|alpha|)!."""
+    d = f.d
+    with mpmath.workdps(40):
+        r = mpmath.mpf(float(r))
+        kern = [(mpmath.mpc(complex(c)), [r * mpmath.mpc(complex(x))
+                                          for x in w])
+                for c, w in f.kernel_terms]
+        poly = [(mpmath.mpc(complex(b)) * r ** sum(alpha), tuple(alpha))
+                for b, alpha in f.poly_terms]
+        total = mpmath.mpf(0)
+        for c, a in kern:
+            for c2, b in kern:
+                inner = mpmath.fsum(bk * mpmath.conj(ak)
+                                    for ak, bk in zip(a, b))
+                total += c * mpmath.conj(c2) * (1 - inner) ** -d
+            for b, alpha in poly:
+                aa = mpmath.fprod(ak ** e for ak, e in zip(a, alpha))
+                total += 2 * mpmath.re(c * mpmath.conj(b * aa))
+        for b, alpha in poly:
+            size = mpmath.factorial(d - 1) * mpmath.fprod(
+                mpmath.factorial(e) for e in alpha) / mpmath.factorial(
+                d - 1 + sum(alpha))
+            for b2, alpha2 in poly:
+                if alpha2 == alpha:
+                    total += b * mpmath.conj(b2) * size
+        return float(mpmath.re(total))
 
 
 def _reference_ii(mu, ex, w, grid, radial):
@@ -257,16 +301,47 @@ def _reference_ii(mu, ex, w, grid, radial):
 
 def _reference_kernel_ratio(mu, ex, w, grid, radial):
     """The witness ratio of the normalized kernel K_w: the integral of
-    |k_w|^p against mu over its integral against sigma on the grid."""
+    |k_w|^p against mu over its integral against sigma on the grid, or
+    over the exact ||k_w||^2 (condition (ii)'s value) when
+    _exact_witness_norms."""
+    if _exact_witness_norms(mu, ex.p):
+        return _reference_ii(mu, ex, w, grid, radial)
     return (_reference_integral(mu, ex.p, w, grid, radial)
             / _reference_integral(sigma_measure(ex.d), ex.p, w, grid, radial))
 
 
 def _reference_ratio(mu, ex, f, grid, radial):
-    """A witness's ratio, f evaluated afresh through the public functions."""
+    """A witness's ratio, f evaluated afresh through the public functions;
+    at p = 2 a radial interior density on its slices, each
+    ||f(r_j .)||^2 from _slice_norm2's Gram form, and the norm the exact
+    ||f||^2 (_slice_norm2 at r = 1) when _exact_witness_norms."""
     p = ex.p
-    return integrate_measure(mu, lambda pts: np.abs(f(pts)) ** p, grid,
-                             radial) / hp_norm(f, ex, grid) ** p
+
+    def h(pts):
+        return np.abs(f(pts)) ** p
+
+    if _sliced_witnesses(mu, p):
+        integral = _sliced_integral(mu, h, lambda r: _slice_norm2(f, r),
+                                    grid, radial)
+    else:
+        integral = integrate_measure(mu, h, grid, radial)
+    if _exact_witness_norms(mu, p):
+        return integral / _slice_norm2(f, 1.0)
+    return integral / hp_norm(f, ex, grid) ** p
+
+
+def _sliced_witnesses(mu, p):
+    """Whether a witness takes mu's interior density on its slices: at
+    p = 2 when the density is radial."""
+    dens = mu.interior_density
+    return p == 2 and dens is not None and dens.radial
+
+
+def _exact_witness_norms(mu, p):
+    """Whether the witnesses divide by their exact norm: when they take
+    the slices and mu has no boundary density, whose integral is the
+    sphere rule's sum."""
+    return _sliced_witnesses(mu, p) and mu.boundary_density is None
 
 
 def _reference_cells(sgrid, grid):
@@ -378,7 +453,8 @@ def _close(values, reference, rel=1e-12):
         assert abs(v - r) <= rel * abs(r), (v, r)
 
 
-@pytest.mark.parametrize("measure", ["four-part", "radial four-part"])
+@pytest.mark.parametrize("measure", ["four-part", "radial four-part",
+                                     "radial three-part"])
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kernel_pass_values_match_public_functions(d, p, measure):
@@ -387,8 +463,12 @@ def test_kernel_pass_values_match_public_functions(d, p, measure):
     # takes |k_w|^p in real arithmetic from one inner-product pass, so it
     # agrees with the public functions to rounding, not bit for bit.  A
     # radial interior density is checked against its slice sum
-    # sum_j wr_j g(r_j) ||k_{r_j w}||_p^p (_reference_integral); the other
-    # witnesses are integrated on the interior nodes either way
+    # sum_j wr_j g(r_j) ||k_{r_j w}||_p^p (_reference_integral).  The
+    # witnesses of reverse_inequality_witness match the interior nodes' sums
+    # bit for bit, but at p = 2 on a radial density their slice sums
+    # sum_j wr_j g(r_j) ||f(r_j .)||^2 to rounding, over the exact ||f||^2
+    # when mu has no boundary density (_reference_ratio), and the kernel
+    # witness ratio is then condition (ii)'s value
     grid, radial = _small_grids(d)
     mu, ex, sg = _measure(d, measure), Exponents(p, d), SearchGrid(d, 2, 2)
     ws = _w_points(sg)
@@ -397,8 +477,11 @@ def test_kernel_pass_values_match_public_functions(d, p, measure):
            reference_ii)
     fam = _witness_family(ex, sg, grid)
     _, _, ratios = reverse_inequality_witness(mu, ex, fam, grid, radial)
-    assert ratios.tolist() == \
-        [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
+    reference = [_reference_ratio(mu, ex, f, grid, radial) for f in fam]
+    if _sliced_witnesses(mu, p):
+        _close(ratios, reference)
+    else:
+        assert ratios.tolist() == reference
     table = criteria._NodeTable.build(mu, grid, radial)
     passes = criteria._kernel_passes(table, ex, sg)
     assert list(passes) == [tuple(w) for w in ws]
@@ -439,8 +522,69 @@ def test_kernel_pass_names_the_node_where_the_density_overflows():
         assert str(exc.value) == want
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_combination_names_the_radius_where_the_density_overflows():
+    # at p = 2 a two-kernel combination takes the radial |z|^-400 on its
+    # slices, as the kernel pass does, and its slice sum is checked by the
+    # same guard: the error names the innermost radius and the grid's
+    # first node, word for word as the kernel pass's
+    grid, radial = sphere_grid(1, 64), radial_rule(1, 8)
+    mu = BallMeasure(1, interior_density=DensityExpr(
+        {"pow": [{"abs_z": None}, -400]}))
+    ws = _w_points(SearchGrid(1, 2, 2))
+    combo = TestFunction(1, kernel_terms=((1.0 + 0.5j, ws[1]),
+                                          (-0.3 + 1j, ws[2])))
+    with pytest.raises(ArithmeticError) as kernel:
+        condition_ii_profile(mu, EX1, SearchGrid(1, 2, 2), grid, radial)
+    with pytest.raises(ArithmeticError) as exc:
+        reverse_inequality_witness(mu, EX1, [combo], grid, radial)
+    assert str(exc.value) == str(kernel.value) == (
+        f"integrand not finite at radius {radial.nodes[0]}, "
+        f"node {grid.nodes[0]}")
+
+
+def _gram_cases(d):
+    """Test functions whose Gram form _slice_norm2 is checked: a two-kernel
+    combination, a kernel plus monomials of equal and of different
+    exponents, and the monomials alone."""
+    w1 = np.full(d, 0.6 / math.sqrt(d), dtype=complex)
+    w2 = np.zeros(d, dtype=complex)
+    w2[-1] = -0.4 + 0.5j
+    alpha = tuple(range(1, d + 1))
+    return [TestFunction(d, kernel_terms=((1.0 - 0.5j, w1), (0.7j, w2))),
+            TestFunction(d, kernel_terms=((0.8, w2),),
+                         poly_terms=((0.5 + 1j, alpha), (-0.2, alpha),
+                                     (1.5, (0,) * d))),
+            TestFunction(d, poly_terms=((1.0, (1,) + (0,) * (d - 1)),
+                                        (2j, alpha)))]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gram_form_matches_a_fine_product_rule(d):
+    # the oracle's Gram form is the sphere integral of |f(r .)|^2: a
+    # 4 096-node circle rule (d = 1) and a 160-per-axis torus rule (d = 2)
+    # agree with it to 1e-12, at three radii up to the last radial node and
+    # on the sphere itself, where it is the exact ||f||^2
+    grid = sphere_grid(d, {1: 4096, 2: 160}[d])
+    for f in _gram_cases(d):
+        for r in (0.3, 0.8, 1.0 - 1e-14, 1.0):
+            rule = float(np.real(sphere_sum(
+                grid, np.abs(f(r * grid.nodes)) ** 2)))
+            assert abs(_slice_norm2(f, r) - rule) <= 1e-12 * rule, (f, r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slice_norms_match_the_gram_oracle(d):
+    # the library's closed form (kernels._slice_norms2), at every radius of
+    # a radial rule and at r = 1 at once, against the oracle in mpmath
+    r = np.append(radial_rule(d, 8).nodes, 1.0)
+    for f in _gram_cases(d):
+        _close(kernels._slice_norms2(f, r), [_slice_norm2(f, x) for x in r],
+               rel=1e-13)
+
+
 @pytest.mark.parametrize("measure", ["sigma", "four-part",
-                                     "radial four-part"])
+                                     "radial four-part", "radial three-part"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_equivalence_report_matches_level_by_level_loop(d, p, measure):
