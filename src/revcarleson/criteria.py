@@ -15,9 +15,9 @@ import numpy as np
 
 from .geometry import CarlesonWindow, sample_sphere
 from .kernels import (Exponents, TestFunction, _closed_norm, _lp_norm,
-                      _pole_modulus, _slice_norms2)
+                      _moduli, _pole_modulus, _slice_norms2)
 from .measures import BallMeasure, _NodeTable
-from .quadrature import RadialRule, SphereGrid, sphere_sum
+from .quadrature import RadialRule, SphereGrid
 
 __all__ = ["CriterionProfile", "SearchGrid", "condition_iii_profile",
            "condition_ii_profile", "criteria_profiles", "window_profile",
@@ -112,37 +112,45 @@ def _cell_keys(sgrid: SearchGrid) -> list[tuple]:
             for delta in sgrid.deltas()]
 
 
-def _cell_walk(table: _NodeTable, sgrid: SearchGrid,
-               radial: RadialRule | None = None) -> tuple[dict, dict]:
-    """The one walk over the cells of sgrid: (iii, window), mapping each
-    cell (tuple(c), delta) whose sigma estimate s is positive to
-    mu(Q)/s and, given a radial rule, to mu(S_Q)/s, with S_Q the
-    outer-closed window of depth min(s, 1) (window is empty without one).
-    mu(Q) and the node mask are taken once per cell and serve both; the
-    table takes every window's mass in one call after the walk (a mask
-    is kept for it only when mu has an interior density to sum over the
-    cap)."""
-    centers, iii, keys, windows = sgrid.centers(), {}, [], []
+def _walk(table: _NodeTable, sgrid: SearchGrid,
+          exponents: Exponents | None = None, radial: RadialRule | None = None,
+          cells: bool = True) -> tuple[dict, dict, dict]:
+    """(passes, iii, window) from one walk over the search centres of
+    sgrid: given exponents, each centre's ray (_ray_kernels; passes maps
+    each w-point of sgrid, in order), then, if cells, its cells, both
+    from one sphere product <zeta_i, c> held for that centre only.  iii
+    and window map each cell (tuple(c), delta) whose sigma estimate s is
+    positive to mu(Q)/s and, given a radial rule, to mu(S_Q)/s, with S_Q
+    the outer-closed window of depth min(s, 1) (window is empty without
+    one).  mu(Q) and the node mask are taken once per cell and serve
+    both; the table takes every window's mass in one call after the walk
+    (a mask is kept for it only when mu has an interior density)."""
+    passes, iii, keys, windows = {}, {}, [], []
     keep = table.mu.interior_density is not None
-    for i, _, Q, mask, s in table.cells(centers, sgrid.deltas()):
-        key, m = (tuple(centers[i]), Q.delta), table.ball_mass(Q, mask)
-        iii[key] = m / s
-        if radial is not None:
-            keys.append(key)
-            windows.append((CarlesonWindow(Q, min(s, 1.0)), m,
-                            mask if keep else None, s))
+    deltas = sgrid.deltas() if cells else ()
+    for c, ws in _rays(sgrid):
+        t = table.grid.nodes @ np.conj(c) if cells else None
+        if exponents is not None:
+            passes.update(_ray_kernels(table, exponents, c, ws, t))
+        for _, Q, mask, s in table.cells(c, deltas, t) if cells else ():
+            key, m = (tuple(c), Q.delta), table.ball_mass(Q, mask)
+            iii[key] = m / s
+            if radial is not None:
+                keys.append(key)
+                windows.append((CarlesonWindow(Q, min(s, 1.0)), m,
+                                mask if keep else None, s))
     if not windows:
-        return iii, {}
+        return passes, iii, {}
     masses = table.window_masses(radial, windows)
-    return iii, {key: mass / s
-                 for key, (*_, s), mass in zip(keys, windows, masses)}
+    return passes, iii, {key: mass / s for key, (*_, s), mass
+                         in zip(keys, windows, masses)}
 
 
 def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,
                           grid: SphereGrid) -> CriterionProfile:
     """min over sampled balls of mu(Q)/sigma(Q), node-indicator sums on both
     sides; cells whose sigma estimate vanishes are skipped."""
-    iii, _ = _cell_walk(_NodeTable.build(mu, grid), sgrid)
+    _, iii, _ = _walk(_NodeTable.build(mu, grid), sgrid)
     return _view("iii", _cell_keys(sgrid), iii, reverse=True)
 
 
@@ -150,9 +158,10 @@ def _rays(sgrid: SearchGrid):
     """Each search centre c of sgrid with its w-points w = rho c, as
     (c, [(rho, w), ...]); w = 0 leads, as rho = 0 on the first centre's
     ray.  In order they are the w-points of _w_points."""
+    radii = sgrid.radii()
     for i, c in enumerate(sgrid.centers()):
         lead = [(0.0, np.zeros(sgrid.d, dtype=complex))] if i == 0 else []
-        yield c, lead + [(r, r * c) for r in sgrid.radii()]
+        yield c, lead + list(zip(radii, radii[:, None] * c))
 
 
 def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
@@ -162,44 +171,48 @@ def _w_points(sgrid: SearchGrid) -> list[np.ndarray]:
 def _kernel_passes(table: _NodeTable, exponents: Exponents,
                    sgrid: SearchGrid) -> dict:
     """tuple(w) -> (condition (ii)'s integral, the witness ratio of K_w,
-    K_w) for each w-point of sgrid, in order, from the table's kernel pass
-    on one ray per search centre: I, the integral of |k_w|^p against mu,
-    and G, its integral against sigma (the sphere row's dot product with
-    sigma's weights, taken again by sphere_sum to name the node at fault
-    when not finite).  Condition (ii) is I / ||k_w||_p^p and the witness
-    ratio I / G, ||k_w||_p the closed form at p = 2 and G^(1/p) otherwise;
-    where _exact_norms holds the witness ratio is condition (ii)'s value.
-    """
+    K_w) for each w-point of sgrid, in order: _walk's rays, with no
+    cells."""
+    return _walk(table, sgrid, exponents, cells=False)[0]
+
+
+def _ray_kernels(table: _NodeTable, exponents: Exponents, c: np.ndarray,
+                 ws: list, t: np.ndarray | None = None) -> dict:
+    """_kernel_passes' entries for the w-points ws = [(rho, w), ...] of the
+    ray toward c, from one ray pass (t, if given, is c's sphere product):
+    I, the integral of |k_w|^p against mu, and G, its sigma sum.
+    Condition (ii) is I / ||k_w||_p^p and the witness ratio I / G,
+    ||k_w||_p the closed form at p = 2 and G^(1/p) otherwise; where
+    _exact_norms holds, the witness ratio is condition (ii)'s value and G
+    is not taken.  |w| is taken once per ray; a w that is not interior
+    raises _pole_modulus's error after the w-points before it."""
     p, out = exponents.p, {}
     exact = _exact_norms(table, p)
-    for c, ws in _rays(sgrid):
-        ray = table.ray(c)
-        for rho, w in ws:
-            _, a = _pole_modulus(w)             # rejects |w| >= 1
-            I, on_grid = table.kernel_pass(ray, rho, p)
-            G = float(np.dot(table.grid.weights, on_grid))
-            if not math.isfinite(G):
-                sphere_sum(table.grid, on_grid)
-            if G <= 0:
-                raise ValueError("zero-norm test function in the family")
-            nrm = _closed_norm(a, exponents) if abs(p - 2) < 1e-12 \
-                else G ** (1.0 / p)
-            ii = I / nrm ** p
-            out[tuple(w)] = (ii, ii if exact else I / G, TestFunction(
-                exponents.d, kernel_terms=((1.0 / nrm, w),), _checked=True))
+    a = _moduli(np.array([w for _, w in ws]))
+    n = int(np.argmax(a >= 1)) if np.any(a >= 1) else len(ws)
+    I, G = table.ray_pass(c, [rho for rho, _ in ws[:n]], p,
+                          norms=not exact, t=t)
+    for k, (_, w) in enumerate(ws[:n]):
+        nrm = _closed_norm(a[k], exponents) if abs(p - 2) < 1e-12 \
+            else G[k] ** (1.0 / p)
+        ii = I[k] / nrm ** p
+        out[tuple(w)] = (ii, ii if exact else I[k] / G[k], TestFunction(
+            exponents.d, kernel_terms=((1.0 / nrm, w),), _checked=True))
+    if n < len(ws):
+        _pole_modulus(ws[n][1])
     return out
 
 
 def _exact_norms(table: _NodeTable, p: float) -> bool:
     """Whether condition (i)'s witnesses divide by their exact H^2 norm
-    rather than by the sphere rule's sum: at p = 2 on a radial interior
-    density (a table with slices) and no boundary density, every part of
-    the integral against mu (the slices, the atoms) is exact in angle, so
-    the rule's norm would only bring its own error in.  A boundary
-    density's integral is the rule's sum, and the rule's norm shares its
-    error."""
-    return abs(p - 2) < 1e-12 and table.slices is not None \
-        and table.sets[1] is None
+    rather than by the sphere rule's sum: at p = 2 when mu has no boundary
+    density and its interior density, if any, is radial (a table with
+    slices), every part of the integral against mu (the slices, the
+    atoms) is exact in angle, so the rule's norm would only bring its own
+    error in.  A boundary density's integral is the rule's sum, and the
+    rule's norm shares its error."""
+    return abs(p - 2) < 1e-12 and table.sets[1] is None and (
+        table.slices is not None or table.mu.interior_density is None)
 
 
 def condition_ii_profile(mu: BallMeasure, exponents: Exponents,
@@ -221,13 +234,13 @@ def criteria_profiles(mu: BallMeasure, exponents: Exponents,
     """(iii, ii, window, forward) profiles of one search grid, as
     condition_iii_profile, condition_ii_profile, window_profile and
     forward_profile give them, from one node table and one walk over the
-    cells; the kernels are taken before the walk, as in
+    search centres (_walk), each centre's kernels before its cells, as in
     equivalence_report."""
-    table = _NodeTable.build(mu, grid, radial)
-    p2 = _condition_ii(table, exponents, sgrid)
-    iii, window = _cell_walk(table, sgrid, radial)
+    passes, iii, window = _walk(_NodeTable.build(mu, grid, radial), sgrid,
+                                exponents, radial)
     keys = _cell_keys(sgrid)
-    return (_view("iii", keys, iii, reverse=True), p2,
+    return (_view("iii", keys, iii, reverse=True),
+            _view("ii", passes, {w: v[0] for w, v in passes.items()}, True),
             _view("window", keys, window, reverse=True),
             _view("forward", keys, window, reverse=False))
 
@@ -236,14 +249,14 @@ def window_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                    radial: RadialRule) -> CriterionProfile:
     """min of mu(S_Q)/sigma(Q) over sampled balls, S_Q the window of depth
     sigma(Q) (grid estimate, outer-closed)."""
-    _, window = _cell_walk(_NodeTable.build(mu, grid), sgrid, radial)
+    *_, window = _walk(_NodeTable.build(mu, grid), sgrid, radial=radial)
     return _view("window", _cell_keys(sgrid), window, reverse=True)
 
 
 def forward_profile(mu: BallMeasure, sgrid: SearchGrid, grid: SphereGrid,
                     radial: RadialRule) -> CriterionProfile:
     """max of mu(S_Q)/sigma(Q): the classical Carleson-condition profile."""
-    _, window = _cell_walk(_NodeTable.build(mu, grid), sgrid, radial)
+    *_, window = _walk(_NodeTable.build(mu, grid), sgrid, radial=radial)
     return _view("forward", _cell_keys(sgrid), window, reverse=False)
 
 
@@ -351,12 +364,12 @@ def equivalence_report(mu: BallMeasure, exponents: Exponents,
     levels = _levels(sgrid, refinements)
     finest = levels[-1]
     # one table, the boundary density checked before the interior one;
-    # each w and each cell is computed once, on the finest level, the
-    # kernels first (w = 0 names a node where the density is not finite),
-    # and each monomial witness once for every level
+    # each w and each cell is computed once, on the finest level, centre
+    # by centre with each centre's kernels before its cells (w = 0 names a
+    # node where the density is not finite), and each monomial witness
+    # once for every level
     table = _NodeTable.build(mu, grid, radial)
-    passes = _kernel_passes(table, exponents, finest)
-    iii, window = _cell_walk(table, finest, radial)
+    passes, iii, window = _walk(table, finest, exponents, radial)
     monomials = _monomials(exponents.d)
     mono_ratios = [_function_ratio(table, exponents.p, f) for f in monomials]
     for sg in levels:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .criteria import _levels, _rays, _verdict, _view, _w_points
 from .geometry import BallPoint, sample_sphere
-from .kernels import _add_poly, _coords, _pole, cauchy_kernel_at
+from .kernels import (_add_poly, _coords, _moduli, _pole, _pole_modulus,
+                      cauchy_kernel_at)
 from .measures import (BallMeasure, _NodeTable, _dimension, _field,
                        _load_yaml)
 from .quadrature import RadialRule, SphereGrid, _blocks
@@ -141,14 +142,14 @@ def dbr_kernel_at(b: Symbol, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def dbr_kernel_diag(b: Symbol, w) -> float:
     """K^b(w, w) = (1 - |b(w)|^2) / (1 - |w|^2)^d > 0 for non-unimodular b."""
-    wc = _pole(w)
-    return _kernel_diag(wc, eval_symbol(b, wc))
+    wc, a = _pole_modulus(w)
+    return _kernel_diag(a, wc.size, eval_symbol(b, wc))
 
 
-def _kernel_diag(wc: np.ndarray, bw: complex) -> float:
-    """K^b(w, w) from the coordinates of w and bw = b(w)."""
-    a2 = float(np.linalg.norm(wc)) ** 2
-    return float((1.0 - abs(bw) ** 2) / (1.0 - a2) ** wc.size)
+def _kernel_diag(a, d: int, bw: complex) -> float:
+    """K^b(w, w) from a = |w|, the dimension d and bw = b(w)."""
+    a2 = float(a) ** 2
+    return float((1.0 - abs(bw) ** 2) / (1.0 - a2) ** d)
 
 
 def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
@@ -168,24 +169,31 @@ def kernel_test(mu: BallMeasure, b: Symbol, sgrid, grid: SphereGrid,
 def _kernel_values(b: Symbol, table: _NodeTable, sgrid) -> dict:
     """The kernel test on a node table: tuple(w) -> its value for each w of
     the search grid (None where K^b(w, w) <= 0).  The integral of
-    |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 is the table's kernel pass at
-    p = 2 with that multiplier, one ray (with no row) per search centre.
-    b is taken once on each of the table's node sets and once at each w;
-    a constant b is its one value on the interior nodes, so the multiplier
+    |K^b_w|^2 = |1 - b conj(b(w))|^2 |k_w|^2 is the table's ray pass at
+    p = 2 with that multiplier, one pass per search centre over the
+    w-points of its ray where K^b(w, w) > 0, with no sigma sums, so no
+    sphere row is formed unless a node set reads it.  b is taken once on
+    each of the table's node sets and once on each ray's w-points (a
+    symbol's value at a point has the same bits in any stack of points),
+    and each w's multiplier is made only when the pass reaches it.  A
+    constant b is its one value on the interior nodes, so the multiplier
     there is one number and the pass takes a radial density's slices."""
     const = b.kind == "constant"
     bz = [None if pts is None else complex(b.data) if const and k == 0
           else b(pts) for k, pts in enumerate(table.sets)]
     values = {}
     for c, ws in _rays(sgrid):
-        ray = table.ray(c, row=False)
-        for rho, w in ws:
-            bw = eval_symbol(b, w)
-            diag = _kernel_diag(w, bw)
-            m = [None if z is None else np.abs(1.0 - z * np.conj(bw)) ** 2
-                 for z in bz]
-            values[tuple(w)] = None if diag <= 0 else \
-                table.kernel_pass(ray, rho, 2.0, m)[0] / diag
+        pts = np.array([w for _, w in ws])
+        bws = [complex(v) for v in b(pts)]
+        diags = [_kernel_diag(a, c.size, bw)
+                 for a, bw in zip(_moduli(pts), bws)]
+        live = [k for k, diag in enumerate(diags) if diag > 0]
+        I = iter(table.ray_pass(
+            c, [ws[k][0] for k in live], 2.0,
+            ([None if z is None else np.abs(1.0 - z * np.conj(bws[k])) ** 2
+              for z in bz] for k in live), norms=False)[0])
+        for (_, w), diag in zip(ws, diags):
+            values[tuple(w)] = next(I) / diag if diag > 0 else None
     return values
 
 

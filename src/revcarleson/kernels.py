@@ -63,10 +63,17 @@ def _pole(w) -> np.ndarray:
 def _pole_modulus(w) -> tuple[np.ndarray, float]:
     """(the coordinates of a kernel's pole w, |w|); w must be interior."""
     wc = _coords(w)
-    a = np.linalg.norm(wc)
+    a = _moduli(wc[None, :])[0]
     if a >= 1:
         raise ValueError("kernel pole w must be interior, |w| < 1")
     return wc, a
+
+
+def _moduli(ws: np.ndarray) -> np.ndarray:
+    """|w| for each row w of ws, with the bits of np.linalg.norm(w): the
+    squares of the real and of the imaginary parts are each summed by one
+    BLAS dot per row (np.vecdot), as norm sums them."""
+    return np.sqrt(np.vecdot(ws.real, ws.real) + np.vecdot(ws.imag, ws.imag))
 
 
 def cauchy_kernel(w, z) -> complex:
@@ -90,29 +97,37 @@ def _inverse_power(x: np.ndarray, k: int, inv=None, out=None) -> np.ndarray:
     return out
 
 
-def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0,
-                     work: np.ndarray | None = None) -> np.ndarray:
+def cauchy_modulus_p(t: np.ndarray, d: int, p: float, r=1.0) -> np.ndarray:
     """|k_w|^p = |1 - r t|^(-pd) at the points r z, from the inner products
-    t = <z, w> (r a scalar or an array that broadcasts against t): the one
-    place this modulus is formed, as a view of work, a float buffer of two
-    arrays of the broadcast shape (allocated when None), with no temporaries.
+    t = <z, w> (a 1-D array): of t's shape when r is a scalar, and with one
+    row per radius when r is a 1-D array of them (see _modulus_rows)."""
+    r1 = np.atleast_1d(r)
+    out = _modulus_rows(np.ascontiguousarray(t.real),
+                        np.ascontiguousarray(t.imag), d, p, r1,
+                        np.empty((2, len(r1), len(t))))
+    return out if np.ndim(r) else out[0]
+
+
+def _modulus_rows(re: np.ndarray, im: np.ndarray, d: int, p: float,
+                  r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|1 - r_j t|^(-pd) as row j for each radius r_j of the 1-D array r,
+    from Re t and Im t (contiguous 1-D arrays): the one place this
+    modulus is formed, as a view of out, two float arrays of a row per
+    radius, with no temporaries.  Each row's products r_j Re t and r_j Im t
+    are one scalar multiply each, which numpy takes faster on rows of a
+    few thousand than a broadcast outer product.
 
     Real arithmetic only: |1 - r t|^2 is taken as (1 - r Re t)^2 +
     (r Im t)^2, not as 1 - 2 r Re t + r^2 |t|^2, whose terms cancel near
-    the pole.  t is copied across the shape before r multiplies it, which
-    numpy does faster than it broadcasts t against r.  When pd/2 is an
-    integer k the power is _inverse_power's, and np.power takes every
-    other power.
+    the pole.  When pd/2 is an integer k the power is _inverse_power's,
+    and np.power takes every other power.
     """
-    if work is None:
-        work = np.empty((2,) + np.broadcast(t, r).shape)
-    s, y = work
-    np.copyto(s, t.real)
-    np.multiply(s, r, out=s)
+    s, y = out
+    for x, srow, yrow in zip(r.tolist(), s, y):
+        np.multiply(re, x, out=srow)
+        np.multiply(im, x, out=yrow)
     np.subtract(1.0, s, out=s)
     np.square(s, out=s)
-    np.copyto(y, t.imag)
-    np.multiply(y, r, out=y)
     np.square(y, out=y)
     np.add(s, y, out=s)
     e = 0.5 * p * d
@@ -235,7 +250,7 @@ def _norms_p(a2: np.ndarray, exponents: Exponents) -> np.ndarray:
 def _lp_norm(vals, p: float, grid: SphereGrid) -> float:
     """(integral of |f|^p against sigma)^(1/p) from vals = |f|^p on the
     grid's nodes, by sphere_sum: the norms of kernel_norm, hp_norm and the
-    witness functions.  criteria._kernel_passes takes G = integral of
+    witness functions.  _NodeTable.ray_pass takes G = integral of
     |k_w|^p by np.dot with the weights instead, whose last bits differ."""
     return float(np.real(sphere_sum(grid, vals))) ** (1.0 / p)
 

@@ -10,6 +10,7 @@ infinite; infinity is produced deliberately (math.inf), never by overflow.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,10 +19,10 @@ import numpy as np
 import yaml
 
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
-                       SpherePoint, TOL, niso_gap)
-from .kernels import Exponents, _norms_p, cauchy_modulus_p
+                       SpherePoint, TOL)
+from .kernels import Exponents, _modulus_rows, _norms_p, cauchy_modulus_p
 from .quadrature import (RadialRule, SphereGrid, WindowNodes, _radial_rows,
-                         radial_rule, window_nodes, window_sum)
+                         radial_rule, sphere_sum, window_nodes, window_sum)
 
 __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
            "measure_of_ball", "measure_of_window", "integrate_measure",
@@ -284,6 +285,21 @@ def _match_depth(radial: RadialRule, d: int, depth: float) -> RadialRule:
     return radial_rule(d, radial.resolution, depth)
 
 
+def _scaled(rows: np.ndarray, factors) -> np.ndarray:
+    """A new stack of rows, row k times factors[k] (an array of the row's
+    length or one number): each row one multiply, with no stacked copy of
+    the factors."""
+    out = np.empty(rows.shape)
+    for row, src, f in zip(out, rows, factors):
+        np.multiply(src, f, out=row)
+    return out
+
+
+# moduli per tile of a ray pass: its two float buffers of 2^15 values
+# stay in cache while a tile's rows are formed and summed
+_TILE = 2 ** 15
+
+
 @dataclass(frozen=True)
 class _NodeTable:
     """The parts of mu evaluated once on the quadrature nodes of a grid.
@@ -310,15 +326,17 @@ class _NodeTable:
     A radial interior density g(|z|) is read once, on the points (r_j, 0,
     ..., 0), and slices holds wr_j * g(r_j), one per radius (None for a
     density with an angular factor); wint is then wr_j * w_ang_i * g(r_j).
-    On a slice the kernel pass needs no angular nodes: the sphere integral
+    On a slice the ray pass needs no angular nodes: the sphere integral
     of |k_w(r_j .)|^p is ||k_{r_j w}||_p^p in closed form.  Nor does
     condition (i)'s combination or monomial witness f at p = 2
     (criteria._function_ratio): its sphere integral there is
     ||f(r_j .)||^2_{H^2} in Gram form.  slice_sum sums both.
 
-    radii is the column of kernel_pass's row radii (1, the sphere, then
-    each r_j), and kernel_pass overwrites work, two float arrays of a row
-    per radius by a column per grid node: a table is not reentrant.
+    tile is ray_pass's buffer, two float arrays of rows of the grid's
+    length: as many rows as fit in _TILE moduli, and at least one per
+    sphere and interior radius, so that one w's rows always fit.  A pass
+    overwrites it tile by tile, so a table is not reentrant: no pass may
+    start while another is reading its rows.
     """
 
     mu: BallMeasure
@@ -328,8 +346,7 @@ class _NodeTable:
     interior: WindowNodes | None
     wint: np.ndarray | None
     slices: np.ndarray | None
-    radii: np.ndarray
-    work: np.ndarray
+    tile: np.ndarray
 
     @classmethod
     def build(cls, mu: BallMeasure, grid: SphereGrid,
@@ -337,7 +354,6 @@ class _NodeTable:
         """The table of mu on grid (and on the full-ball tensor nodes of
         radial); the boundary density is checked before the interior one."""
         wg = interior = wint = slices = None
-        radii = np.ones(1)
         if mu.boundary_density is not None:
             wg = grid.weights * mu.boundary_density_values(grid)
         dens = mu.interior_density
@@ -354,30 +370,34 @@ class _NodeTable:
                 density = mu.interior_density_values(
                     interior.points).reshape(len(r.nodes), -1)
             wint = (r.weights[:, None] * interior.w_ang * density).ravel()
-            radii = np.concatenate((radii, r.nodes))
         sets = (None if interior is None else interior.points,
                 None if wg is None else grid.nodes,
                 *(np.array([pt.coords for pt, _ in atoms]) if atoms else None
                   for atoms in (mu.interior_atoms, mu.boundary_atoms)))
+        rows = max(_TILE // len(grid),
+                   1 + (0 if interior is None else len(interior.radial.nodes)))
         return cls(mu, grid, sets, wg, interior, wint, slices,
-                   radii[:, None], np.empty((2, len(radii), len(grid))))
+                   np.empty((2, rows, len(grid))))
 
-    def cells(self, centers, deltas):
-        """The cell pass, the one place the node-indicator rule lives.
+    def cells(self, c: np.ndarray, deltas, t: np.ndarray | None = None):
+        """The cell pass of one centre c, the one place the node-indicator
+        rule lives.
 
-        Yields (i, j, Q, mask, s) for each cell Q = Q(centers[i], deltas[j]),
-        center-major: mask marks the grid nodes with |1 - <zeta, c>| <=
-        delta + TOL, and s, the weight under it, is the grid estimate of
-        sigma(Q).  The gaps are taken once per center, from its raw row;
-        cells with s = 0 are skipped.
+        Yields (j, Q, mask, s) for each cell Q = Q(c, deltas[j]) in order:
+        mask marks the grid nodes with |1 - <zeta, c>| <= deltas[j] + TOL,
+        and s, the weight under it, is the grid estimate of sigma(Q).  The
+        gaps |1 - t| are taken once, from the sphere product t = <zeta_i,
+        c> (the one of c's ray when the caller passes it, else taken
+        here), with niso_gap's bits; cells with s = 0 are skipped.
         """
-        for i, c in enumerate(centers):
-            center, gaps = SpherePoint(c), niso_gap(c, self.grid.nodes)
-            for j, delta in enumerate(deltas):
-                mask = gaps <= delta + TOL
-                s = float(self.grid.weights[mask].sum())
-                if s > 0.0:
-                    yield i, j, NonisotropicBall(center, float(delta)), mask, s
+        if t is None:
+            t = self.grid.nodes @ np.conj(c)
+        center, gaps = SpherePoint(c), np.abs(1.0 - t)
+        for j, delta in enumerate(deltas):
+            mask = gaps <= delta + TOL
+            s = float(self.grid.weights[mask].sum())
+            if s > 0.0:
+                yield j, NonisotropicBall(center, float(delta)), mask, s
 
     def ball_mass(self, Q: NonisotropicBall, mask: np.ndarray) -> float:
         """mu(Q), see measure_of_ball; mask marks the grid nodes in Q."""
@@ -475,89 +495,144 @@ class _NodeTable:
         return out.tolist()
 
     def integrate_values(self, vals, inner: float | None = None) -> float:
-        """The integral against mu of an integrand given by its values on
-        each node set of sets, None where the set is None: one dot product
-        with wint and one with wg, and the atoms' masses times their values
-        in atom order.  A boundary atom's value may be inf, and then so is
-        the integral.  An interior sum that is not finite is taken again by
-        window_sum, which names the node at fault.  inner, when given, is
-        the interior part already integrated (kernel_pass's slices), and
-        the interior values are then None."""
+        """The integral against mu of one integrand given by its values on
+        each node set of sets (None where the set is None): integrals for
+        a stack of one."""
+        return next(self.integrals(
+            [None if v is None else np.asarray(v)[None] for v in vals],
+            [inner]))
+
+    def integrals(self, vals, inners):
+        """Yields the integral against mu of each integrand of a stack, in
+        order: vals holds each node set's values, one row per integrand
+        (None where the set is None), and inners each integrand's interior
+        part already integrated (ray_pass's slices; the interior values
+        are then None) or None.  One summation rule: a dot product with
+        wint and one with wg (one np.vecdot per set for the stack, a BLAS
+        dot per row with the bits of np.dot on the row alone), then the
+        atoms' masses times their values in atom order.  An integrand's
+        inner is read and its sums checked only when it is yielded, so a
+        caller's checks between yields keep their order: an interior sum
+        that is not finite is taken again by window_sum, which names the
+        node at fault, and a negative value is an error.  A boundary
+        atom's value may be inf, and then so is the integral."""
         if self.mu.interior_density is not None and self.sets[0] is None:
             raise ValueError("an integral against a measure with an interior "
                              "density needs a table built with a radial rule")
         interior, boundary, inner_atoms, outer_atoms = vals
-        total = 0.0
         if interior is not None:
-            inner = float(np.real(np.dot(interior, self.wint)))
-            if not math.isfinite(inner):
-                window_sum(self.interior, interior * self.wint)
-        if inner is not None:
-            total += inner
-        if inner_atoms is not None:
-            for (_, mass), v in zip(self.mu.interior_atoms,
-                                    np.real(inner_atoms).tolist()):
-                if v < -1e-10:
-                    raise ValueError("integrand must be nonnegative")
-                total += mass * v
+            dots = np.vecdot(self.wint, interior)
         if boundary is not None:
             boundary = np.real(boundary)
-            if np.any(boundary < -1e-10):
-                raise ValueError("integrand must be nonnegative")
-            total += float(np.dot(self.wg, boundary))
-        if outer_atoms is not None:
-            for (_, mass), v in zip(self.mu.boundary_atoms,
-                                    np.real(outer_atoms).tolist()):
-                if math.isinf(v):
-                    return math.inf
-                total += mass * v
-        return total
+            negative = np.any(boundary < -1e-10, axis=1)
+            sums = np.vecdot(self.wg, boundary)
+        inner_atoms, outer_atoms = (
+            None if a is None else np.real(a).tolist()
+            for a in (inner_atoms, outer_atoms))
+        for k, inner in enumerate(inners):
+            total = 0.0
+            if interior is not None:
+                inner = float(np.real(dots[k]))
+                if not math.isfinite(inner):
+                    window_sum(self.interior, interior[k] * self.wint)
+            if inner is not None:
+                total += inner
+            if inner_atoms is not None:
+                for (_, mass), v in zip(self.mu.interior_atoms,
+                                        inner_atoms[k]):
+                    if v < -1e-10:
+                        raise ValueError("integrand must be nonnegative")
+                    total += mass * v
+            if boundary is not None:
+                if negative[k]:
+                    raise ValueError("integrand must be nonnegative")
+                total += float(sums[k])
+            if outer_atoms is not None:
+                for (_, mass), v in zip(self.mu.boundary_atoms,
+                                        outer_atoms[k]):
+                    if math.isinf(v):
+                        total = math.inf
+                        break
+                    total += mass * v
+            yield total
 
-    def ray(self, c: np.ndarray, row: bool = True) -> tuple:
-        """(c, t, atoms), kernel_pass's ray toward c: t = <zeta_i, c> on the
-        sphere nodes (None when not row and no node set reads them), atoms
-        <a, c> on each atom set (None where there is none)."""
-        read = row or self.sets[0] is not None or self.sets[1] is not None
-        return c, self.grid.nodes @ np.conj(c) if read else None, [
-            None if pts is None else pts @ np.conj(c) for pts in self.sets[2:]]
+    def ray_pass(self, c: np.ndarray, rhos, p: float, ms=None,
+                 norms: bool = True, t: np.ndarray | None = None):
+        """(I, G) on the ray toward c, one entry per w = rho c for rho in
+        rhos (each w interior): I the integral of m |k_w|^p against mu, G
+        the sigma sum of |k_w|^p (None when not norms); the one place a
+        Cauchy kernel is integrated against a table.  ms is None (m = 1)
+        or an iterable of one m per w, taken a tile at a time: m's values
+        on each node set, None where the set is None, and on the interior
+        nodes maybe one number (then for every w).
 
-    def kernel_pass(self, ray: tuple, rho: float, p: float, m=None):
-        """(I, v) at w = rho c on a ray toward c: I the integral of
-        m |k_w|^p against mu, v the row of |k_w|^p on the grid's nodes (None
-        when the ray has no t); the one place a Cauchy kernel is integrated
-        against a table.  m is None (m = 1) or m's values on each node set,
-        None where the set is None; on the interior nodes it may be one
-        number, the same at every node.
-
-        As <r zeta, w> = (rho r) <zeta, c> and <a, w> = rho <a, c>, one
-        cauchy_modulus_p call at the radii rho * radii writes the sphere
-        and interior moduli into work (v is a view, valid until the next
-        pass) and one takes each kind of atom.  When the table has slices
-        (a radial density) and m is one number inside, the interior is
-        instead m sum_j wr_j g(r_j) ||k_{rho r_j c}||_p^p, exact in angle
-        (slice_sum; on the sphere of radius r_j, |k_w(r_j zeta)| =
-        |k_{r_j w}(zeta)|), and only the sphere row is formed.
+        As <r zeta, w> = (rho r) <zeta, c> and <a, w> = rho <a, c>, every
+        modulus comes from t = <zeta_i, c> (taken here unless given, and
+        only when a row needs it) and <a, c>, one modulus call per atom
+        set for all of rhos.  The sphere row (formed only when sets reads
+        it or G is asked for) and the interior rows r_j are written into
+        tile, as many w's at a time as fit in _TILE moduli (at least
+        one), and a tile's sums are taken together (integrals; G by one
+        np.vecdot).  With slices (a radial density) and m one number
+        inside, the interior is instead m sum_j wr_j g(r_j)
+        ||k_{rho r_j c}||_p^p, exact in angle (|k_w(r_j zeta)| =
+        |k_{r_j w}(zeta)|), with no interior row.  Each w's checks are
+        taken in the order of rhos, so the first w at fault raises:
+        slice_sum's and integrals' errors, then sphere_sum's where G is
+        not finite or a zero-norm error where G <= 0.
         """
-        c, t, atoms = ray
-        d, v, inner = c.size, None, None
-        sliced = self.slices is not None and (m is None or np.ndim(m[0]) == 0)
-        vals = [None, None] + [None if a is None else cauchy_modulus_p(
-            a, d, p, rho) for a in atoms]
-        if t is not None:
-            rows = 1 if sliced else len(self.radii)
-            v = cauchy_modulus_p(t, d, p, rho * self.radii[:rows],
-                                 self.work[:, :rows])
-            vals[:2] = None if sliced else v[1:].ravel(), v[0]
+        d, n = c.size, len(self.grid)
+        rhos = np.asarray(rhos, dtype=float)
+        if ms is not None:
+            ms = iter(ms)
+            first = next(ms, None)
+            ms = itertools.chain([first], ms)
+        sliced = self.slices is not None and (
+            ms is None or first is None or np.ndim(first[0]) == 0)
+        sphere = norms or self.sets[1] is not None
+        tensor = self.sets[0] is not None and not sliced
+        radii = np.concatenate([np.ones(int(sphere))] + (
+            [self.interior.radial.nodes] if tensor else []))
+        atoms = [None if pts is None else cauchy_modulus_p(
+            pts @ np.conj(c), d, p, rhos) for pts in self.sets[2:]]
         if sliced:
-            inner = self.slice_sum(_norms_p(np.square(
-                rho * self.interior.radial.nodes), Exponents(p, d)))
-            if m is not None:
-                inner *= float(m[0])
-        vals = [None if pts is None or u is None else u if m is None
-                else u * m[k]
-                for k, (pts, u) in enumerate(zip(self.sets, vals))]
-        return (self.integrate_values(vals, inner),
-                None if v is None else v[0])
+            slices = _norms_p(np.square(np.multiply.outer(
+                rhos, self.interior.radial.nodes)), Exponents(p, d))
+        per = max(1, _TILE // n // len(radii) if len(radii) else len(rhos))
+        if len(radii):
+            if t is None:
+                t = self.grid.nodes @ np.conj(c)
+            re, im = np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
+        I, G = [], [] if norms else None
+        for k0 in range(0, len(rhos), per):
+            chunk = rhos[k0:k0 + per]
+            mt = None if ms is None else [next(ms) for _ in chunk]
+            vals = [None, None] + [None if u is None else u[k0:k0 + per]
+                                   for u in atoms]
+            if len(radii):
+                r = np.multiply.outer(chunk, radii).ravel()
+                block = _modulus_rows(re, im, d, p, r, self.tile[:, :len(r)])
+                block = block.reshape(len(chunk), -1)     # a w's rows each
+                vals[0] = block[:, n * sphere:] if tensor else None
+                vals[1] = block[:, :n]
+                if norms:
+                    g = np.vecdot(self.grid.weights, block[:, :n]).tolist()
+            vals = [None if pts is None or u is None else u if mt is None
+                    else _scaled(u, [m[j] for m in mt])
+                    for j, (pts, u) in enumerate(zip(self.sets, vals))]
+            inners = (self.slice_sum(slices[k]) * (
+                1.0 if mt is None else float(mt[k - k0][0])) if sliced
+                else None for k in range(k0, k0 + len(chunk)))
+            for k, total in enumerate(self.integrals(vals, inners)):
+                I.append(total)
+                if norms:
+                    G.append(g[k])
+                    if not math.isfinite(g[k]):
+                        sphere_sum(self.grid, block[k, :n])
+                    if g[k] <= 0:
+                        raise ValueError("zero-norm test function in the "
+                                         "family")
+        return I, G
 
     def slice_sum(self, sphere: np.ndarray) -> float:
         """sum_j slices_j sphere_j, the integral against the radial interior
@@ -594,8 +669,9 @@ def radon_nikodym_profile(mu: BallMeasure, centers, deltas,
         raise ValueError("deltas must be strictly decreasing")
     table = _NodeTable.build(mu, grid)
     out = np.full((len(centers), len(deltas)), np.nan)
-    for i, j, Q, mask, s in table.cells([c.coords for c in centers], deltas):
-        out[i, j] = table.ball_mass(Q, mask) / s
+    for i, c in enumerate(centers):
+        for j, Q, mask, s in table.cells(c.coords, deltas):
+            out[i, j] = table.ball_mass(Q, mask) / s
     return RadonNikodymProfile(tuple(centers), deltas, out)
 
 

@@ -16,15 +16,21 @@ Condition (i)'s monomial witnesses 1, z_1, ..., z_d take nu on the same
 slices at p = 2, and their moments int 1 dnu = 1 and int |z_k|^2 dnu =
 1/(d + 1) are polynomials in r that the radial rule integrates exactly;
 the ratio divides them by the exact H^2 norms.
+
+A point mass m delta_a at p = 2 is exact in angle too: its kernel witness
+reads condition (ii), m (1 - |w|^2)^d / |1 - <a, w>|^(2d), and z_k's ratio
+is m d |a_k|^2, with no sphere row formed.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
+from revcarleson import measures
 from revcarleson.cli import ExperimentConfig
-from revcarleson.criteria import (_function_ratio, _monomials, _rays,
-                                  condition_ii_profile)
+from revcarleson.criteria import (_function_ratio, _kernel_passes,
+                                  _monomials, _rays, condition_ii_profile)
+from revcarleson.geometry import BallPoint
 from revcarleson.kernels import Exponents
 from revcarleson.measures import BallMeasure, DensityExpr, _NodeTable
 
@@ -71,9 +77,8 @@ def test_volume_slices_at_p_2_5_match_mpmath(d):
     radial = cfg.radial()
     table = _NodeTable.build(_nu(d), cfg.sphere(), radial)
     c, ws = next(_rays(cfg.search()))
-    ray = table.ray(c)
-    for rho, _ in ws:
-        got, _ = table.kernel_pass(ray, rho, p)
+    rhos = [rho for rho, _ in ws]
+    for rho, got in zip(rhos, table.ray_pass(c, rhos, p)[0]):
         with mpmath.workdps(50):
             e, want = d - mpmath.mpf(p) * d / 2, 0
             for r, wr in zip(radial.nodes, radial.weights):
@@ -95,4 +100,34 @@ def test_volume_monomials_take_their_exact_moments(d):
     assert table.slices is not None
     for f, want in zip(_monomials(d), [1.0] + [d / (d + 1)] * d):
         got = _function_ratio(table, 2.0, f)
+        assert abs(got - want) <= 1e-13 * want, (f, got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_mass_witnesses_take_their_exact_norms(monkeypatch, d):
+    # mu = m delta_a, a != 0, at p = 2: every part of mu is exact in angle,
+    # so condition (i)'s witnesses divide by their exact H^2 norms and no
+    # row of sphere moduli is formed.  The kernel witness then reads
+    # condition (ii), m (1 - |w|^2)^d / |1 - <a, w>|^(2d), and z_k's ratio
+    # is m |a_k|^2 / ||z_k||^2 = m d |a_k|^2 (Rudin 1.4.9)
+    cfg, m = ExperimentConfig(dim=d), 0.7
+    a = np.array([0.3 - 0.2j, 0.1j, -0.25][:d], dtype=complex)
+    mu = BallMeasure(d, interior_atoms=((BallPoint(a), m),))
+    table = _NodeTable.build(mu, cfg.sphere(), cfg.radial())
+    rows = []
+    real_rows = measures._modulus_rows
+    monkeypatch.setattr(measures, "_modulus_rows", lambda *args: rows.append(
+        args) or real_rows(*args))
+    passes = _kernel_passes(table, Exponents(2.0, d), cfg.search())
+    assert rows == []
+    for w, (ii, ratio, _) in passes.items():
+        with mpmath.workdps(40):
+            wm = [mpmath.mpc(x) for x in w]
+            a2 = sum(abs(x) ** 2 for x in wm)
+            dot = sum(mpmath.mpc(x) * mpmath.conj(y) for x, y in zip(a, wm))
+            want = m * (1 - a2) ** d / abs(1 - dot) ** (2 * d)
+        assert ratio == ii
+        assert abs(ratio - want) <= 1e-13 * want, (w, ratio, want)
+    for f, ak in zip(_monomials(d)[1:], a):
+        got, want = _function_ratio(table, 2.0, f), m * d * abs(ak) ** 2
         assert abs(got - want) <= 1e-13 * want, (f, got, want)

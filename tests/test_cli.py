@@ -96,9 +96,9 @@ def test_criteria_walks_each_cell_once_on_one_table(tmp_path, monkeypatch):
         builds.append(args)
         return real_build(cls, *args, **kwargs)
 
-    def counting_cells(self, centers, deltas):
-        for cell in real_cells(self, centers, deltas):
-            yields[tuple(centers[cell[0]]), cell[2].delta] += 1
+    def counting_cells(self, c, deltas, t=None):
+        for cell in real_cells(self, c, deltas, t):
+            yields[tuple(c), cell[1].delta] += 1
             yield cell
 
     monkeypatch.setattr(criteria._NodeTable, "build",

@@ -760,22 +760,21 @@ def test_equivalence_computes_each_cell_once(monkeypatch, d):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_equivalence_evaluates_each_kernel_once_per_node_set(monkeypatch, p):
     # one product grid.nodes @ conj(c) per distinct search centre c per
-    # run for the kernels (the cell pass takes its gaps from one of its
-    # own); the interior and sphere moduli of every w on its ray are read
-    # from it, so no single kernel is evaluated through cauchy_kernel_at on
-    # a node set (only the two-kernel witness combinations are)
+    # run, shared by its ray and its cells (the gaps |1 - t|); the interior
+    # and sphere moduli of every w on its ray are read from it, so no
+    # single kernel is evaluated through cauchy_kernel_at on a node set
+    # (only the two-kernel witness combinations are)
     d = 2
     grid, radial = _small_grids(d)
     products, calls = Counter(), Counter()
 
     class CountingNodes(np.ndarray):
-        """Sphere nodes that count each product nodes @ v outside the
-        cell pass's gaps, keyed by conj(v)."""
+        """Sphere nodes that count each product nodes @ v, keyed by
+        conj(v)."""
 
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             plain = [np.asarray(x) for x in inputs]
-            if ufunc is np.matmul and inputs[0] is self and \
-                    sys._getframe(1).f_code.co_name != "niso_gap":
+            if ufunc is np.matmul and inputs[0] is self:
                 products[tuple(np.conj(plain[1]))] += 1
             return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -833,9 +832,9 @@ def test_equivalence_walks_each_cell_once(monkeypatch, grid, rad):
     yields = Counter()
     real = criteria._NodeTable.cells
 
-    def counting(self, centers, deltas):
-        for cell in real(self, centers, deltas):
-            yields[tuple(centers[cell[0]]), cell[2].delta] += 1
+    def counting(self, c, deltas, t=None):
+        for cell in real(self, c, deltas, t):
+            yields[tuple(c), cell[1].delta] += 1
             yield cell
 
     monkeypatch.setattr(criteria._NodeTable, "cells", counting)

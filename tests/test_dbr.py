@@ -1,5 +1,6 @@
 """de Branges-Rovnyak kernels, symbols, and the necessary-condition tests."""
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revcarleson import criteria, dbr, measures, quadrature
+from revcarleson import criteria, dbr, kernels, measures, quadrature
 from revcarleson.criteria import SearchGrid, _w_points, condition_ii_profile
 from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
                              is_inner_estimate, kernel_test, load_symbol,
@@ -286,7 +287,7 @@ def test_kernel_test_at_b_zero_is_condition_ii_integral(monkeypatch, d):
     grid = sphere_grid(d, {1: 96, 2: 6, 3: 300}[d])
     table = _NodeTable.build(mu, grid, radial_rule(d, 5))
     sg = SearchGrid(d, 3, 3)
-    monkeypatch.setattr(dbr, "_kernel_diag", lambda wc, bw: 1.0)
+    monkeypatch.setattr(dbr, "_kernel_diag", lambda a, d, bw: 1.0)
     monkeypatch.setattr(criteria, "_closed_norm", lambda a, ex: 1.0)
     ii = criteria._condition_ii(table, Exponents(2.0, d), sg).values
     kt = dbr._kernel_values(_const(0.0, d), table, sg)
@@ -337,11 +338,11 @@ def test_kernel_integrand_matches_dbr_kernel(monkeypatch, b):
                     boundary_density=DensityExpr({"const": 1.0})), grid,
         radial_rule(d, 24))
     seen = []
-    real = _NodeTable.integrate_values
-    monkeypatch.setattr(_NodeTable, "integrate_values",
-                        lambda self, vals, inner=None: seen.append(
-                            (vals[0].copy(), vals[1].copy()))
-                        or real(self, vals, inner))
+    real = _NodeTable.integrals
+    monkeypatch.setattr(_NodeTable, "integrals",
+                        lambda self, vals, inners: seen.extend(
+                            zip(vals[0].copy(), vals[1].copy()))
+                        or real(self, vals, inners))
     dbr._kernel_values(b, table, sg)
     ws = _w_points(sg)
     assert len(seen) == len(ws)
@@ -370,13 +371,57 @@ def test_constant_symbol_takes_the_slices(monkeypatch, d):
         len(np.atleast_2d(pts))) or call(self, pts))
     got = dbr._kernel_values(_const(c, d), table, sg)
     ws = _w_points(sg)
-    assert seen == [1] * len(ws)
+    assert seen == [len(ray) for _, ray in criteria._rays(sg)]
     for w in ws:
         a2 = float(np.linalg.norm(w)) ** 2
         want = (1 - abs(c) ** 2) * (1 - a2) ** d * sum(
             wr * (0.5 + r) * (1 - r * r * a2) ** -d
             for r, wr in zip(rad.nodes, rad.weights))
         assert abs(got[tuple(w)] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_symbol_on_a_radial_density_forms_no_row(monkeypatch, d):
+    # a constant b on a radial density and an interior atom: no node set
+    # reads the sphere and the kernel test asks for no sigma sum, so the
+    # ray pass forms no row of moduli (and takes no sphere product); each
+    # value keeps the bits of the slice sum times the one multiplier, plus
+    # the atom, over K^b(w, w), taken w by w
+    c = 0.3 + 0.4j
+    grid, rad = sphere_grid(d, {1: 64, 2: 13}.get(d, 200)), radial_rule(d, 8)
+    e1 = np.eye(d, dtype=complex)[0]
+    mu = BallMeasure(d, interior_atoms=((BallPoint(0.4j * e1), 0.5),),
+                     interior_density=DensityExpr({"abs_z": None}))
+    table = _NodeTable.build(mu, grid, rad)
+    sg = SearchGrid(d, 2, 4)
+    m = abs(1.0 - c * c.conjugate()) ** 2
+    want = {}
+    for center, ray in criteria._rays(sg):
+        for rho, w in ray:
+            inner = table.slice_sum(kernels._norms_p(
+                np.square(rho * rad.nodes), Exponents(2.0, d))) * m
+            atom = cauchy_modulus_p(table.sets[2] @ np.conj(center), d, 2.0,
+                                    rho) * m
+            want[tuple(w)] = table.integrate_values(
+                [None, None, atom, None], inner) / dbr_kernel_diag(
+                    _const(c, d), w)
+    rows, products = [], []
+    real_rows = measures._modulus_rows
+    monkeypatch.setattr(measures, "_modulus_rows", lambda *args: rows.append(
+        args) or real_rows(*args))
+
+    class CountingNodes(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            products.append(ufunc)
+            return getattr(ufunc, method)(*[np.asarray(x) for x in inputs],
+                                          **kwargs)
+
+    table = dataclasses.replace(table, grid=SphereGrid(
+        d, grid.nodes.view(CountingNodes), grid.weights, grid.scheme,
+        grid.resolution, grid.seed))
+    got = dbr._kernel_values(_const(c, d), table, sg)
+    assert rows == [] and products == []
+    assert repr(got) == repr(want)
 
 
 def test_kernel_values_take_b_once_per_node(monkeypatch):
@@ -501,34 +546,39 @@ def test_refute_sampling_trend_matches_level_by_level_loop(b, d):
 @pytest.mark.parametrize("b,d", _SAMPLING_CASES)
 def test_refute_sampling_computes_each_w_once(monkeypatch, b, d):
     # the atoms of the candidate measure are one node set: every distinct
-    # w = rho c of the three levels meets all of them in one modulus call,
-    # its only one (an atom set's call takes rho, and no radii column and
-    # no work buffer)
+    # w = rho c of the three levels is in one ray pass, its only one, and
+    # each pass meets all of them in one modulus call for all of its rhos;
+    # no node set reads a sphere row and no sigma sum is asked for, so no
+    # row is formed
     grid, rad = sphere_grid(d, {1: 256, 2: 6}[d]), radial_rule(d, 8)
     pts = [np.full(d, (1 - 2.0 ** -j) / np.sqrt(d) + 0j) for j in (1, 3, 5)]
-    calls, passes, current = Counter(), Counter(), []
-    real_pass, real_modulus = _NodeTable.kernel_pass, measures.cauchy_modulus_p
+    calls, passes, rows = [], Counter(), []
+    real_pass, real_modulus = _NodeTable.ray_pass, measures.cauchy_modulus_p
+    real_rows = measures._modulus_rows
 
-    def counting_pass(self, ray, rho, *args, **kwargs):
-        w = tuple(rho * ray[0])
-        passes[w] += 1
-        current[:] = [w]
-        return real_pass(self, ray, rho, *args, **kwargs)
+    def counting_pass(self, c, rhos, *args, **kwargs):
+        passes.update(tuple(rho * c) for rho in rhos)
+        calls.append((len(pts), tuple(rhos)))
+        return real_pass(self, c, rhos, *args, **kwargs)
 
-    def counting_modulus(t, d, p, *rest):
-        calls[current[0], len(t), len(rest)] += 1
-        return real_modulus(t, d, p, *rest)
+    def counting_modulus(t, d, p, r):
+        calls.append((len(t), tuple(r)))
+        return real_modulus(t, d, p, r)
 
-    monkeypatch.setattr(_NodeTable, "kernel_pass", counting_pass)
+    monkeypatch.setattr(_NodeTable, "ray_pass", counting_pass)
     monkeypatch.setattr(measures, "cauchy_modulus_p", counting_modulus)
+    monkeypatch.setattr(measures, "_modulus_rows", lambda *args: rows.append(
+        args) or real_rows(*args))
     sg = SearchGrid(d, 3, 3)
     refute_sampling(b, pts, sg, grid, rad, refinements=3)
     ws = set()
     for _ in range(3):
         ws |= {tuple(w) for w in _w_points(sg)}
         sg = sg.refine()
-    assert calls == Counter({(w, len(pts), 1): 1 for w in ws})
+    # each pass's record is followed by its one modulus call's
+    assert calls[::2] == calls[1::2]
     assert passes == Counter(dict.fromkeys(ws, 1))
+    assert rows == []
 
 
 def test_refute_sampling_inner_is_inconclusive(grid, rad):

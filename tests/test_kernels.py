@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from revcarleson import kernels
 from revcarleson.geometry import NonisotropicBall, SpherePoint
 from revcarleson.kernels import (Exponents, TestFunction, cauchy_kernel,
                                  cauchy_kernel_at, cauchy_modulus_p, hp_norm,
@@ -68,7 +69,7 @@ def test_cauchy_modulus_matches_kernel(d, p, a):
     interior = (radial.nodes[:, None, None] * zeta).reshape(-1, d)
     atom = (1 - 2.0 ** -8) * zeta[:1]
     for got, pts in ((cauchy_modulus_p(t, d, p), zeta),
-                     (cauchy_modulus_p(t, d, p, radial.nodes[:, None]).ravel(),
+                     (cauchy_modulus_p(t, d, p, radial.nodes).ravel(),
                       interior),
                      (cauchy_modulus_p(atom @ np.conj(w), d, p), atom)):
         ref = np.abs(cauchy_kernel_at(w, pts)) ** p
@@ -76,18 +77,18 @@ def test_cauchy_modulus_matches_kernel(d, p, a):
 
 
 def _modulus_in_place(d, p, a):
-    """(cauchy_modulus_p written into a work buffer, the reference formula
+    """(_modulus_rows written into a buffer, the reference formula
     (1 - r Re t)^2 + (r Im t)^2 to the power -pd/2) on the sphere row and
-    the interior rows of a kernel pass, w within 2^-9 of a grid node."""
+    the interior rows of a ray pass, w within 2^-9 of a grid node."""
     zeta = sphere_grid(d, {1: 256, 2: 8}.get(d, 500)).nodes
-    r = np.concatenate(([1.0], radial_rule(d, 24).nodes))[:, None]
+    r = np.concatenate(([1.0], radial_rule(d, 24).nodes))
     w = a * zeta[0]
     t = zeta @ np.conj(w)
-    radii = np.repeat(r, len(t), axis=1)
-    work = np.empty((2,) + radii.shape)
-    got = cauchy_modulus_p(t, d, p, radii, work)
-    assert np.shares_memory(got, work)
-    x, y = 1.0 - r * t.real, r * t.imag
+    out = np.empty((2, len(r), len(t)))
+    got = kernels._modulus_rows(np.ascontiguousarray(t.real),
+                                np.ascontiguousarray(t.imag), d, p, r, out)
+    assert np.shares_memory(got, out)
+    x, y = 1.0 - r[:, None] * t.real, r[:, None] * t.imag
     return got, (x * x + y * y) ** (-0.5 * p * d)
 
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revcarleson import measures
+from revcarleson import kernels, measures
+from revcarleson.dbr import Symbol
 from revcarleson.geometry import (TOL, BallPoint, CarlesonWindow,
                                   NonisotropicBall, SpherePoint, niso_gap,
                                   sigma_of_ball)
-from revcarleson.kernels import cauchy_kernel_at
+from revcarleson.kernels import cauchy_kernel_at, cauchy_modulus_p
 from revcarleson.measures import (BallMeasure, DensityExpr, _NodeTable,
                                   _parse_point, integrate_measure,
                                   load_measure, measure_from_dict,
@@ -261,7 +262,7 @@ def test_integrate_values_needs_the_interior_nodes(circle_grid):
     with pytest.raises(ValueError, match="radial rule"):
         table.integrate_values([None] * 4)
     with pytest.raises(ValueError, match="radial rule"):
-        table.kernel_pass(table.ray(np.array([1.0 + 0j])), 0.5, 2.0)
+        table.ray_pass(np.array([1.0 + 0j]), [0.5], 2.0)
 
 
 def test_integrate_measure_mixed_parts(circle_grid, radial24):
@@ -375,7 +376,7 @@ def test_node_table_evaluates_densities_once(circle_grid, radial24):
                      boundary_density=Counted(2.0))
     table = _NodeTable.build(mu, circle_grid, radial24)
     for a in (0.0, 0.3, 0.6):
-        table.kernel_pass(table.ray(np.array([1.0 + 0j])), a, 2.0)
+        table.ray_pass(np.array([1.0 + 0j]), [a], 2.0)
         Q = NonisotropicBall(E1, a + 0.1)
         table.ball_mass(Q, Q.contains_coords(circle_grid.nodes))
     # the boundary density first, so that it is checked first; the radial
@@ -448,17 +449,19 @@ def test_kernel_pass_along_a_ray_matches_mpmath(monkeypatch, d, p, kind):
     weights = [*(np.concatenate(weights) if weights else ()),
                *(m for _, m in mu.interior_atoms + mu.boundary_atoms)]
     seen = []
-    real = _NodeTable.integrate_values
-    monkeypatch.setattr(
-        _NodeTable, "integrate_values", lambda self, vals, inner=None:
-        seen.append(np.concatenate([np.zeros(0)] + [
-            v for v in vals if v is not None])) or real(self, vals, inner))
-    ray = table.ray(c)
-    for k in range(1, 9):
-        rho = 1.0 - 2.0 ** -k
-        integral, _ = table.kernel_pass(ray, rho, p)
+    real = _NodeTable.integrals
+
+    def seeing(self, vals, inners):
+        inners = list(inners)
+        seen.extend(np.concatenate([np.zeros(0)] + [
+            v[k] for v in vals if v is not None]) for k in range(len(inners)))
+        return real(self, vals, inners)
+
+    monkeypatch.setattr(_NodeTable, "integrals", seeing)
+    rhos = [1.0 - 2.0 ** -k for k in range(1, 9)]
+    integrals, _ = table.ray_pass(c, rhos, p)
+    for rho, integral, got in zip(rhos, integrals, seen):
         ref = [_mp_modulus(r * np.asarray(z), c, rho, p) for r, z in nodes]
-        got = seen.pop()
         assert len(got) == len(ref)
         for g, m in zip(got, ref):
             assert abs(g - m) <= 1e-12 * m
@@ -468,6 +471,115 @@ def test_kernel_pass_along_a_ray_matches_mpmath(monkeypatch, d, p, kind):
             if kind == "volume":
                 want += _mp_slices(lambda r: 0.5 + r, radial, rho, p, d)
         assert abs(integral - want) <= 1e-12 * want
+
+
+def _reference_pass(table, c, rho, p, m=None):
+    """(I, G) at w = rho c, taken for this w alone: each row of moduli by
+    its own cauchy_modulus_p call at the scalar radius rho r (the sphere
+    row at rho, each interior row at rho r_j), the slices' norms at the
+    radii rho r_j, and the table's summation rule written out with
+    np.dot: the interior, the interior atoms, the boundary, the boundary
+    atoms."""
+    d = c.size
+    t = table.grid.nodes @ np.conj(c)
+    row = cauchy_modulus_p(t, d, p, rho)
+    sliced = table.slices is not None and (m is None or np.ndim(m[0]) == 0)
+    vals = [None, row, *(None if pts is None else cauchy_modulus_p(
+        pts @ np.conj(c), d, p, rho) for pts in table.sets[2:])]
+    inner = None
+    if sliced:
+        inner = table.slice_sum(kernels._norms_p(np.square(
+            rho * table.interior.radial.nodes), kernels.Exponents(p, d)))
+        if m is not None:
+            inner *= float(m[0])
+    elif table.sets[0] is not None:
+        vals[0] = np.concatenate([cauchy_modulus_p(t, d, p, rho * r)
+                                  for r in table.interior.radial.nodes])
+    interior, boundary, inner_atoms, outer_atoms = [
+        None if pts is None or u is None else u if m is None else u * m[k]
+        for k, (pts, u) in enumerate(zip(table.sets, vals))]
+    if interior is not None:
+        inner = float(np.dot(interior, table.wint))
+    total = 0.0 if inner is None else 0.0 + inner
+    for (_, mass), v in zip(table.mu.interior_atoms, (
+            [] if inner_atoms is None else inner_atoms.tolist())):
+        total += mass * v
+    if boundary is not None:
+        total += float(np.dot(table.wg, boundary))
+    for (_, mass), v in zip(table.mu.boundary_atoms, (
+            [] if outer_atoms is None else outer_atoms.tolist())):
+        total += mass * v
+    return total, float(np.dot(table.grid.weights, row))
+
+
+def _ray_measure(d, density):
+    """A measure with an interior atom, a boundary density, a boundary atom
+    and the interior density density (a spec)."""
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    e1 = np.zeros(d, dtype=complex)
+    e1[0] = 1.0
+    return BallMeasure(
+        d, interior_atoms=((BallPoint(0.6 * z / np.linalg.norm(z)), 0.7),),
+        interior_density=DensityExpr(density),
+        boundary_density=DensityExpr({"sum": [1.0, {"prod": [0.5,
+                                                             {"re": 0}]}]}),
+        boundary_atoms=((SpherePoint(e1), 0.3),))
+
+
+_ANGULAR = {"sum": [1.5, {"re": 0}]}
+_RADIAL = {"sum": [0.5, {"abs_z": None}]}
+
+
+@pytest.mark.parametrize("case,d,res,nr,p,density,n_rho", [
+    # an angular interior density: a tensor row per radius
+    ("angular", 2, 8, 6, 3.0, _ANGULAR, 9),
+    # p = 2.5 with an interior density, on its slices and on tensor rows
+    ("p 2.5 radial", 3, 500, 6, 2.5, _RADIAL, 9),
+    ("p 2.5 angular", 1, 256, 6, 2.5, _ANGULAR, 9),
+    # a non-constant H(b) multiplier: tensor rows on a radial density too
+    ("H(b) radial", 2, 6, 4, 2.0, _RADIAL, 9),
+    ("H(b) angular", 1, 128, 4, 2.0, _ANGULAR, 9),
+    # 1 024 nodes by 8 rows: four w's per tile, so 10 w's take 3 tiles
+    ("long ray", 1, 1024, 7, 2.0, _ANGULAR, 10),
+    # 20 000 nodes: a tile is one row wide, and one w's 4 rows fill it
+    ("one-row tile", 3, 20000, 3, 3.0, _ANGULAR, 4),
+])
+def test_ray_pass_keeps_the_bits_of_one_pass_per_w(monkeypatch, case, d, res,
+                                                   nr, p, density, n_rho):
+    # every w of the ray gets the integral I and the sigma sum G that a
+    # pass over it alone gives, bit for bit, whatever the tiles; each tile
+    # is at most _TILE moduli wide, or one w's rows
+    grid, radial = sphere_grid(d, res, seed=2), radial_rule(d, nr)
+    table = _NodeTable.build(_ray_measure(d, density), grid, radial)
+    c = grid.nodes[3]
+    rhos = [0.0] + [1.0 - 2.0 ** -k for k in range(1, n_rho)]
+    ms = None
+    if case.startswith("H(b)"):
+        b = Symbol("polynomial", d, ((0.5 + 0j, (1,) + (0,) * (d - 1)),
+                                     (0.25j, (0,) * (d - 1) + (2,))))
+        bz = [None if pts is None else b(pts) for pts in table.sets]
+        ms = [[None if z is None else
+               np.abs(1.0 - z * np.conj(b(rho * c)[0])) ** 2 for z in bz]
+              for rho in rhos]
+    tiles = []
+    real_rows = measures._modulus_rows
+
+    def counting_rows(re, im, d, p, r, out):
+        tiles.append(len(r))
+        return real_rows(re, im, d, p, r, out)
+
+    monkeypatch.setattr(measures, "_modulus_rows", counting_rows)
+    got = table.ray_pass(c, rhos, p, ms)
+    want = list(zip(*(_reference_pass(table, c, rho, p,
+                                      None if ms is None else ms[k])
+                      for k, rho in enumerate(rhos))))
+    assert got[0] == list(want[0]) and got[1] == list(want[1])
+    per_w = 1 + (0 if case == "p 2.5 radial" else nr)
+    assert len(tiles) > 0 and sum(tiles) == per_w * len(rhos)
+    assert max(tiles) <= max(measures._TILE // len(grid), per_w)
+    if case in ("long ray", "one-row tile"):
+        assert len(tiles) == {"long ray": 3, "one-row tile": 4}[case]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
