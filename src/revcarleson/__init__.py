@@ -15,9 +15,8 @@ from .criteria import (CriterionProfile, SearchGrid, condition_ii_profile,
                        condition_iii_profile, equivalence_report,
                        forward_profile, reverse_inequality_witness,
                        window_profile)
-from .dbr import (Symbol, dbr_kernel, eval_symbol, is_inner_estimate,
-                  kernel_test, load_symbol, necessary_condition_constant,
-                  one_minus_b_integral, refute_sampling,
-                  sampling_candidate_measure)
+from .dbr import (Symbol, dbr_kernel, eval_symbol, kernel_test, load_symbol,
+                  necessary_condition_constant, one_minus_b_integral,
+                  refute_sampling, sampling_candidate_measure)
 
 __version__ = "0.1.0"

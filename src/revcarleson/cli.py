@@ -27,9 +27,8 @@ import yaml
 
 from . import __version__
 from .criteria import SearchGrid, criteria_profiles, equivalence_report
-from .dbr import (is_inner_estimate, kernel_test, load_symbol,
-                  necessary_condition_constant, one_minus_b_integral,
-                  refute_sampling)
+from .dbr import (kernel_test, load_symbol, necessary_condition_constant,
+                  one_minus_b_integral, refute_sampling)
 from .geometry import NonisotropicBall, SpherePoint, greedy_packing
 from .kernels import Exponents, _norm_factor, kernel_norm, poisson_kernel_at
 from .measures import _load_yaml, _parse_point, load_measure, sigma_measure
@@ -49,7 +48,6 @@ class ExperimentConfig:
     refinements: int = 3
     seed: int = 0
     threshold: float = 1e-3
-    eps_inner: float = 1e-6
     out: str | None = None
 
     def validate(self):
@@ -69,8 +67,7 @@ class ExperimentConfig:
                  "be >= 1 with search_kmax + refinements - 1 <= 53"),
                 ("seed", self.seed >= 0, "be >= 0"),
                 ("threshold", 0 <= self.threshold < math.inf,
-                 "be a finite number >= 0"),
-                ("eps_inner", 0 <= self.eps_inner < 1, "lie in [0, 1)")):
+                 "be a finite number >= 0")):
             if not ok:
                 raise ValueError(f"{name} must {rule}, "
                                  f"got {getattr(self, name)}")
@@ -338,9 +335,8 @@ def cmd_dbr_check(args, cfg) -> Outcome:
     b = _of_dim(load_symbol(args.symbol), "symbol", cfg)
     grid, rad, sg = cfg.sphere(), cfg.radial(), cfg.search()
     mu = _load_mu(args, cfg)
-    inner_frac = is_inner_estimate(b, grid, cfg.eps_inner)
-    nc = necessary_condition_constant(b, mu.boundary_density or 0.0, grid,
-                                      cfg.eps_inner)
+    inner_frac = float(b.is_inner())
+    nc = necessary_condition_constant(b, mu.boundary_density or 0.0, grid)
     integ = one_minus_b_integral(b, grid, cfg.refinements)
     kt = kernel_test(mu, b, sg, grid, rad)
     rows = [("quantity", "value"),
@@ -353,7 +349,6 @@ def cmd_dbr_check(args, cfg) -> Outcome:
         f"H(b) checks (d={cfg.dim})", rows,
         {"inner_fraction": inner_frac, "necessary_constant": nc.value,
          "violating_nodes": _jsonable(nc.violating_nodes),
-         "exempt_fraction": nc.exempt_fraction,
          "one_minus_b": {"estimates": _jsonable(integ.estimates),
                          "verdict": integ.verdict},
          "kernel_test": {"extremal": kt.extremal,
@@ -383,8 +378,7 @@ def cmd_refute_sampling(args, cfg) -> Outcome:
     b = _of_dim(load_symbol(args.symbol), "symbol", cfg)
     ref = refute_sampling(b, _load_points(args.points), cfg.search(),
                           cfg.sphere(), cfg.radial(),
-                          refinements=cfg.refinements, eps_inner=cfg.eps_inner,
-                          tau=cfg.threshold)
+                          refinements=cfg.refinements, tau=cfg.threshold)
     rows = [("quantity", "value"),
             ("verdict", ref.verdict),
             ("inner_fraction", f"{ref.inner_fraction:.6f}"),

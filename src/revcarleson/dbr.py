@@ -1,7 +1,7 @@
 """Symbols b: ball -> disk, de Branges-Rovnyak kernels, the kernel-based
 necessary test for reverse Carleson measures of H(b), the pointwise necessary
-condition and its 1/(1-|b|) integrability obstruction, inner-ness estimation,
-and sampling-sequence refutation.
+condition and its 1/(1-|b|) integrability obstruction, closed-form
+inner-ness, and sampling-sequence refutation.
 
 Verdict vocabulary is deliberately asymmetric: candidate measures are only
 ever refuted or left open, never confirmed (the pointwise condition is
@@ -27,11 +27,8 @@ from .quadrature import RadialRule, SphereGrid, _blocks
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
            "kernel_test", "necessary_condition_constant",
-           "one_minus_b_integral", "is_inner_estimate",
-           "sampling_candidate_measure", "refute_sampling",
-           "load_symbol", "EPS_INNER"]
-
-EPS_INNER = 1e-6
+           "one_minus_b_integral", "sampling_candidate_measure",
+           "refute_sampling", "load_symbol"]
 
 
 def _check_finite(value, where: str) -> None:
@@ -39,6 +36,22 @@ def _check_finite(value, where: str) -> None:
     comparisons, and a nan fails each of them without being caught."""
     if not cmath.isfinite(complex(value)):
         raise ValueError(f"{where} must be finite, got {complex(value)}")
+
+
+def _merged_terms(terms) -> tuple:
+    """A polynomial's terms with like terms added and zeros dropped."""
+    merged = {}
+    for c, alpha in terms:
+        merged[tuple(alpha)] = merged.get(tuple(alpha), 0j) + complex(c)
+    return tuple((c, alpha) for alpha, c in merged.items() if c)
+
+
+def _monomial_sup(c: complex, alpha: tuple) -> float:
+    """sup over the sphere of |c z^alpha|, |c| prod (a_i/|a|)^(a_i/2): the
+    maximum of prod |z_i|^(a_i) under sum |z_i|^2 = 1 is at
+    |z_i|^2 = a_i/|a| (Lagrange)."""
+    n = sum(alpha)
+    return abs(c) * math.prod((a / n) ** (a / 2) for a in alpha if a)
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,9 @@ class Symbol:
             if not math.isfinite(sup):
                 raise ValueError("polynomial symbol overflows: its sup |b| "
                                  f"estimate is {sup}")
+            terms = _merged_terms(self.data)
+            if len(terms) == 1:
+                sup = _monomial_sup(*terms[0])
             if sup > 1 + 1e-10:
                 raise ValueError(f"polynomial symbol has sup |b| ~ {sup} > 1")
         else:
@@ -108,10 +124,23 @@ class Symbol:
                 out = out * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
         return out
 
+    def is_inner(self) -> bool:
+        """|b| = 1 sigma-a.e., from the closed form: never for a constant,
+        always for a Blaschke product, and for a polynomial only as one term
+        c z^alpha, |c| = 1, with d = 1 or alpha = 0 (on each complex line
+        through 0 an inner polynomial is c lambda^k, so it is homogeneous,
+        and a non-constant homogeneous one in d >= 2 has a zero on the
+        sphere)."""
+        if self.kind != "polynomial":
+            return self.kind == "blaschke"
+        terms = _merged_terms(self.data)
+        return (len(terms) == 1 and abs(abs(terms[0][0]) - 1.0) <= 1e-10
+                and (self.d == 1 or not any(terms[0][1])))
+
     def boundary_modulus(self, nodes: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
             return np.full(len(nodes), abs(complex(self.data)))
-        if self.kind == "blaschke":
+        if self.is_inner():
             return np.ones(len(nodes))
         return np.abs(self(nodes))
 
@@ -207,30 +236,28 @@ def _kernel_profile(values: dict, sgrid):
 @dataclass(frozen=True)
 class NecessaryConstant:
     value: float               # may be math.inf
-    violating_nodes: tuple     # nodes where g vanishes but |b| < 1 - eps
-    exempt_fraction: float     # sigma-weight of nodes with |b| >= 1 - eps
+    violating_nodes: tuple     # nodes where g vanishes but |b| < 1
 
 
-def necessary_condition_constant(b: Symbol, g, grid: SphereGrid,
-                                 eps_inner: float = EPS_INNER) -> NecessaryConstant:
+def necessary_condition_constant(b: Symbol, g,
+                                 grid: SphereGrid) -> NecessaryConstant:
     """Smallest C with 1 - |b|^2 <= C (1 - |b|^2)^2 g at the grid nodes.
 
-    Nodes with |b| >= 1 - eps_inner are exempt (the condition is vacuous
-    where the boundary modulus is one).  If g vanishes at a non-exempt node
-    the constant is infinite and the node is reported.
+    Nodes with |b| >= 1 are skipped: there 1 - |b|^2 <= 0, so every C >= 0
+    satisfies the inequality.  If g vanishes at another node the constant
+    is infinite and the node is reported.
     """
     mod = b.boundary_modulus(grid.nodes)
     gv = g(grid.nodes) if callable(g) else np.full(len(grid), float(g))
-    active = mod < 1.0 - eps_inner
-    exempt_w = float(grid.weights[~active].sum())
+    active = mod < 1.0
     if not active.any():
-        return NecessaryConstant(0.0, (), exempt_w)
+        return NecessaryConstant(0.0, ())
     denom = (1.0 - mod[active] ** 2) * gv[active]
     if np.any(denom <= 0.0):
         idx = np.flatnonzero(active)[denom <= 0.0]
         nodes = tuple(tuple(grid.nodes[i]) for i in idx[:8])
-        return NecessaryConstant(math.inf, nodes, exempt_w)
-    return NecessaryConstant(float((1.0 / denom).max()), (), exempt_w)
+        return NecessaryConstant(math.inf, nodes)
+    return NecessaryConstant(float((1.0 / denom).max()), ())
 
 
 @dataclass(frozen=True)
@@ -275,14 +302,6 @@ def _one_minus_b_sum(b: Symbol, blocks) -> float:
     return total
 
 
-def is_inner_estimate(b: Symbol, grid: SphereGrid,
-                      eps_inner: float = EPS_INNER) -> float:
-    """Sigma-weighted fraction of nodes with |b| >= 1 - eps_inner; fraction
-    one is inner-like, anything less is a non-inner certificate."""
-    mod = b.boundary_modulus(grid.nodes)
-    return float(grid.weights[mod >= 1.0 - eps_inner].sum())
-
-
 def sampling_candidate_measure(b: Symbol, points) -> BallMeasure:
     """The atomic measure sum_j delta_{w_j} / K^b(w_j, w_j) attached to a
     would-be sampling sequence; its boundary density is zero by construction."""
@@ -306,7 +325,7 @@ def sampling_candidate_measure(b: Symbol, points) -> BallMeasure:
 @dataclass(frozen=True)
 class SamplingRefutation:
     verdict: str               # "refuted" | "inconclusive"
-    inner_fraction: float
+    inner_fraction: float      # 1.0 for an inner b, else 0.0
     boundary_density_zero: bool
     kernel_test_trend: tuple   # min of the kernel test per w-grid refinement
     detail: str
@@ -314,21 +333,20 @@ class SamplingRefutation:
 
 def refute_sampling(b: Symbol, points, sgrid, grid: SphereGrid,
                     radial: RadialRule, refinements: int = 3,
-                    eps_inner: float = EPS_INNER,
                     tau: float = 1e-3) -> SamplingRefutation:
     """Numerical refutation of a sampling sequence for H(b), non-inner b.
 
-    Combines the non-inner certificate, the vanishing boundary density of the
+    Combines closed-form inner-ness, the vanishing boundary density of the
     candidate measure, and the kernel-test minimum collapsing under w-grid
     refinement, by the rule of the equivalence harness's "degenerate"
     verdict (criteria._verdict with threshold tau) over at least two
-    levels; anything less is inconclusive.  For inner-like b the theorem
-    does not apply.
+    levels; anything less is inconclusive.  For an inner b the theorem does
+    not apply.
     """
     mu = sampling_candidate_measure(b, points)
     zero = mu.boundary_density is None and not mu.boundary_atoms
-    frac = is_inner_estimate(b, grid, eps_inner)
-    if frac >= 1.0 - 1e-12:
+    frac = float(b.is_inner())
+    if frac:
         return SamplingRefutation(
             "inconclusive", frac, zero, (),
             "inner-like symbol: the non-inner hypothesis fails, theorem does not apply")

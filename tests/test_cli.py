@@ -259,6 +259,69 @@ def test_refute_sampling(tmp_path):
     assert doc["verdict"] == "refuted"
 
 
+NEAR_ONE_SYMBOL = ("kind: constant\ndimension: 1\n"
+                   "data: {value: [0.9999999, 0.0]}\n")
+
+
+def test_dbr_check_constant_near_one_is_not_inner(tmp_path):
+    # |b| = 0.9999999 < 1 everywhere: not inner, and the pointwise constant
+    # on sigma is 1 / (1 - |c|^2), about 5e6, with no node exempt
+    sym = tmp_path / "b.yaml"
+    sym.write_text(NEAR_ONE_SYMBOL)
+    out = tmp_path / "d.json"
+    assert run(["dbr-check", "--dim", "1", "--symbol", str(sym),
+                "--resolution", "512", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["inner_fraction"] == 0.0
+    assert doc["necessary_constant"] == pytest.approx(
+        1.0 / (1.0 - 0.9999999 ** 2), rel=1e-12)
+    assert "exempt_fraction" not in doc
+
+
+def test_refute_sampling_constant_near_one_is_not_inner(tmp_path):
+    sym = tmp_path / "b.yaml"
+    sym.write_text(NEAR_ONE_SYMBOL)
+    pts = tmp_path / "w.yaml"
+    pts.write_text(POINTS)
+    out = tmp_path / "s.json"
+    assert run(["refute-sampling", "--dim", "1", "--symbol", str(sym),
+                "--points", str(pts), "--resolution", "512",
+                "--refinements", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["inner_fraction"] == 0.0
+    assert "inner-like symbol" not in doc["detail"]
+
+
+def test_dbr_check_polynomial_touching_one_is_not_inner(tmp_path):
+    # |(1 + z) / 2| = 1 only at z = 1, a sigma-null set
+    sym = tmp_path / "b.yaml"
+    sym.write_text("kind: polynomial\ndimension: 1\ndata: {terms: ["
+                   "{coeff: [0.5, 0.0], exponents: [0]}, "
+                   "{coeff: [0.5, 0.0], exponents: [1]}]}\n")
+    out = tmp_path / "d.json"
+    assert run(["dbr-check", "--dim", "1", "--symbol", str(sym),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["inner_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("dim,exponents", [
+    (3, [40, 0, 0]),
+    (2, [200, 0]),
+])
+def test_one_term_symbol_above_one_is_input_error(tmp_path, capsys, dim,
+                                                  exponents):
+    # sup |1.001 z1^k| = 1.001 at e1, which the sampled sphere points miss
+    sym = tmp_path / "b.yaml"
+    sym.write_text(f"kind: polynomial\ndimension: {dim}\ndata: {{terms: "
+                   f"[{{coeff: [1.001, 0.0], exponents: {exponents}}}]}}\n")
+    out = tmp_path / "d.json"
+    assert run(["dbr-check", "--dim", str(dim), "--symbol", str(sym),
+                "--resolution", "64", "--out", str(out)]) == 2
+    assert "polynomial symbol has sup |b| ~ 1.001 > 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     code = run(["dbr-check", "--dim", "1",
                 "--symbol", str(tmp_path / "nope.yaml")])
@@ -289,6 +352,7 @@ def test_config_file_sets_defaults(tmp_path):
     ("dim: 1\nresolution: abc\n",
      "config field 'resolution' must be int, got 'abc'"),
     ("seed: null\n", "config field 'seed' must be int, got None"),
+    ("eps_inner: 1e-6\n", "unknown config fields: ['eps_inner']"),
     ("5\n", "config file must hold a mapping"),
 ])
 def test_malformed_config_value_is_input_error(tmp_path, capsys, text,
@@ -303,7 +367,6 @@ def test_malformed_config_value_is_input_error(tmp_path, capsys, text,
     (["--seed", "-1"], "", "seed must be >= 0, got -1"),
     (["--threshold", "nan"], "",
      "threshold must be a finite number >= 0, got nan"),
-    ([], "eps_inner: .nan\n", "eps_inner must lie in [0, 1), got nan"),
     ([], "radial_resolution: 0\n", "radial_resolution must be >= 1, got 0"),
     ([], "search_centers: 0\n", "search_centers must be >= 1, got 0"),
     ([], "search_kmax: 60\n", "search_kmax must be >= 1 with search_kmax + "

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from revcarleson import criteria, dbr, kernels, measures, quadrature
 from revcarleson.criteria import SearchGrid, _w_points, condition_ii_profile
 from revcarleson.dbr import (Symbol, dbr_kernel, dbr_kernel_diag,
-                             is_inner_estimate, kernel_test, load_symbol,
+                             kernel_test, load_symbol,
                              necessary_condition_constant,
                              one_minus_b_integral, refute_sampling,
                              sampling_candidate_measure)
@@ -63,6 +63,27 @@ def test_polynomial_sup_check():
         _poly([0.8, 0.8])          # sup |0.8 + 0.8 z| = 1.6 on the circle
     b = _poly([0.25, 0.25])
     assert b(np.array([[0.5 + 0j]]))[0] == pytest.approx(0.375)
+
+
+@pytest.mark.parametrize("d,terms", [
+    # sup |1.001 z^alpha| = 1.001 at a coordinate point, which the 20 000
+    # sampled sphere points miss
+    (3, ((1.001, (40, 0, 0)),)),
+    (2, ((1.001, (200, 0)),)),
+    # sup |c z1 z2| = |c| / 2, at |z1| = |z2| = 1/sqrt 2
+    (2, ((2.001, (1, 1)),)),
+    # like terms merge into one term, 1.001 z1^40
+    (3, ((0.5, (40, 0, 0)), (0.501, (40, 0, 0)))),
+])
+def test_one_term_polynomial_sup_is_exact(d, terms):
+    with pytest.raises(ValueError, match="sup"):
+        Symbol("polynomial", d, tuple((complex(c), a) for c, a in terms))
+
+
+def test_one_term_polynomial_at_sup_one_is_accepted():
+    b = Symbol("polynomial", 2, ((2.0 + 0j, (1, 1)),))
+    assert not b.is_inner()
+    assert dbr._monomial_sup(2.0, (1, 1)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_polynomial_symbol_has_the_bits_of_its_pieces():
@@ -115,11 +136,38 @@ def test_blaschke_is_inner(grid):
     b = _blaschke([0.5, -0.3j, 0.0])
     mod = b.boundary_modulus(grid.nodes)
     assert np.allclose(mod, 1.0, atol=1e-12)
-    assert is_inner_estimate(b, grid) == pytest.approx(1.0)
+    assert b.is_inner()
 
 
-def test_constant_is_not_inner(grid):
-    assert is_inner_estimate(_const(0.5), grid) == 0.0
+def test_constant_is_not_inner():
+    assert not _const(0.5).is_inner()
+
+
+@pytest.mark.parametrize("b,inner", [
+    (_const(0.5), False),
+    (_const(0.9999999), False),
+    (_poly([0.5, 0.5]), False),                      # (1 + z) / 2
+    (Symbol("polynomial", 2, ((1.0 + 0j, (1, 0)),)), False),   # z1, d = 2
+    (_blaschke([0.0, 0.5]), True),
+    (Symbol("polynomial", 1, ((0.6 + 0.8j, (3,)),)), True),
+    (Symbol("polynomial", 1, ((0.5 + 0j, (1,)), (0.5 + 0j, (1,)))), True),
+    (Symbol("polynomial", 1, ((1.0 + 0j, (1,)), (0j, (2,)))), True),
+    (Symbol("polynomial", 2, ((0.6 - 0.8j, (0, 0)),)), True),
+])
+def test_is_inner_per_kind(b, inner):
+    assert b.is_inner() is inner
+
+
+def test_inner_polynomial_has_unit_boundary_modulus():
+    # |z| rounds below 1 at some nodes of the circle; an inner b reads 1
+    # there, so the pointwise condition is vacuous and 1/(1 - |b|) has no
+    # node to sum over
+    b = Symbol("polynomial", 1, ((1.0 + 0j, (1,)),))
+    grid = sphere_grid(1, 2048)
+    assert np.any(np.abs(b(grid.nodes)) < 1.0)
+    assert np.all(b.boundary_modulus(grid.nodes) == 1.0)
+    assert necessary_condition_constant(b, 1.0, grid).value == 0.0
+    assert one_minus_b_integral(b, grid, 1).estimates == (0.0, 0.0)
 
 
 def test_blaschke_vanishes_at_zeros():
@@ -181,7 +229,6 @@ def test_necessary_constant_infinite_when_density_vanishes(grid):
 def test_necessary_constant_vacuous_for_inner(grid):
     nc = necessary_condition_constant(_blaschke([0.5]), 1.0, grid)
     assert nc.value == 0.0
-    assert nc.exempt_fraction == pytest.approx(1.0)
 
 
 def test_one_minus_b_divergent(grid):
