@@ -55,7 +55,7 @@ class ExperimentConfig:
         no range."""
         for name, ok, rule in (
                 ("dim", self.dim >= 1, "be >= 1"),
-                ("p", self.p > 1, "exceed 1"),
+                ("p", 1 < self.p < math.inf, "be a finite number > 1"),
                 ("resolution", self.resolution >= 4, "be at least 4"),
                 ("radial_resolution", self.radial_resolution >= 1, "be >= 1"),
                 ("refinements", self.refinements >= 1, "be at least 1"),
@@ -91,15 +91,16 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 def _coerce(name: str, value):
     """A config-file value as its field's annotated type: int, float, or
-    str | None.  Anything else, such as `resolution: abc`, is an input
-    error."""
+    str | None.  Anything else, such as `resolution: abc` or an integer
+    too large for a float, is an input error."""
     kind = _FIELD_TYPES[name]
     if kind in (int, float):
         readable = (int, str) if kind is int else (int, float, str)
         if isinstance(value, readable) and not isinstance(value, bool):
             try:
+                float(value)
                 return kind(value)
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
     elif value is None or isinstance(value, str):
         return value

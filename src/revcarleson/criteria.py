@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CarlesonWindow, sample_sphere
+from .geometry import (CarlesonWindow, NonisotropicBall, SpherePoint,
+                       sample_sphere)
 from .kernels import (Exponents, TestFunction, _closed_norm, _lp_norm,
                       _moduli, _pole_modulus, _slice_norms2)
 from .measures import BallMeasure, _NodeTable
@@ -117,33 +118,33 @@ def _walk(table: _NodeTable, sgrid: SearchGrid,
           cells: bool = True) -> tuple[dict, dict, dict]:
     """(passes, iii, window) from one walk over the search centres of
     sgrid: given exponents, each centre's ray (_ray_kernels; passes maps
-    each w-point of sgrid, in order), then, if cells, its cells, both
-    from one sphere product <zeta_i, c> held for that centre only.  iii
-    and window map each cell (tuple(c), delta) whose sigma estimate s is
-    positive to mu(Q)/s and, given a radial rule, to mu(S_Q)/s, with S_Q
-    the outer-closed window of depth min(s, 1) (window is empty without
-    one).  mu(Q) and the node mask are taken once per cell and serve
-    both; the table takes every window's mass in one call after the walk
-    (a mask is kept for it only when mu has an interior density)."""
-    passes, iii, keys, windows = {}, {}, [], []
-    keep = table.mu.interior_density is not None
-    deltas = sgrid.deltas() if cells else ()
+    each w-point of sgrid, in order), then, if cells, its nested caps in
+    one cap pass (_NodeTable.caps), both from one sphere product
+    <zeta_i, c> held for that centre only.  iii and window map each cell
+    (tuple(c), delta) whose sigma estimate s is positive to mu(Q)/s and,
+    given a radial rule, to mu(S_Q)/s, with S_Q the outer-closed window of
+    depth min(s, 1) (window is empty without one); the table takes every
+    window's mass in one call after the walk."""
+    passes, iii, windows = {}, {}, {}
+    deltas = sgrid.deltas().tolist() if cells else ()
     for c, ws in _rays(sgrid):
         t = table.grid.nodes @ np.conj(c) if cells else None
         if exponents is not None:
             passes.update(_ray_kernels(table, exponents, c, ws, t))
-        for _, Q, mask, s in table.cells(c, deltas, t) if cells else ():
-            key, m = (tuple(c), Q.delta), table.ball_mass(Q, mask)
+        sums = zip(deltas, *(v.tolist() for v in table.caps(c, deltas, t))) \
+            if cells else ()
+        center = SpherePoint(c)
+        for delta, s, m in sums:
+            if s <= 0.0:
+                continue
+            key = (tuple(c), delta)
             iii[key] = m / s
             if radial is not None:
-                keys.append(key)
-                windows.append((CarlesonWindow(Q, min(s, 1.0)), m,
-                                mask if keep else None, s))
-    if not windows:
-        return passes, iii, {}
-    masses = table.window_masses(radial, windows)
-    return passes, iii, {key: mass / s for key, (*_, s), mass
-                         in zip(keys, windows, masses)}
+                Q = NonisotropicBall(center, delta)
+                windows[key] = (CarlesonWindow(Q, min(s, 1.0)), m, s)
+    masses = table.window_masses(radial, [*windows.values()]) if radial else []
+    return passes, iii, {key: mass / s for (key, (*_, s)), mass
+                         in zip(windows.items(), masses)}
 
 
 def condition_iii_profile(mu: BallMeasure, sgrid: SearchGrid,

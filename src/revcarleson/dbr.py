@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .geometry import BallPoint, sample_sphere
 from .kernels import (_add_poly, _coords, _moduli, _pole, _pole_modulus,
                       cauchy_kernel_at)
 from .measures import (BallMeasure, _NodeTable, _dimension, _field,
-                       _load_yaml)
+                       _load_yaml, _real)
 from .quadrature import RadialRule, SphereGrid, _blocks
 
 __all__ = ["Symbol", "eval_symbol", "dbr_kernel", "dbr_kernel_diag",
@@ -56,12 +57,12 @@ def _monomial_sup(c: complex, alpha: tuple) -> float:
 
 @dataclass(frozen=True)
 class Symbol:
-    """A holomorphic b with sup |b| <= 1 in one of three closed forms.
+    """A holomorphic b from the ball into the open disc, in closed form.
 
     kind "constant":  data = c (complex, |c| < 1)
     kind "polynomial": data = tuple of (coeff, multi-index), any d
-    kind "blaschke":  data = (zeros tuple, unimodular phase), d = 1 only;
-                      the zero a = 0 contributes the factor z itself.
+    kind "blaschke":  data = (nonempty zeros tuple, unimodular phase), d = 1
+                      only; the zero a = 0 contributes the factor z itself.
     """
 
     kind: str
@@ -80,8 +81,9 @@ class Symbol:
             for i, a in enumerate(zeros):
                 _check_finite(a, f"blaschke symbol field 'zeros' entry {i}")
             _check_finite(phase, "blaschke symbol field 'phase'")
-            if any(abs(a) >= 1 for a in zeros):
-                raise ValueError("Blaschke zeros must be interior")
+            if not zeros or any(abs(a) >= 1 for a in zeros):
+                raise ValueError("Blaschke symbol needs at least one zero, "
+                                 "and its zeros must be interior")
             if abs(abs(complex(phase)) - 1.0) > 1e-10:
                 raise ValueError("Blaschke phase must be unimodular")
         elif self.kind == "polynomial":
@@ -89,11 +91,12 @@ class Symbol:
                 _check_finite(coeff, "polynomial symbol field 'coeff' of "
                               f"term {i}")
                 if len(alpha) != self.d or not all(
-                        isinstance(a, numbers.Integral) and a >= 0
-                        for a in alpha):
+                        isinstance(a, numbers.Integral) and type(a) is not bool
+                        and 0 <= a <= sys.float_info.max for a in alpha):
                     raise ValueError(
                         f"polynomial symbol term {i} has exponents "
-                        f"{list(alpha)!r}, not {self.d} integers >= 0")
+                        f"{list(alpha)!r}, not {self.d} integers >= 0 "
+                        "within a float's range")
             with np.errstate(over="ignore", invalid="ignore"):
                 sup = self.sup_modulus_estimate()
             if not math.isfinite(sup):
@@ -102,6 +105,10 @@ class Symbol:
             terms = _merged_terms(self.data)
             if len(terms) == 1:
                 sup = _monomial_sup(*terms[0])
+                if not any(terms[0][1]) and sup >= 1:
+                    raise ValueError("polynomial symbol is the constant "
+                                     f"{terms[0][0]}; it must satisfy "
+                                     "|c| < 1")
             if sup > 1 + 1e-10:
                 raise ValueError(f"polynomial symbol has sup |b| ~ {sup} > 1")
         else:
@@ -127,15 +134,15 @@ class Symbol:
     def is_inner(self) -> bool:
         """|b| = 1 sigma-a.e., from the closed form: never for a constant,
         always for a Blaschke product, and for a polynomial only as one term
-        c z^alpha, |c| = 1, with d = 1 or alpha = 0 (on each complex line
-        through 0 an inner polynomial is c lambda^k, so it is homogeneous,
-        and a non-constant homogeneous one in d >= 2 has a zero on the
+        c z^k, |c| = 1, k >= 1, in d = 1 (on each complex line through 0 an
+        inner polynomial is c lambda^k, so it is homogeneous, and a
+        non-constant homogeneous one in d >= 2 has a zero on the
         sphere)."""
         if self.kind != "polynomial":
             return self.kind == "blaschke"
         terms = _merged_terms(self.data)
-        return (len(terms) == 1 and abs(abs(terms[0][0]) - 1.0) <= 1e-10
-                and (self.d == 1 or not any(terms[0][1])))
+        return (self.d == 1 and len(terms) == 1 and any(terms[0][1])
+                and abs(abs(terms[0][0]) - 1.0) <= 1e-10)
 
     def boundary_modulus(self, nodes: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
@@ -383,6 +390,12 @@ _SYMBOL_DATA = {
 }
 
 
+def _complex(pair) -> complex:
+    """A complex number as symbol files write it, [re, im]."""
+    re, im = pair
+    return complex(_real(re), _real(im))
+
+
 def symbol_from_dict(doc: dict) -> Symbol:
     if not isinstance(doc, dict):
         raise ValueError("symbol file must hold a mapping of fields")
@@ -393,18 +406,16 @@ def symbol_from_dict(doc: dict) -> Symbol:
     data = _field(doc, "data", "symbol")
     try:
         if kind == "constant":
-            re, im = data["value"]
-            args = ("constant", d, complex(re, im))
+            args = ("constant", d, _complex(data["value"]))
         elif kind == "polynomial":
             args = ("polynomial", d, tuple(
-                (complex(t["coeff"][0], t["coeff"][1]),
-                 tuple(t["exponents"]))
+                (_complex(t["coeff"]), tuple(t["exponents"]))
                 for t in data["terms"]))
         else:
-            zeros = tuple(complex(a, bb) for a, bb in data["zeros"])
-            ph = data.get("phase", [1.0, 0.0])
-            args = ("blaschke", 1, (zeros, complex(ph[0], ph[1])))
-    except (TypeError, KeyError, IndexError, ValueError, AttributeError):
+            args = ("blaschke", d, (tuple(map(_complex, data["zeros"])),
+                                    _complex(data.get("phase", [1.0, 0.0]))))
+    except (TypeError, KeyError, IndexError, ValueError, AttributeError,
+            OverflowError):
         raise ValueError(f"symbol field 'data' of kind {kind!r} must be "
                          f"{_SYMBOL_DATA[kind]}, got {data!r}") from None
     return Symbol(*args)

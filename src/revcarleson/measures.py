@@ -19,10 +19,11 @@ import numpy as np
 import yaml
 
 from .geometry import (BallPoint, CarlesonWindow, NonisotropicBall,
-                       SpherePoint, TOL)
+                       SpherePoint, TOL, niso_gap)
 from .kernels import Exponents, _modulus_rows, _norms_p, cauchy_modulus_p
 from .quadrature import (RadialRule, SphereGrid, WindowNodes, _radial_rows,
-                         radial_rule, sphere_sum, window_nodes, window_sum)
+                         integrate_window, radial_rule, sphere_sum,
+                         window_nodes, window_sum)
 
 __all__ = ["DensityExpr", "parse_density", "BallMeasure", "sigma_measure",
            "measure_of_ball", "measure_of_window", "integrate_measure",
@@ -68,13 +69,11 @@ class DensityExpr:
 
 
 def _finite(x, spec, form: ValueError) -> float:
-    """x as a float; form when it is no number (a bool or a string is
-    none), and an error naming spec when it is not finite."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise form
+    """x as a float; form when it is no number (_real), and an error naming
+    spec when it is not finite."""
     try:
-        x = float(x)
-    except OverflowError:
+        x = _real(x)
+    except (TypeError, OverflowError):
         raise form from None
     if not math.isfinite(x):
         raise ValueError(f"density node {spec!r} needs a finite number, "
@@ -182,14 +181,22 @@ def parse_density(spec) -> DensityExpr | None:
     return None if spec is None else DensityExpr(spec)
 
 
+def _real(x) -> float:
+    """x, a number as files write it, as a float: a bool or a string is
+    none (TypeError), and an integer no float holds raises OverflowError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _parse_point(obj) -> np.ndarray:
-    """A point as files write it: a list of [re, im] pairs, one per
-    coordinate."""
+    """A point as files write it: a list of [re, im] pairs of numbers
+    (_real), one per coordinate."""
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr = np.array([[_real(re), _real(im)] for re, im in obj])
     except (TypeError, ValueError, OverflowError):
         arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
+    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise ValueError("a point must be a list [[re, im], ...] of finite "
                          f"numbers, one pair per coordinate, got {obj!r}")
     return arr[:, 0] + 1j * arr[:, 1]
@@ -250,19 +257,17 @@ def sigma_measure(d: int) -> BallMeasure:
 def measure_of_ball(mu: BallMeasure, Q: NonisotropicBall,
                     grid: SphereGrid) -> float:
     """mu(Q) for a cap Q on the sphere; only boundary parts contribute."""
-    return _NodeTable.build(mu, grid).ball_mass(
-        Q, Q.contains_coords(grid.nodes))
+    return float(_NodeTable.build(mu, grid).caps(Q.center.coords,
+                                                 [Q.delta])[1][0])
 
 
 def measure_of_window(mu: BallMeasure, S: CarlesonWindow, grid: SphereGrid,
                       radial: RadialRule) -> float:
     """mu(S) = interior density over S + interior atoms in S + the boundary
     parts over its cap (windows are outer-closed)."""
-    mask = S.ball.contains_coords(grid.nodes)
     table = _NodeTable.build(mu, grid)
-    s = float(grid.weights[mask].sum())
-    return table.window_masses(
-        radial, [(S, table.ball_mass(S.ball, mask), mask, s)])[0]
+    s, m = table.caps(S.ball.center.coords, [S.ball.delta])
+    return table.window_masses(radial, [(S, m[0], s[0])])[0]
 
 
 def integrate_measure(mu: BallMeasure, f, grid: SphereGrid,
@@ -307,10 +312,10 @@ class _NodeTable:
     A loop that integrates many functions against one measure (every w of
     a kernel profile, every cell of a window profile) builds the table once
     and passes it on, so no density is evaluated twice on the same nodes;
-    the cap and window profiles walk their cells through its cell pass and
-    take all their windows' masses in one window_masses call, where a
-    radial interior density g(|z|) needs one radial sum per window and no
-    angular nodes.
+    the cap and window profiles take each search centre's nested caps from
+    one cap pass (caps) and all their windows' masses from one
+    window_masses call, where a radial interior density g(|z|) needs one
+    radial sum per window.
 
     sets holds mu's node sets, each an (n, d) array, in the order every
     integral reads them: the full-ball tensor nodes of the radial rule
@@ -379,46 +384,41 @@ class _NodeTable:
         return cls(mu, grid, sets, wg, interior, wint, slices,
                    np.empty((2, rows, len(grid))))
 
-    def cells(self, c: np.ndarray, deltas, t: np.ndarray | None = None):
-        """The cell pass of one centre c, the one place the node-indicator
-        rule lives.
-
-        Yields (j, Q, mask, s) for each cell Q = Q(c, deltas[j]) in order:
-        mask marks the grid nodes with |1 - <zeta, c>| <= deltas[j] + TOL,
-        and s, the weight under it, is the grid estimate of sigma(Q).  The
-        gaps |1 - t| are taken once, from the sphere product t = <zeta_i,
-        c> (the one of c's ray when the caller passes it, else taken
-        here), with niso_gap's bits; cells with s = 0 are skipped.
-        """
+    def caps(self, c: np.ndarray, deltas, t: np.ndarray | None = None):
+        """(s, m) over the nested caps Q_j = Q(c, deltas[j]), deltas strictly
+        decreasing: the grid estimates of sigma(Q_j), 0 when Q_j holds no
+        grid node, and of mu(Q_j).  The one place the node-indicator rule
+        lives: a grid node or boundary atom is in Q_j when its gap
+        |1 - <zeta, c>| (niso_gap's bits; the grid's from t = <zeta_i, c>,
+        c's ray's if given) is at most deltas[j] + TOL.  Each point is
+        ranked once, by the number of caps that hold it; s and m are suffix
+        sums of sigma's and mu's weights binned by rank, so that on sigma
+        m / s is exactly 1."""
         if t is None:
             t = self.grid.nodes @ np.conj(c)
-        center, gaps = SpherePoint(c), np.abs(1.0 - t)
-        for j, delta in enumerate(deltas):
-            mask = gaps <= delta + TOL
-            s = float(self.grid.weights[mask].sum())
-            if s > 0.0:
-                yield j, NonisotropicBall(center, float(delta)), mask, s
-
-    def ball_mass(self, Q: NonisotropicBall, mask: np.ndarray) -> float:
-        """mu(Q), see measure_of_ball; mask marks the grid nodes in Q."""
-        total = 0.0
-        if self.wg is not None:
-            total = float(np.sum(self.wg[mask]))
-        for pt, mass in self.mu.boundary_atoms:
-            if Q.contains_coords(pt.coords[None, :])[0]:
-                total += mass
-        return total
+        n, k = len(t), len(deltas)
+        gaps = np.abs(1.0 - t)
+        mass = np.zeros(n) if self.wg is None else self.wg
+        if self.mu.boundary_atoms:
+            gaps = np.concatenate([gaps, niso_gap(c, self.sets[3])])
+            mass = np.concatenate([mass, [m for _, m in
+                                          self.mu.boundary_atoms]])
+        # -gap >= -(delta_j + TOL) for each cap Q_j that holds the point
+        ranks = np.searchsorted(-(np.asarray(deltas, dtype=float) + TOL),
+                                -gaps, side="right")
+        return tuple(np.cumsum(np.bincount(r, w, k + 1)[:0:-1])[::-1]
+                     for r, w in ((ranks[:n], self.grid.weights),
+                                  (ranks, mass)))
 
     def window_masses(self, radial: RadialRule, windows) -> list[float]:
         """mu(S) of each window S, see measure_of_window, in order.
 
-        windows holds one (S, cap_mass, mask, s) per window: mask marks the
-        grid nodes in the cap of S (it may be None when mu has no interior
-        density), s is their weight and cap_mass their mu (ball_mass).  The
+        windows holds one (S, cap_mass, s) per window: s and cap_mass are
+        the grid estimates of sigma and mu on the cap of S (caps).  The
         interior density is integrated over S by the radial rule of depth
-        S.depth: window by window on the tensor nodes of the cap when it has
-        an angular factor, and for all windows at once when it is radial
-        (see _radial_sums).  Either way the first window at fault raises.
+        S.depth: window by window by integrate_window when it has an
+        angular factor, and for all windows at once when it is radial (see
+        _radial_sums).  Either way the first window at fault raises.
 
         An interior atom is in S as S.contains_coords decides, with its
         norm and radial projection taken once per call, not per window.
@@ -430,8 +430,9 @@ class _NodeTable:
         elif dens.radial:
             inner = self._radial_sums(radial, windows)
         else:
-            inner = [self._tensor_sum(radial, S, mask)
-                     for S, _, mask, _ in windows]
+            inner = [float(np.real(integrate_window(
+                mu.interior_density_values, S, self.grid,
+                _match_depth(radial, mu.d, S.depth)))) for S, *_ in windows]
         atoms = []
         for pt, mass in mu.interior_atoms:
             z = pt.coords[None, :]
@@ -439,7 +440,7 @@ class _NodeTable:
             atoms.append((float(r[0]), z / r[:, None] if r[0] > 0 else None,
                           mass))
         out = []
-        for (S, cap_mass, _, _), total in zip(windows, inner):
+        for (S, cap_mass, _), total in zip(windows, inner):
             for r, proj, mass in atoms:
                 # the origin lies only in the full-depth window
                 if 1 - S.depth - TOL <= r <= 1 + TOL and (
@@ -449,18 +450,6 @@ class _NodeTable:
             out.append(total + cap_mass)
         return out
 
-    def _tensor_sum(self, radial: RadialRule, S: CarlesonWindow,
-                    mask: np.ndarray) -> float:
-        """The interior density's integral over S: window_sum over the
-        tensor nodes of the cap's grid nodes (mask) and the radial rule of
-        depth S.depth."""
-        if not mask.any():
-            return 0.0
-        nodes = window_nodes(self.grid, mask,
-                             _match_depth(radial, self.mu.d, S.depth))
-        return float(np.real(window_sum(
-            nodes, self.mu.interior_density_values(nodes.points))))
-
     def _radial_sums(self, radial: RadialRule, windows) -> list[float]:
         """The radial interior density g integrated over each window, as
         s * sum_j wr_j g(r_j): over the cap's grid nodes g(r_j zeta_i) is
@@ -469,10 +458,10 @@ class _NodeTable:
         1e-12 of its own, as in _match_depth) and g is evaluated once, on
         the points (r_j, 0, ..., 0) of every window whose cap holds a node:
         a negative value raises interior_density_values' error, and the
-        first of those windows where g is not finite raises window_sum's,
+        first of those windows where g is not finite integrate_window's,
         naming the radius and the cap's first node."""
         d = self.mu.d
-        s = np.array([w[3] for w in windows], dtype=float)
+        s = np.array([w[2] for w in windows], dtype=float)
         live = np.flatnonzero(s > 0.0)
         depths = np.array([windows[k][0].depth for k in live], dtype=float)
         r, wr = _radial_rows(d, radial.resolution, depths)
@@ -482,14 +471,11 @@ class _NodeTable:
         pts = np.zeros((r.size, d), dtype=complex)
         pts[:, 0] = r.ravel()
         g = self.mu.interior_density_values(pts).reshape(r.shape)
-        bad = ~np.isfinite(g).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            mask = windows[live[i]][2]
-            rule = RadialRule(d, r[i], wr[i], depths[i], radial.resolution)
-            window_sum(WindowNodes(self.grid.nodes[mask][:1],
-                                   self.grid.weights[mask][:1], rule, None),
-                       g[i])
+        bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+        if bad.size:
+            integrate_window(self.mu.interior_density_values,
+                             windows[live[bad[0]]][0], self.grid,
+                             _match_depth(radial, d, depths[bad[0]]))
         out = np.zeros(len(windows))
         out[live] = s[live] * np.sum(wr * g, axis=1)
         return out.tolist()
@@ -670,8 +656,8 @@ def radon_nikodym_profile(mu: BallMeasure, centers, deltas,
     table = _NodeTable.build(mu, grid)
     out = np.full((len(centers), len(deltas)), np.nan)
     for i, c in enumerate(centers):
-        for j, Q, mask, s in table.cells(c.coords, deltas):
-            out[i, j] = table.ball_mass(Q, mask) / s
+        s, m = table.caps(c.coords, deltas)
+        np.divide(m, s, out=out[i], where=s > 0.0)
     return RadonNikodymProfile(tuple(centers), deltas, out)
 
 
@@ -720,8 +706,8 @@ def _atoms_from_dict(doc: dict, key: str, kind) -> tuple:
     atoms = []
     for i, e in enumerate(entries):
         try:
-            mass, point = float(e["mass"]), _parse_point(e["point"])
-        except (TypeError, KeyError, IndexError, ValueError):
+            mass, point = _real(e["mass"]), _parse_point(e["point"])
+        except (TypeError, KeyError, IndexError, ValueError, OverflowError):
             raise ValueError(f"measure field {key!r} entry {i} must be "
                              "{point: [[re, im], ...], mass: number}, "
                              f"got {e!r}") from None

@@ -27,6 +27,10 @@ VOLUME_MEASURE = ("dimension: 1\n"
                   "interior_atoms:\n- {point: [[0.9, 0.0]], mass: 0.2}\n")
 
 
+# 10^400 as a YAML integer: Python reads it whole, and no float holds it
+BIG = "1" + "0" * 400
+
+
 def run(argv):
     return main(argv)
 
@@ -68,7 +72,7 @@ def test_criteria_writes_csv_curves(tmp_path, capsys):
 
 
 def test_criteria_window_and_forward_profiles_match_library(tmp_path):
-    # the CLI reads both profiles off one pass over the cells
+    # the CLI reads both profiles off one walk over the cells
     mu_path = tmp_path / "mu.yaml"
     mu_path.write_text(VOLUME_MEASURE)
     out = tmp_path / "c.json"
@@ -87,27 +91,27 @@ def test_criteria_window_and_forward_profiles_match_library(tmp_path):
 
 def test_criteria_walks_each_cell_once_on_one_table(tmp_path, monkeypatch):
     # condition (iii), the window and the forward profile are read off one
-    # walk, and condition (ii) off the same node table: 8 centres x 7 deltas
-    builds, yields = [], Counter()
+    # walk, one cap pass per centre, and condition (ii) off the same node
+    # table: 8 centres x 7 deltas
+    builds, calls = [], Counter()
     real_build = criteria._NodeTable.build.__func__
-    real_cells = criteria._NodeTable.cells
+    real_caps = criteria._NodeTable.caps
 
     def counting_build(cls, *args, **kwargs):
         builds.append(args)
         return real_build(cls, *args, **kwargs)
 
-    def counting_cells(self, c, deltas, t=None):
-        for cell in real_cells(self, c, deltas, t):
-            yields[tuple(c), cell[1].delta] += 1
-            yield cell
+    def counting_caps(self, c, deltas, t=None):
+        calls[tuple(c)] += len(deltas)
+        return real_caps(self, c, deltas, t)
 
     monkeypatch.setattr(criteria._NodeTable, "build",
                         classmethod(counting_build))
-    monkeypatch.setattr(criteria._NodeTable, "cells", counting_cells)
+    monkeypatch.setattr(criteria._NodeTable, "caps", counting_caps)
     assert run(["criteria", "--dim", "1", "--resolution", "2048",
                 "--out", str(tmp_path / "c.json")]) == 0
     assert len(builds) == 1
-    assert sum(yields.values()) == len(yields) == 56
+    assert list(calls.values()) == [7] * 8
 
 
 def test_equivalence_sigma(tmp_path):
@@ -352,6 +356,10 @@ def test_config_file_sets_defaults(tmp_path):
     ("dim: 1\nresolution: abc\n",
      "config field 'resolution' must be int, got 'abc'"),
     ("seed: null\n", "config field 'seed' must be int, got None"),
+    (f"threshold: {BIG}\n", f"config field 'threshold' must be float, "
+     f"got {BIG}"),
+    (f"resolution: -{BIG}\n", f"config field 'resolution' must be int, "
+     f"got -{BIG}"),
     ("eps_inner: 1e-6\n", "unknown config fields: ['eps_inner']"),
     ("5\n", "config file must hold a mapping"),
 ])
@@ -760,3 +768,46 @@ def test_refute_sampling_dimension_mismatch_is_input_error(
                 "--out", str(tmp_path / "s.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", ["dbr-check", "refute-sampling"])
+@pytest.mark.parametrize("kind,data,message", [
+    # integers no float holds, in each numeric field of a symbol file
+    ("polynomial", f"{{terms: [{{coeff: [0.25, 0.0], exponents: [{BIG}]}}]}}",
+     f"polynomial symbol term 0 has exponents [{BIG}], not 1 integers >= 0"),
+    ("polynomial", f"{{terms: [{{coeff: [{BIG}, 0.0], exponents: [1]}}]}}",
+     "symbol field 'data' of kind 'polynomial' must be"),
+    ("blaschke", f"{{zeros: [[0.5, 0.0]], phase: [0.0, {BIG}]}}",
+     "symbol field 'data' of kind 'blaschke' must be"),
+    # unimodular constants, which map the ball onto the circle
+    ("blaschke", "{zeros: [], phase: [0.0, 1.0]}",
+     "Blaschke symbol needs at least one zero"),
+    ("polynomial", "{terms: [{coeff: [0.5, 0.0], exponents: [0]}, "
+     "{coeff: [0.1, 0.8], exponents: [0]}]}",
+     "polynomial symbol is the constant (0.6+0.8j); it must satisfy |c| < 1"),
+])
+def test_symbol_file_out_of_float_range_or_unimodular_is_input_error(
+        tmp_path, capsys, command, kind, data, message):
+    sym, pts = tmp_path / "b.yaml", tmp_path / "w.yaml"
+    sym.write_text(f"kind: {kind}\ndimension: 1\ndata: {data}\n")
+    pts.write_text(POINTS)
+    argv = [command, "--dim", "1", "--symbol", str(sym),
+            "--resolution", "64", "--out", str(tmp_path / "r.json")]
+    if command == "refute-sampling":
+        argv += ["--points", str(pts)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key,point", [("boundary_atoms", "[[1.0, 0.0]]"),
+                                       ("interior_atoms", "[[0.5, 0.0]]")])
+def test_atom_mass_out_of_float_range_is_input_error(tmp_path, capsys, key,
+                                                     point):
+    mu = tmp_path / "mu.yaml"
+    mu.write_text(f"dimension: 1\n{key}:\n- {{point: {point}, "
+                  f"mass: {BIG}}}\n")
+    assert run(["criteria", "--dim", "1", "--resolution", "64",
+                "--measure", str(mu)]) == 2
+    assert f"measure field '{key}' entry 0 must be " in \
+        capsys.readouterr().err

@@ -152,10 +152,23 @@ def test_constant_is_not_inner():
     (Symbol("polynomial", 1, ((0.6 + 0.8j, (3,)),)), True),
     (Symbol("polynomial", 1, ((0.5 + 0j, (1,)), (0.5 + 0j, (1,)))), True),
     (Symbol("polynomial", 1, ((1.0 + 0j, (1,)), (0j, (2,)))), True),
-    (Symbol("polynomial", 2, ((0.6 - 0.8j, (0, 0)),)), True),
+    (Symbol("polynomial", 1, ((0.99999999995 + 0j, (0,)),)), False),
 ])
 def test_is_inner_per_kind(b, inner):
     assert b.is_inner() is inner
+
+
+@pytest.mark.parametrize("kind,d,data,message", [
+    # constants with |c| = 1 map the ball onto the circle, not into the
+    # open disc, however the kind writes them
+    ("polynomial", 2, ((0.6 - 0.8j, (0, 0)),), r"constant \(0.6-0.8j\)"),
+    ("polynomial", 1, ((0.5 + 0j, (0,)), (0.5 + 0j, (0,))),
+     r"constant \(1\+0j\)"),
+    ("blaschke", 1, ((), 1j), "at least one zero"),
+])
+def test_unimodular_constant_symbols_are_rejected(kind, d, data, message):
+    with pytest.raises(ValueError, match=message):
+        Symbol(kind, d, data)
 
 
 def test_inner_polynomial_has_unit_boundary_modulus():
